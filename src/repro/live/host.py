@@ -6,11 +6,14 @@ A :class:`LiveHost` is the wall-clock analogue of
 the same pure :class:`~repro.runtime.core.ProtocolCore`, but the
 substrate primitives map onto real queues and real time —
 
-* ``Send``/``Multicast``/``NeqMulticast`` put codec-JSON
-  :class:`~repro.live.wire.NetEnvelope` strings on the destination
-  child's ``multiprocessing`` inbox queue (per-(src,dst) FIFO order is
-  the queue's own FIFO guarantee, and ``sender``/``_neq`` are stamped
-  by the transport exactly like the DES network stamps them);
+* ``Send``/``Multicast``/``NeqMulticast`` encode their message once
+  (codec JSON, content form) and append it to a per-destination outbox;
+  the end of every loop turn flushes each outbox as one *net frame*
+  (see :mod:`repro.live.wire`) on the destination child's
+  ``multiprocessing`` inbox queue (per-(src,dst) FIFO order is append
+  order plus the queue's own FIFO guarantee, and ``sender``/``_neq``
+  are stamped by the transport exactly like the DES network stamps
+  them);
 * ``SetTimer``/``Schedule`` become entries on a local timer heap keyed
   by simulated time, served by the event loop's ``get(timeout=...)``;
 * ``Job``/``CtrlJob``/``ApplyUpdate`` are *emulated* on free-list CPU
@@ -26,9 +29,12 @@ simply fires its due work late but **in order** — commit outcomes are
 timing-independent by protocol design, which is what the
 cross-validation harness (:mod:`repro.live.crossval`) checks.
 
-The loop is single-threaded on purpose: one queue read, then all due
-timer/job continuations, then the next read — the same
-run-to-completion handler atomicity cores enjoy under the DES.
+The loop is single-threaded on purpose: one blocking queue read, all
+due timer/job continuations, whatever else already sits in the inbox
+(bounded, see :data:`_DRAIN_MSGS`), one flush — the same
+run-to-completion handler atomicity cores enjoy under the DES.  An idle
+node therefore flushes after every message (low-load latency is one
+hop, as before) and a saturated one amortises its queue puts.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from repro.live.wire import (
     CtrlShutdown,
     CtrlStart,
     CtrlSubmit,
-    NetEnvelope,
     register_wire,
 )
 from repro.runtime.codec import decode_json, encode_json
@@ -75,6 +80,13 @@ __all__ = ["LiveHost", "child_main"]
 #: maximum blocking wait on the inbox, so the loop periodically re-derives
 #: ``now`` even when neither timers nor messages are pending
 _POLL_S = 0.25
+#: messages one turn may take from the inbox before it flushes and looks
+#: at the heap again: a busy inbox must not starve jobs and view timers
+_DRAIN_MSGS = 64
+#: payload size (JSON is ASCII) above which a message is flushed at once,
+#: alone in its frame: batching bulk chunks only stacks megabytes in both
+#: processes' pickle buffers (peak RSS) for no saving in puts per byte
+_SOLO_BYTES = 64 * 1024
 
 
 class _EmuCpu:
@@ -125,6 +137,8 @@ class LiveHost(EffectInterpreter):
         self._seq = 0
         self._timers: dict[str, int] = {}  # armed name -> heap entry seq
         self._stop = False
+        self._outbox: dict[str, list[tuple[bool, str]]] = {}
+        self._events: list[ChildEvent] = []  # emitted this turn
         core.bind(self)
 
     # --------------------------------------------------- runtime interface
@@ -147,28 +161,39 @@ class LiveHost(EffectInterpreter):
     perform = EffectInterpreter.interpret
 
     # ---------------------------------------------------------- primitives
-    def _post(self, dst: str, msg: Any, neq: bool) -> None:
-        box = self._inboxes.get(dst)
-        if box is None:
-            raise LiveError(f"{self.pid}: send to unknown node {dst!r}")
-        env = NetEnvelope(
-            src=self.pid,
-            dst=dst,
-            neq=neq,
-            payload=encode_json(msg, with_sender=False),
-        )
-        box.put(encode_json(env))
+    def _post(self, dsts, msg: Any, neq: bool) -> None:
+        payload = encode_json(msg, with_sender=False)
+        item = (neq, payload)
+        solo = len(payload) > _SOLO_BYTES
+        for dst in dsts:
+            box = self._inboxes.get(dst)
+            if box is None:
+                raise LiveError(f"{self.pid}: send to unknown node {dst!r}")
+            if solo:
+                queued = self._outbox.pop(dst, None)
+                if queued:  # per-(src,dst) FIFO: earlier sends go first
+                    box.put((self.pid, queued))
+                box.put((self.pid, [item]))
+            else:
+                self._outbox.setdefault(dst, []).append(item)
+
+    def _flush(self) -> None:
+        """End of a turn: one put per destination, one for the events."""
+        for dst, batch in self._outbox.items():
+            self._inboxes[dst].put((self.pid, batch))
+        self._outbox.clear()
+        if self._events:
+            self._up.put(encode_json(self._events))
+            self._events.clear()
 
     def _do_send(self, effect: Send) -> None:
-        self._post(effect.dst, effect.msg, neq=False)
+        self._post((effect.dst,), effect.msg, neq=False)
 
     def _do_multicast(self, effect: Multicast) -> None:
-        for dst in effect.dsts:
-            self._post(dst, effect.msg, neq=False)
+        self._post(effect.dsts, effect.msg, neq=False)
 
     def _do_neq_multicast(self, effect: NeqMulticast) -> None:
-        for dst in effect.dsts:
-            self._post(dst, effect.msg, neq=True)
+        self._post(effect.dsts, effect.msg, neq=True)
 
     def _push(self, at: float, kind: str, payload: tuple) -> int:
         self._seq += 1
@@ -204,7 +229,7 @@ class LiveHost(EffectInterpreter):
         # cores gate with wants() before constructing events, mirroring
         # the DES bus guard; anything performed anyway is forwarded and
         # the parent bus applies its own category routing
-        self._up.put(encode_json(ChildEvent(pid=self.pid, event=effect.event)))
+        self._events.append(ChildEvent(pid=self.pid, event=effect.event))
 
     def _do_halt(self, effect: Halt) -> None:
         # fail-stop: state freezes, pending timers die (guarded jobs are
@@ -225,14 +250,25 @@ class LiveHost(EffectInterpreter):
                 timeout = min(
                     _POLL_S, max(0.0, next_wall - time.monotonic())
                 )
-            try:
-                raw = self._inbox.get(timeout=timeout)
-            except queue.Empty:
-                raw = None
+            item = self._recv(timeout)
             if self._t0 is not None:
                 self._fire_due()
-            if raw is not None:
-                self._handle(decode_json(raw))
+            budget = _DRAIN_MSGS
+            while item is not None and not self._stop:
+                budget -= self._handle(item)
+                if budget <= 0 or (self._heap and self._heap[0][0] <= self.now):
+                    break
+                item = self._recv(0.0)
+            self._flush()
+
+    def _recv(self, timeout: float) -> Any:
+        """Next inbox item — a net frame as is, a control string decoded —
+        or ``None`` after ``timeout`` wall seconds."""
+        try:
+            raw = self._inbox.get(timeout=timeout)
+        except queue.Empty:
+            return None
+        return raw if type(raw) is tuple else decode_json(raw)
 
     def _fire_due(self) -> None:
         while self._heap and self._heap[0][0] <= self.now:
@@ -262,16 +298,21 @@ class LiveHost(EffectInterpreter):
                 effect, idx = payload
                 self._fire_milestone(effect, idx)
 
-    def _handle(self, item: Any) -> None:
-        if isinstance(item, NetEnvelope):
-            if self.crashed:
-                return
-            msg = decode_json(item.payload)
-            msg.sender = item.src  # transport stamp, as Network.send does
-            if item.neq:
-                msg._neq = True  # delivery stamp, as Network._deliver does
-            self._deliver_to_core(msg)
-        elif isinstance(item, CtrlStart):
+    def _handle(self, item: Any) -> int:
+        """One inbox item: a net frame or a control envelope.  Returns how
+        many messages it carried (the unit of the drain budget)."""
+        if type(item) is tuple:
+            src, batch = item
+            for neq, payload in batch:
+                if self.crashed:
+                    break  # fail-stop mid-frame: the rest is never seen
+                msg = decode_json(payload)
+                msg.sender = src  # transport stamp, as Network.send does
+                if neq:
+                    msg._neq = True  # delivery stamp, as Network._deliver does
+                self._deliver_to_core(msg)
+            return len(batch)
+        if isinstance(item, CtrlStart):
             self._t0 = item.t0
             self._scale = item.time_scale
             if isinstance(self.core, InputProcess):
@@ -293,21 +334,20 @@ class LiveHost(EffectInterpreter):
         elif isinstance(item, CtrlShutdown):
             if item.grace > 0:
                 deadline = time.monotonic() + item.grace
-                while time.monotonic() < deadline:
-                    try:
-                        raw = self._inbox.get(
-                            timeout=max(0.0, deadline - time.monotonic())
-                        )
-                    except queue.Empty:
+                while (left := deadline - time.monotonic()) > 0:
+                    self._flush()  # peers are draining too: let them see it
+                    tail = self._recv(left)
+                    if tail is None:
                         break
-                    tail = decode_json(raw)
-                    if isinstance(tail, (NetEnvelope, CtrlSubmit)):
+                    if isinstance(tail, (tuple, CtrlSubmit)):
                         self._handle(tail)
                 self._fire_due()
+            self._flush()
             self._up.put(encode_json(self._exit_report()))
             self._stop = True
         else:
             raise LiveError(f"{self.pid}: unexpected envelope {item!r}")
+        return 1
 
     def _exit_report(self) -> ChildExit:
         summary: dict = {}

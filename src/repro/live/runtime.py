@@ -182,7 +182,7 @@ class LiveRuntime:
         """
         self.start()
         try:
-            self._pump(deadline, duration, target_tasks, self._report)
+            self._pump(deadline, duration, target_tasks)
             report = self._stop_inner()
             if (
                 duration is None
@@ -277,26 +277,33 @@ class LiveRuntime:
     def poll(self, timeout: float = 0.05) -> None:
         """Service the deployment once: fire due campaign phases, reap
         dead children, pump available child events onto the bus.  Blocks
-        at most ``timeout`` wall seconds.  External drivers (the serve
-        gateway) call this in a loop between :meth:`start`/:meth:`stop`."""
+        at most ``timeout`` wall seconds, less when a phase comes due
+        sooner.  External drivers (the serve gateway) call this in a loop
+        between :meth:`start`/:meth:`stop`."""
         now_sim = self.now_sim
         while self._pending and self._pending[0].at <= now_sim:
             self._apply_phase(self._pending.pop(0), now_sim, self._report)
         if time.monotonic() - self._last_reap > 1.0:
-            self._reap(self._procs, set())
+            self._reap(self._procs)
             self._last_reap = time.monotonic()
+        if self._pending:
+            next_phase_wall = self._t0 + self._pending[0].at * self.time_scale
+            timeout = min(timeout, max(0.0, next_phase_wall - time.monotonic()))
+        items = self._recv_up(timeout)
+        while items:  # then whatever else arrived, without blocking
+            for item in items:
+                self._dispatch_up(item, self._report)
+            items = self._recv_up(0.0)
+        self._report.tasks_completed = self.metrics.tasks_completed
+
+    def _recv_up(self, timeout: float) -> list:
+        """One up-queue put, decoded: a child's report on its own, or the
+        :class:`ChildEvent` batch of one loop turn; empty on timeout."""
         try:
             item = decode_json(self._up.get(timeout=timeout))
         except queue.Empty:
-            return
-        self._dispatch_up(item, self._report)
-        while True:  # drain whatever else arrived, without blocking
-            try:
-                item = decode_json(self._up.get_nowait())
-            except queue.Empty:
-                break
-            self._dispatch_up(item, self._report)
-        self._report.tasks_completed = self.metrics.tasks_completed
+            return []
+        return item if isinstance(item, list) else [item]
 
     def stop(self) -> LiveReport:
         """Gracefully shut the deployment down and return its report
@@ -318,22 +325,16 @@ class LiveRuntime:
         ready: set[str] = set()
         deadline = time.monotonic() + _READY_TIMEOUT_S
         while len(ready) < len(procs):
-            self._reap(procs, ready)
-            try:
-                item = decode_json(
-                    self._up.get(timeout=min(0.25, _READY_TIMEOUT_S))
+            self._reap(procs)
+            items = self._recv_up(0.25)
+            if not items and time.monotonic() > deadline:
+                missing = sorted(set(procs) - ready)
+                raise LiveError(
+                    f"live start handshake timed out; not ready: {missing}"
                 )
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    missing = sorted(set(procs) - ready)
-                    raise LiveError(
-                        f"live start handshake timed out; not ready: {missing}"
-                    )
-                continue
-            if isinstance(item, ChildReady):
-                ready.add(item.pid)
+            ready.update(i.pid for i in items if isinstance(i, ChildReady))
 
-    def _reap(self, procs: dict, ok_missing: set) -> None:
+    def _reap(self, procs: dict) -> None:
         """A dead child that never reported is a hard failure."""
         for pid, p in procs.items():
             if not p.is_alive() and p.exitcode not in (0, None):
@@ -343,46 +344,22 @@ class LiveRuntime:
                 )
 
     def _pump(
-        self,
-        deadline: float,
-        duration: Optional[float],
-        target_tasks: int,
-        report: LiveReport,
+        self, deadline: float, duration: Optional[float], target_tasks: int
     ) -> None:
-        t0 = self._t0
-        pending: list[Phase] = self._pending
         while True:
-            now_sim = max(0.0, (time.monotonic() - t0) / self.time_scale)
-            while pending and pending[0].at <= now_sim:
-                self._apply_phase(pending.pop(0), now_sim, report)
-            report.tasks_completed = self.metrics.tasks_completed
+            self.poll()
+            now_sim = self.now_sim
             if duration is not None:
                 if now_sim >= duration:
                     return
             elif (
                 target_tasks > 0
-                and report.tasks_completed >= target_tasks
-                and not pending
+                and self._report.tasks_completed >= target_tasks
+                and not self._pending
             ):
                 return
             if now_sim >= deadline:
                 return  # the caller turns a missed target into an error
-            if time.monotonic() - self._last_reap > 1.0:
-                self._reap(self._procs, set())
-                self._last_reap = time.monotonic()
-            next_phase_wall = (
-                t0 + pending[0].at * self.time_scale if pending else None
-            )
-            timeout = 0.05
-            if next_phase_wall is not None:
-                timeout = min(
-                    timeout, max(0.0, next_phase_wall - time.monotonic())
-                )
-            try:
-                item = decode_json(self._up.get(timeout=timeout))
-            except queue.Empty:
-                continue
-            self._dispatch_up(item, report)
 
     def _dispatch_up(self, item, report: LiveReport) -> None:
         if isinstance(item, ChildEvent):
@@ -444,11 +421,8 @@ class LiveRuntime:
         while (
             len(self._exited) < len(procs) and time.monotonic() < deadline
         ):
-            try:
-                item = decode_json(self._up.get(timeout=0.25))
-            except queue.Empty:
-                continue
-            self._dispatch_up(item, report)
+            for item in self._recv_up(0.25):
+                self._dispatch_up(item, report)
         for pid, p in procs.items():
             p.join(timeout=max(0.0, deadline - time.monotonic()) + 0.5)
         stragglers = [pid for pid, p in procs.items() if p.is_alive()]

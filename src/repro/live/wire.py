@@ -1,14 +1,23 @@
 """Control-plane envelopes for the live OS-process backend.
 
-Everything that crosses a process boundary is one codec-JSON string
-(:mod:`repro.runtime.codec`): protocol messages ride inside a
-:class:`NetEnvelope` (content form — ``sender``/``_neq`` are transport
-stamps applied at send/delivery, exactly like the DES network), trace
-events ride up to the parent inside a :class:`ChildEvent`, and the
-parent drives children with the ``Ctrl*`` types.  :func:`register_wire`
-installs every envelope *and* the full trace-event vocabulary in the
-codec registry; both the parent and each child call it once at startup
-(idempotent).
+Exactly two payload shapes cross a process boundary:
+
+* a **codec-JSON string** (:mod:`repro.runtime.codec`) — the parent
+  drives children with the ``Ctrl*`` types, children answer with
+  :class:`ChildReady` / :class:`ChildExit`, and the trace events one
+  child emitted in one loop turn ride up as the JSON of a *list* of
+  :class:`ChildEvent`;
+* a **net frame** between children — the plain tuple
+  ``(src, [(neq, payload), ...])``: everything ``src`` sent to this
+  inbox in one loop turn, in send order.  Each ``payload`` is the codec
+  JSON of one protocol message in content form, encoded once per effect
+  and shared by every destination's frame; ``src`` and ``neq`` are the
+  transport stamps (``sender``/``_neq`` applied at delivery, exactly
+  like the DES network), carried as plain fields beside the payload.
+
+:func:`register_wire` installs every envelope *and* the full
+trace-event vocabulary in the codec registry; both the parent and each
+child call it once at startup (idempotent).
 """
 
 from __future__ import annotations
@@ -36,7 +45,12 @@ __all__ = [
 
 @dataclass(slots=True)
 class NetEnvelope:
-    """One inter-node message hop: src → dst, payload in content form."""
+    """One inter-node message hop as a codec type of its own.
+
+    No longer on any queue — hops travel as net frames (module
+    docstring).  The class stays registered because the performance
+    ledger's ``live.envelope_encode_us`` row encodes it.
+    """
 
     src: str
     dst: str

@@ -1,12 +1,18 @@
 """Wire-level control types: registration and codec round-trips.
 
 The live backend puts exactly two payload shapes on its queues: codec
-JSON of ``repro.live.wire`` control dataclasses, and codec JSON of
-protocol messages wrapped in :class:`NetEnvelope`.  These tests pin the
-control plane; protocol message coverage lives in
+JSON strings (``repro.live.wire`` control dataclasses, and a list of
+:class:`ChildEvent` per child loop turn on the way up), and net frames —
+plain ``(src, [(neq, payload), ...])`` tuples whose payloads are codec
+JSON of protocol messages in content form.  These tests pin both shapes;
+what hosts put in them is pinned by ``test_host_transport.py`` and
+protocol message coverage lives in
 ``tests/runtime/test_codec_completeness.py``.
 """
 
+import pickle
+
+from repro.consensus.messages import CsAck
 from repro.live.wire import (
     ChildEvent,
     ChildExit,
@@ -36,11 +42,34 @@ def test_register_wire_is_idempotent():
     assert set(codec.registered_types()) == before
 
 
-def test_net_envelope_round_trips():
+def test_net_envelope_still_round_trips():
+    """Off the queues since net frames, but the ledger's
+    ``live.envelope_encode_us`` row still encodes one."""
     env = NetEnvelope(src="e1", dst="v0", neq=True, payload='{"x": 1}')
     back = _round_trip(env)
     assert back == env
     assert back.neq is True
+
+
+def test_net_frame_survives_the_queue_pickle():
+    """A frame is builtins only (``mp.Queue`` pickles it) and its payloads
+    are content form: no sender, no neq marker inside the JSON."""
+    msg = CsAck(view=1, seq=2, batch_digest=b"d" * 32)
+    msg.sender, msg._neq = "e1", True
+    payload = codec.encode_json(msg, with_sender=False)
+    frame = ("e1", [(True, payload), (False, payload)])
+    assert pickle.loads(pickle.dumps(frame)) == frame
+    back = codec.decode_json(payload)
+    assert back == msg and back.sender is None and back._neq is False
+
+
+def test_child_event_batch_is_one_json_list():
+    batch = [
+        ChildEvent(pid="op0", event=TaskCompleted(time=t, pid="op0", task_id=f"t-{t}"))
+        for t in (1.0, 2.0)
+    ]
+    back = codec.decode_json(codec.encode_json(batch))
+    assert isinstance(back, list) and back == batch
 
 
 def test_ctrl_types_round_trip():
