@@ -6,10 +6,11 @@ k=1 layout), a small executor pool, one output process, ``tasks``
 compute-only tasks, and at most one Byzantine fault drawn from the
 :mod:`repro.core.faults` registries.  :func:`build_world` constructs
 the deployment over pure :class:`~repro.runtime.core.ProtocolCore`
-state machines bound to :class:`~repro.runtime.testing.McRuntime`
-backends, then *bootstraps past consensus*: every coordinator member
-commits each task directly (``_commit_task``), exactly as if the
-consensus instance had delivered it — so the explored frontier starts
+state machines, each bound to its own in-memory
+:class:`~repro.runtime.testing.TestRuntime`, then *bootstraps past
+consensus*: every coordinator member commits each task directly
+(``_commit_task``), exactly as if the consensus instance had delivered
+it — so the explored frontier starts
 at the signed ``AssignmentMsg`` multicasts of the data plane, the part
 of the protocol whose schedules are actually interesting, and
 reproducer traces stay short.  Consensus is still *live* during

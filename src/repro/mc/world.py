@@ -1,12 +1,17 @@
 """The explorable world: cores + pending frontier as a choice point.
 
 A :class:`McWorld` owns every core of one small deployment (each bound
-to its :class:`~repro.runtime.testing.McRuntime`), the shared pending
-frontier (undelivered messages and unexecuted local jobs), and the
-per-(pid, timer) fire budgets.  The explorer drives it through exactly
-three operations: :meth:`enabled` (the current choice point),
-:meth:`execute` (commit one action, optionally draining its local
-follow-ups), and :meth:`clone` (snapshot for backtracking).
+to its own :class:`~repro.runtime.testing.TestRuntime`), the shared
+pending frontier (undelivered messages and unexecuted local jobs), and
+the per-(pid, timer) fire budgets.  After every step the world moves
+each runtime's recorded sends and queued jobs/scheds into the frontier
+(:meth:`collect`); execution itself — delivery, the crash rules of
+local jobs and timers — is the runtime's, so the explorer runs the
+cores exactly as unit tests and replay do and only the *order* is its
+own.  The explorer drives the world through exactly three operations:
+:meth:`enabled` (the current choice point), :meth:`execute` (commit one
+action, optionally draining its local follow-ups), and :meth:`clone`
+(snapshot for backtracking).
 
 Action identity is *content-based*, not queue-positional: a delivery is
 keyed by (target, sender, payload-hash, occurrence#), so the same
@@ -30,7 +35,8 @@ from typing import Any
 from repro.check.invariants import audit_safety
 from repro.check.report import SanitizerReport
 from repro.mc.fingerprint import DEFAULT_SKIP, stable_digest
-from repro.runtime.testing import McRuntime, describe_effect
+from repro.runtime.effects import Multicast, NeqMulticast, Schedule, Send
+from repro.runtime.testing import TestRuntime, describe_effect
 
 __all__ = ["Action", "McWorld", "audit_world", "describe_action"]
 
@@ -89,9 +95,8 @@ class McWorld:
         self.config = config
         self.app = app
         self.registry = registry
-        self.clock = 0.0
         self.cores: dict[str, Any] = {}
-        self.runtimes: dict[str, McRuntime] = {}
+        self.runtimes: dict[str, TestRuntime] = {}
         self.coordinators: list = []
         self.outputs: list = []
         self.pending: dict[tuple, Action] = {}
@@ -105,7 +110,10 @@ class McWorld:
     # ------------------------------------------------------------- building
     def add_core(self, core, coordinator: bool = False,
                  output: bool = False) -> None:
-        rt = McRuntime(core, self, cores=self.config.cores_per_node)
+        # trace events never feed back into core state: dropping them
+        # keeps snapshots small and states comparable across schedules
+        rt = TestRuntime(core, cores=self.config.cores_per_node,
+                         wanted=lambda category: False)
         self.cores[core.pid] = core
         self.runtimes[core.pid] = rt
         if coordinator:
@@ -114,7 +122,28 @@ class McWorld:
             self.outputs.append(core)
 
     # ---------------------------------------------------- frontier plumbing
-    def enqueue_send(self, src: str, dst: str, msg, neq: bool) -> None:
+    def collect(self) -> None:
+        """Move every runtime's recorded sends and queued jobs/scheds
+        into the frontier, then clear both (other effects need nothing
+        from the world: timers stay armed on their runtime)."""
+        for src, rt in self.runtimes.items():
+            for effect in rt.effects:
+                t = type(effect)
+                if t is Send:
+                    self._enqueue_send(src, effect.dst, effect.msg, False)
+                elif t is Multicast or t is NeqMulticast:
+                    neq = t is NeqMulticast
+                    for dst in effect.dsts:
+                        self._enqueue_send(src, dst, effect.msg, neq)
+            for effect in rt.pending:
+                t = type(effect)
+                ident = effect.sched_id if t is Schedule else effect.job_id
+                key = ("l", src, t.__name__, ident)
+                self.pending[key] = Action(key, effect=effect)
+            rt.clear()
+            rt.pending.clear()
+
+    def _enqueue_send(self, src: str, dst: str, msg, neq: bool) -> None:
         payload = stable_digest(msg, _MSG_SKIP)[:16]
         if neq:
             payload += ":q"
@@ -122,13 +151,6 @@ class McWorld:
         self._occ[(dst, src, payload)] = occ + 1
         key = ("d", dst, src, payload, occ)
         self.pending[key] = Action(key, src=src, msg=msg, neq=neq)
-
-    def enqueue_local(self, pid: str, effect) -> None:
-        ident = getattr(effect, "job_id", None)
-        if ident is None:
-            ident = effect.sched_id
-        key = ("l", pid, type(effect).__name__, ident)
-        self.pending[key] = Action(key, effect=effect)
 
     # --------------------------------------------------------- choice point
     def enabled(self) -> list[Action]:
@@ -170,21 +192,30 @@ class McWorld:
         self.pending.pop(key, None)
         pre_keys = frozenset(self.pending) if check_stutter else None
 
+        rt = self.runtimes[target]
         if kind == "d":
-            self.runtimes[target].deliver(action.msg, action.src, action.neq)
+            # the transport's neq stamp; ``deliver`` stamps the sender
+            msg = action.msg
+            if action.neq:
+                msg._neq = True
+            elif getattr(msg, "_neq", False):
+                msg._neq = False
+            rt.deliver(msg, action.src)
         elif kind == "l":
-            self.runtimes[target].run_local(action.effect)
+            rt.run(action.effect)
         else:
             name = key[2]
             self.timer_spent[(target, name)] = (
                 self.timer_spent.get((target, name), 0) + 1
             )
-            self.runtimes[target].fire_timer(name)
+            rt.fire_timer(name)
 
         if self.model.eager_local:
             # locals only ever target the core that queued them, so the
             # macro-step still mutates exactly one core
             self.drain_local()
+        else:
+            self.collect()
         self.invalidate(target)
 
         if check_stutter:
@@ -197,13 +228,12 @@ class McWorld:
     def drain_local(self) -> None:
         """Run all pending local jobs to rest, in sorted-key order."""
         while True:
+            self.collect()
             local_keys = sorted(k for k in self.pending if k[0] == "l")
             if not local_keys:
                 return
             for key in local_keys:
-                action = self.pending.pop(key, None)
-                if action is not None:
-                    self.runtimes[key[1]].run_local(action.effect)
+                self.runtimes[key[1]].run(self.pending.pop(key).effect)
 
     def is_terminal(self) -> bool:
         return not self.enabled()

@@ -3,23 +3,26 @@
 Every protocol role (coordinator, verifier, executor, IP/OP, the
 consensus engines and both baselines) is a :class:`ProtocolCore`: a pure
 state machine whose handlers emit typed :mod:`~repro.runtime.effects`
-instead of touching the simulator or the network directly.  A
-:class:`Runtime` backend interprets those effects:
+instead of touching the simulator or the network directly.  Three
+backends host cores (the contract is documented on
+:meth:`ProtocolCore.bind`):
 
 * :class:`~repro.runtime.des.DesHost` — the discrete-event backend used
-  by every deployment builder; interprets effects exactly as the
+  by every deployment builder; interprets effects through the shared
+  :class:`~repro.runtime.interpreter.EffectInterpreter` exactly as the
   pre-refactor inline calls did (bit-identical traces).
-* :class:`~repro.runtime.testing.TestRuntime` — an inert in-memory
-  backend for driving cores directly in unit tests, with no Simulator
-  and no Network constructed.
-* :class:`~repro.runtime.replay.ReplayRuntime` — re-runs a single core
-  standalone from a bus-captured inbox (post-mortem debugging).
+* :class:`~repro.live.host.LiveHost` — one core per OS process, over
+  the same interpreter.
+* :class:`~repro.runtime.testing.TestRuntime` — the one in-memory
+  backend, with no Simulator and no Network: unit tests drive it by
+  hand, :mod:`repro.mc` explores orderings over it, and
+  :func:`~repro.runtime.replay.replay` re-runs a single core on it
+  from a bus-captured inbox (post-mortem debugging).
 
 The deployment builder for the full OsirisBFT cluster lives in
 :mod:`repro.runtime.deploy`; ``repro.core.cluster`` forwards to it.
 """
 
-from repro.runtime.api import Runtime, StubCpu
 from repro.runtime.core import ProtocolCore
 from repro.runtime.effects import (
     ApplyUpdate,
@@ -37,8 +40,6 @@ from repro.runtime.effects import (
 )
 
 __all__ = [
-    "Runtime",
-    "StubCpu",
     "ProtocolCore",
     "Effect",
     "Send",

@@ -14,10 +14,9 @@ the bound runtime; they are *the only* way a core touches the world.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.runtime.api import Runtime
 from repro.runtime.effects import (
     ApplyUpdate,
     CancelTimer,
@@ -49,7 +48,7 @@ class ProtocolCore:
         self.pid = pid
         self.crashed = False
         self.unhandled_messages = 0
-        self._rt: Optional[Runtime] = None
+        self._rt: Any = None
         self._job_seq = 0
         self._sched_seq = 0
         handlers: dict[str, Callable] = {}
@@ -59,9 +58,21 @@ class ProtocolCore:
         self._handlers = handlers
 
     # ------------------------------------------------------------- binding
-    def bind(self, rt: Runtime) -> None:
+    def bind(self, rt: Any) -> None:
         """Attach the backend; fires the :meth:`on_bind` hook (where
-        cores arm their initial timers — never in ``__init__``)."""
+        cores arm their initial timers — never in ``__init__``).
+
+        ``rt`` offers four read-side services — ``now``,
+        ``wants(category)`` (does any trace sink subscribe, so the core
+        can skip building unseen events), ``timer_armed(name)`` and
+        ``app_cpu`` (``cores``, ``busy_seconds``) — and one write-side
+        entrypoint, ``perform(effect)``.  Effects are performed
+        *immediately and in emission order* — the core calls ``perform``
+        as it goes rather than returning a batch — so an interpreting
+        backend executes the exact call sequence the pre-refactor inline
+        code did (this is what keeps DES traces bit-identical), while the
+        recording backend still observes the full effect stream.
+        """
         if self._rt is not None:
             raise SimulationError(f"core {self.pid} already bound")
         self._rt = rt
@@ -71,7 +82,7 @@ class ProtocolCore:
         """Called once, immediately after the runtime is attached."""
 
     @property
-    def rt(self) -> Runtime:
+    def rt(self) -> Any:
         if self._rt is None:
             raise SimulationError(f"core {self.pid} is not bound to a runtime")
         return self._rt

@@ -6,9 +6,10 @@ Enable :attr:`DesHost.capture` on a host during a live run and attach a
 consumed (messages in codec form; timer, job, milestone and sched fires
 by identifier) interleaved with the *signature* of every effect the core
 performed.  :func:`replay` re-runs a freshly constructed core against
-that input log — with no Simulator and no Network — re-invoking the new
-core's own pending continuations by identifier, and returns the
-replayed effect-signature stream for comparison against the live one.
+that input log on a :class:`~repro.runtime.testing.TestRuntime` — with
+no Simulator and no Network — re-invoking the new core's own pending
+continuations by identifier; :func:`effect_signature` over the
+runtime's recorded effects is then comparable against the live stream.
 
 This is the post-mortem workflow for chaos-test failures: rebuild the
 one suspect role, replay its exact inbox, and single-step its decisions
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import ReplayError
-from repro.runtime.api import Runtime, StubCpu
 from repro.runtime.codec import decode_json, encode_json
 from repro.runtime.core import ProtocolCore
 from repro.runtime.effects import (
@@ -39,13 +39,13 @@ from repro.runtime.effects import (
     Send,
     SetTimer,
 )
+from repro.runtime.testing import TestRuntime
 
 __all__ = [
     "effect_signature",
     "encode_message",
     "decode_message",
     "ReplayLog",
-    "ReplayRuntime",
     "replay",
 ]
 
@@ -146,121 +146,63 @@ class ReplayLog:
         return log
 
 
-class _ReplayCpu(StubCpu):
-    """Mirrors ``CpuBank.busy_seconds`` accounting: the live bank charges
-    the full cost at submit time, so accumulating app-bank job costs as
-    they are performed reproduces every value the core can read."""
+def replay(
+    core: ProtocolCore,
+    log: ReplayLog,
+    cores: int = 7,
+    wants: Optional[Callable[[str], bool]] = None,
+) -> TestRuntime:
+    """Drive a fresh ``core`` through every input in ``log``.
 
-
-class ReplayRuntime(Runtime):
-    """Backend that re-feeds a captured inbox to a fresh core."""
-
-    def __init__(
-        self,
-        core: ProtocolCore,
-        cores: int = 7,
-        wants: Optional[Callable[[str], bool]] = None,
-    ) -> None:
-        self.core = core
-        self._now = 0.0
-        self._wants = wants or (lambda category: True)
-        self._cpu = _ReplayCpu(cores)
-        self._timers: dict[str, SetTimer] = {}
-        self._jobs: dict[int, Any] = {}
-        self._milestones: dict[tuple[int, int], tuple] = {}
-        self._scheds: dict[int, Schedule] = {}
-        self.effects: list[str] = []
-        core.bind(self)
-
-    # --------------------------------------------------- runtime interface
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def wants(self, category: str) -> bool:
-        return self._wants(category)
-
-    def timer_armed(self, name: str) -> bool:
-        return name in self._timers
-
-    @property
-    def app_cpu(self):
-        return self._cpu
-
-    def perform(self, effect) -> None:
-        self.effects.append(effect_signature(effect))
-        t = type(effect)
-        if t is SetTimer:
-            self._timers[effect.name] = effect
-        elif t is CancelTimer:
-            self._timers.pop(effect.name, None)
-        elif t is Schedule:
-            self._scheds[effect.sched_id] = effect
-        elif t is Job:
-            self._cpu.busy_seconds += effect.cost
-            self._jobs[effect.job_id] = effect
-            for idx, milestone in enumerate(effect.milestones):
-                self._milestones[(effect.job_id, idx)] = milestone
-        elif t is CtrlJob:
-            self._jobs[effect.job_id] = effect
-        elif t is ApplyUpdate:
-            self._cpu.busy_seconds += effect.cost
-        # Send/Multicast/NeqMulticast/Emit/Halt have no replay-side state
-
-    # ----------------------------------------------------------- log feed
-    def feed(self, time: float, input_kind: str, ref: str) -> None:
-        """Consume one recorded input, advancing the replay clock."""
-        self._now = time
+    The core runs on a :class:`TestRuntime` whose clock follows the
+    log.  A ``job``/``sched`` input runs the queued effect with that
+    ``job_id``/``sched_id`` through :meth:`TestRuntime.run`; a job's
+    milestones are inputs of their own (``job_id:index``), fired one at
+    a time, so the job itself runs without them.  Returns the runtime;
+    ``effect_signature`` over ``runtime.effects`` is directly comparable
+    to ``log.effects`` from the live run.
+    """
+    rt = TestRuntime(core, cores=cores, wanted=wants)
+    milestones: dict[str, tuple] = {}
+    seen = 0
+    for time, input_kind, ref in log.inputs:
+        # index the milestones of every job performed since the last input
+        for effect in rt.effects[seen:]:
+            if type(effect) is Job:
+                for idx, milestone in enumerate(effect.milestones):
+                    milestones[f"{effect.job_id}:{idx}"] = milestone
+        seen = len(rt.effects)
+        rt.clock = time
         if input_kind == "msg":
-            self.core.handle(decode_message(ref))
-            return
-        if input_kind == "timer":
-            eff = self._timers.pop(ref, None)
-            if eff is None:
+            rt.deliver(decode_message(ref))
+        elif input_kind == "timer":
+            if not rt.timer_armed(ref):
                 raise ReplayError(f"timer {ref!r} not armed at replay time")
-            if not self.core.crashed:
-                eff.fn(*eff.args)
-            return
-        if input_kind == "sched":
-            eff = self._scheds.pop(int(ref), None)
-            if eff is None:
-                raise ReplayError(f"sched {ref!r} not pending at replay time")
-            eff.fn(*eff.args)
-            return
-        if input_kind == "job":
-            eff = self._jobs.pop(int(ref), None)
-            if eff is None:
-                raise ReplayError(f"job {ref!r} not pending at replay time")
-            if isinstance(eff, CtrlJob) or eff.guarded:
-                if self.core.crashed:
-                    return
-            eff.fn(*eff.args)
-            return
-        if input_kind == "milestone":
-            job_id, _, idx = ref.partition(":")
-            milestone = self._milestones.pop((int(job_id), int(idx)), None)
+            rt.fire_timer(ref)
+        elif input_kind == "milestone":
+            milestone = milestones.pop(ref, None)
             if milestone is None:
                 raise ReplayError(
                     f"milestone {ref!r} not pending at replay time"
                 )
             _, fn, args = milestone
             fn(*args)
-            return
-        raise ReplayError(f"unknown input kind {input_kind!r}")
-
-
-def replay(
-    core: ProtocolCore,
-    log: ReplayLog,
-    cores: int = 7,
-    wants: Optional[Callable[[str], bool]] = None,
-) -> ReplayRuntime:
-    """Drive a fresh ``core`` through every input in ``log``.
-
-    Returns the runtime; ``runtime.effects`` is the replayed effect
-    stream, directly comparable to ``log.effects`` from the live run.
-    """
-    rt = ReplayRuntime(core, cores=cores, wants=wants)
-    for time, input_kind, ref in log.inputs:
-        rt.feed(time, input_kind, ref)
+        elif input_kind in ("job", "sched"):
+            rt.run(_take_pending(rt, input_kind, int(ref)))
+        else:
+            raise ReplayError(f"unknown input kind {input_kind!r}")
     return rt
+
+
+def _take_pending(rt: TestRuntime, input_kind: str, ident: int):
+    """Dequeue the job (``job_id``) or sched (``sched_id``) ``ident``."""
+    for i, effect in enumerate(rt.pending):
+        if type(effect) is Schedule:
+            if input_kind == "sched" and effect.sched_id == ident:
+                return rt.pending.pop(i)
+        elif input_kind == "job" and effect.job_id == ident:
+            rt.pending.pop(i)
+            if type(effect) is Job:
+                return replace(effect, milestones=())
+            return effect
+    raise ReplayError(f"{input_kind} {ident} not pending at replay time")

@@ -1,19 +1,22 @@
-"""In-memory backend for driving protocol cores in unit tests.
+"""The in-memory backend: one core, no Simulator, no Network.
 
-No Simulator, no Network: a :class:`TestRuntime` records every effect a
-core performs and keeps just enough state (armed timers, pending jobs)
-to let a test fire continuations by hand or drain them synchronously.
-This is what makes adversarial input orderings *surgical*: a test
-constructs a Verifier or Coordinator core, feeds hand-crafted messages
-in any order, and asserts directly on state and on the typed effect
-stream — without racing a whole simulated deployment.
+A :class:`TestRuntime` records every effect a core performs and keeps
+just enough state (armed timers, queued jobs and scheds) to let its
+driver fire continuations by hand.  Three drivers share it, so the
+crash rules below are written once for all of them:
+
+* unit tests construct a Verifier or Coordinator core, feed
+  hand-crafted messages in any order, and assert directly on state and
+  on the typed effect stream — adversarial orderings made *surgical*;
+* :mod:`repro.mc` binds one per core and moves each runtime's recorded
+  sends and queued work into the explorer's frontier after every step;
+* :func:`repro.runtime.replay.replay` feeds a captured inbox into one.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.runtime.api import Runtime, StubCpu
 from repro.runtime.core import ProtocolCore
 from repro.runtime.effects import (
     ApplyUpdate,
@@ -30,7 +33,7 @@ from repro.runtime.effects import (
     SetTimer,
 )
 
-__all__ = ["TestRuntime", "McRuntime", "describe_effect", "sent_messages"]
+__all__ = ["TestRuntime", "describe_effect", "sent_messages"]
 
 
 def describe_effect(effect: Effect) -> str:
@@ -62,7 +65,17 @@ def describe_effect(effect: Effect) -> str:
     return t.__name__
 
 
-class TestRuntime(Runtime):
+class StubCpu:
+    """App-bank view for the in-memory backend: the two fields cores
+    read.  ``busy_seconds`` accumulates app-bank costs as they are
+    performed, as ``CpuBank`` charges the full cost at submit time."""
+
+    def __init__(self, cores: int = 1) -> None:
+        self.cores = cores
+        self.busy_seconds = 0.0
+
+
+class TestRuntime:
     """Inert effect recorder with manual continuation control."""
 
     def __init__(
@@ -111,7 +124,7 @@ class TestRuntime(Runtime):
         elif t is Halt:
             self.timers.clear()
 
-    # ------------------------------------------------------- test controls
+    # ---------------------------------------------------- driver controls
     def deliver(self, msg: Any, sender: Optional[str] = None) -> None:
         """Hand a message to the core, stamping ``sender`` like the
         authenticated transport would."""
@@ -125,13 +138,26 @@ class TestRuntime(Runtime):
         if not self.core.crashed:
             effect.fn(*effect.args)
 
-    def drain(self, max_rounds: int = 1000) -> None:
-        """Run queued jobs/scheds (and any they enqueue) to quiescence.
+    def run(self, effect) -> None:
+        """Run one queued job, ctrl-job or sched with the DES crash rules.
 
-        Costs are ignored — the test backend has no clock to advance —
-        but crash-guarding matches the DES: guarded work is skipped once
-        the core crashed, while unguarded work still runs.
+        A job's milestones run first and are never guarded; a guarded
+        ``Job`` or any ``CtrlJob`` then skips its continuation once the
+        core crashed; a ``Schedule`` always runs.  Costs are ignored —
+        this backend has no clock to advance.
         """
+        t = type(effect)
+        if t is Job:
+            for _, fn, args in effect.milestones:
+                fn(*args)
+            if effect.guarded and self.core.crashed:
+                return
+        elif t is CtrlJob and self.core.crashed:
+            return
+        effect.fn(*effect.args)
+
+    def drain(self, max_rounds: int = 1000) -> None:
+        """Run queued work (and any it enqueues) to quiescence, FIFO."""
         rounds = 0
         while self.pending:
             rounds += 1
@@ -147,19 +173,7 @@ class TestRuntime(Runtime):
                     f"{len(self.pending)} undelivered effect(s): "
                     f"[{undelivered}]"
                 )
-            effect = self.pending.pop(0)
-            if type(effect) is Job:
-                for _, fn, args in effect.milestones:
-                    fn(*args)
-                if effect.guarded and self.core.crashed:
-                    continue
-                effect.fn(*effect.args)
-            elif type(effect) is CtrlJob:
-                if self.core.crashed:
-                    continue
-                effect.fn(*effect.args)
-            else:  # Schedule — never guarded
-                effect.fn(*effect.args)
+            self.run(self.pending.pop(0))
 
     # ------------------------------------------------------------ querying
     def of(self, effect_type: type) -> list[Effect]:
@@ -176,102 +190,6 @@ class TestRuntime(Runtime):
             for e in self.effects
             if type(e) is Emit and type(e.event) is event_type
         ]
-
-
-class McRuntime(Runtime):
-    """Model-checking sibling of :class:`TestRuntime`.
-
-    Where ``TestRuntime`` keeps a private FIFO of pending effects for a
-    single core, an ``McRuntime`` routes every send and every queued
-    job/sched of its core into an explorer-owned *world* (duck-typed:
-    ``enqueue_send(src, dst, msg, neq)`` and ``enqueue_local(src,
-    effect)``) — the world treats that shared pending frontier as a
-    choice point and decides which action happens next.  Execution
-    semantics (milestones first, crash-guarding, timer crash-guard)
-    match ``TestRuntime.drain`` and the DES exactly; only the *order*
-    is external.
-
-    ``wants`` is always False: trace events never feed back into core
-    state, and dropping them keeps snapshots small and states
-    comparable across schedules.
-    """
-
-    def __init__(self, core: ProtocolCore, world, cores: int = 7) -> None:
-        self.core = core
-        self.world = world
-        self._cpu = StubCpu(cores)
-        self.timers: dict[str, SetTimer] = {}
-        core.bind(self)
-
-    # --------------------------------------------------- runtime interface
-    @property
-    def now(self) -> float:
-        return self.world.clock
-
-    def wants(self, category: str) -> bool:
-        return False
-
-    def timer_armed(self, name: str) -> bool:
-        return name in self.timers
-
-    @property
-    def app_cpu(self):
-        return self._cpu
-
-    def perform(self, effect) -> None:
-        t = type(effect)
-        pid = self.core.pid
-        if t is Send:
-            self.world.enqueue_send(pid, effect.dst, effect.msg, False)
-        elif t is Multicast:
-            for dst in effect.dsts:
-                self.world.enqueue_send(pid, dst, effect.msg, False)
-        elif t is NeqMulticast:
-            for dst in effect.dsts:
-                self.world.enqueue_send(pid, dst, effect.msg, True)
-        elif t is SetTimer:
-            self.timers[effect.name] = effect
-        elif t is CancelTimer:
-            self.timers.pop(effect.name, None)
-        elif t in (Job, CtrlJob, Schedule):
-            if t is Job:
-                self._cpu.busy_seconds += effect.cost
-            self.world.enqueue_local(pid, effect)
-        elif t is ApplyUpdate:
-            self._cpu.busy_seconds += effect.cost
-        elif t is Halt:
-            self.timers.clear()
-        # Emit is dropped: wants() is False and events have no feedback
-
-    # ------------------------------------------------- execution (by world)
-    def deliver(self, msg: Any, sender: str, neq: bool = False) -> None:
-        """Deliver one message, stamping sender/neq like the transport."""
-        msg.sender = sender
-        if neq:
-            msg._neq = True
-        elif getattr(msg, "_neq", False):
-            msg._neq = False
-        self.core.handle(msg)
-
-    def run_local(self, effect) -> None:
-        """Run one queued job/ctrl-job/sched, TestRuntime.drain-style."""
-        if type(effect) is Job:
-            for _, fn, args in effect.milestones:
-                fn(*args)
-            if effect.guarded and self.core.crashed:
-                return
-            effect.fn(*effect.args)
-        elif type(effect) is CtrlJob:
-            if self.core.crashed:
-                return
-            effect.fn(*effect.args)
-        else:  # Schedule — never guarded
-            effect.fn(*effect.args)
-
-    def fire_timer(self, name: str) -> None:
-        effect = self.timers.pop(name)
-        if not self.core.crashed:
-            effect.fn(*effect.args)
 
 
 def sent_messages(rt: TestRuntime, msg_type: Optional[type] = None) -> list:

@@ -2,6 +2,33 @@
 
 from repro.mc import McModel, explore
 
+_COUNTS = (
+    "states",
+    "transitions",
+    "terminals",
+    "sleep_skips",
+    "stutter_commits",
+    "cache_hits",
+    "delay_prunes",
+)
+
+#: Exact counts of the n=3, one-task explores below, in ``_COUNTS``
+#: order, all with zero violations.  A lost reduction or a reordered
+#: frontier changes them, so any drift fails here rather than merely
+#: running slower.
+PINNED = {
+    "default": (618, 656, 11, 848, 231, 39, 3474),
+    "no-stutter": (778, 905, 11, 1749, 0, 100, 7274),
+    "delays-0": (40, 39, 1, 0, 19, 0, 248),
+    "executor:equivocate-chunks": (604, 658, 9, 848, 177, 55, 3625),
+    "verifier:bogus-digest": (626, 664, 11, 854, 217, 39, 3685),
+    "executor:silent": (2097, 2153, 17, 391, 850, 56, 2847),
+}
+
+
+def counts(stats) -> tuple:
+    return tuple(getattr(stats, name) for name in _COUNTS)
+
 
 class TestDeterminism:
     def test_same_counts_across_two_runs(self):
@@ -10,6 +37,7 @@ class TestDeterminism:
         second = explore(model)
         assert first.stats.to_dict() == second.stats.to_dict()
         assert first.ok and second.ok
+        assert counts(first.stats) == PINNED["default"]
 
     def test_exploration_is_complete_within_budget(self):
         result = explore(McModel(n=3, tasks=1))
@@ -36,12 +64,15 @@ class TestReduction:
         assert full.states >= base.states
         assert full.stutter_commits == 0
         assert full.violations == base.violations == 0
+        assert counts(full) == PINNED["no-stutter"]
 
     def test_delay_budget_bounds_the_space(self):
         tight = explore(McModel(n=3, tasks=1, delays=0)).stats
         loose = explore(McModel(n=3, tasks=1, delays=1)).stats
         assert tight.terminals == 1  # canonical schedule only
         assert loose.states > tight.states
+        assert counts(tight) == PINNED["delays-0"]
+        assert counts(loose) == PINNED["default"]
 
 
 class TestFaultModels:
@@ -57,6 +88,7 @@ class TestFaultModels:
             )
             assert result.stats.complete
             assert result.ok, (role, kind, result.violations)
+            assert counts(result.stats) == PINNED[f"{role}:{kind}"]
 
     def test_silent_executor_exercises_timers(self):
         # a silent executor produces nothing: progress needs suspect
@@ -77,3 +109,4 @@ class TestFaultModels:
         base = explore(McModel(n=3, tasks=1)).stats
         assert result.stats.states > base.states
         assert not timer_keys
+        assert counts(result.stats) == PINNED["executor:silent"]
