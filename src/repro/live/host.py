@@ -1,30 +1,29 @@
 """Child-process side of the live backend: one core, one OS process.
 
-A :class:`LiveHost` is the wall-clock analogue of
-:class:`~repro.runtime.des.DesHost`: the same
-:class:`~repro.runtime.interpreter.EffectInterpreter` skeleton drives
-the same pure :class:`~repro.runtime.core.ProtocolCore`, but the
-substrate primitives map onto real queues and real time —
+A :class:`LiveHost` is the live substrate of the one host,
+:class:`~repro.runtime.interpreter.EffectInterpreter`, which owns every
+effect rule (timers, crash and guarded-job rules, CPU lanes, capture).
+This module supplies what those rules run on in a real process —
 
-* ``Send``/``Multicast``/``NeqMulticast`` encode their message once
-  (codec JSON, content form) and append it to a per-destination outbox;
-  the end of every loop turn flushes each outbox as one *net frame*
-  (see :mod:`repro.live.wire`) on the destination child's
-  ``multiprocessing`` inbox queue (per-(src,dst) FIFO order is append
-  order plus the queue's own FIFO guarantee, and ``sender``/``_neq``
-  are stamped by the transport exactly like the DES network stamps
-  them);
-* ``SetTimer``/``Schedule`` become entries on a local timer heap keyed
-  by simulated time, served by the event loop's ``get(timeout=...)``;
-* ``Job``/``CtrlJob``/``ApplyUpdate`` are *emulated* on free-list CPU
-  banks (the app bank has ``cores`` lanes, the control bank one), so
-  completion times, milestone offsets and ``busy_seconds`` follow the
-  same cost model the DES charges — wall-clock execution of the
-  callback happens when the emulated completion time arrives.
+* **transport**: ``Send``/``Multicast``/``NeqMulticast`` encode their
+  message once (codec JSON, content form) and append it to a
+  per-destination outbox; the end of every loop turn flushes each outbox
+  as one *net frame* (see :mod:`repro.live.wire`) on the destination
+  child's ``multiprocessing`` inbox queue (per-(src,dst) FIFO order is
+  append order plus the queue's own FIFO guarantee, and ``sender``/``_neq``
+  are stamped at delivery as the DES network stamps them);
+* **clock**: simulated time is ``(monotonic() - t0) / time_scale`` with
+  ``t0`` shared by all processes via :class:`~repro.live.wire.CtrlStart`;
+  timers, schedules, job completions and milestones wait on one heap
+  that the loop pops when they fall due;
+* **CPU banks**: ``CpuBank`` on that clock, so completion times,
+  milestone offsets and ``busy_seconds`` follow the DES cost model;
+* **event sink**: emitted trace events go up to the parent once per turn.
 
-Simulated time is ``(monotonic() - t0) / time_scale`` with ``t0``
-shared by all processes via :class:`~repro.live.wire.CtrlStart`; a
-child that falls behind wall-clock (real Python execution is not free)
+``tests/runtime/test_host_contract.py`` runs the interpreter's rules on
+this substrate and on the DES one, case for case.
+
+A child that falls behind wall-clock (real Python execution is not free)
 simply fires its due work late but **in order** — commit outcomes are
 timing-independent by protocol design, which is what the
 cross-validation harness (:mod:`repro.live.crossval`) checks.
@@ -58,22 +57,12 @@ from repro.live.wire import (
     CtrlSubmit,
     register_wire,
 )
+from repro.obs.bus import EventBus
 from repro.runtime.codec import decode_json, encode_json
 from repro.runtime.core import ProtocolCore
-from repro.runtime.effects import (
-    ApplyUpdate,
-    CancelTimer,
-    CtrlJob,
-    Emit,
-    Halt,
-    Job,
-    Multicast,
-    NeqMulticast,
-    Schedule,
-    Send,
-    SetTimer,
-)
 from repro.runtime.interpreter import EffectInterpreter
+from repro.sim.cpu import CpuBank
+from repro.sim.kernel import EventHandle
 
 __all__ = ["LiveHost", "child_main"]
 
@@ -89,28 +78,45 @@ _DRAIN_MSGS = 64
 _SOLO_BYTES = 64 * 1024
 
 
-class _EmuCpu:
-    """Free-list CPU bank emulation (sim-time lanes, DES cost model)."""
+class _WallClock:
+    """Wall-derived simulated time plus the heap of continuations
+    waiting for it (the clock half of the substrate contract)."""
 
-    __slots__ = ("cores", "busy_seconds", "_free_at")
+    def __init__(self) -> None:
+        self.t0: Optional[float] = None  # time stands at 0 until CtrlStart
+        self.scale = 1.0
+        self.heap: list[tuple] = []  # (time, seq, handle, fn, args)
+        self._seq = 0
+        #: CpuBank traces through its clock's bus; nothing listens here
+        self.bus = EventBus()
 
-    def __init__(self, cores: int) -> None:
-        self.cores = cores
-        self.busy_seconds = 0.0
-        self._free_at = [0.0] * cores
+    @property
+    def now(self) -> float:
+        if self.t0 is None:
+            return 0.0
+        return max(0.0, (time.monotonic() - self.t0) / self.scale)
 
-    def submit(self, now: float, cost: float) -> tuple[float, float]:
-        """Occupy the earliest-free lane; returns (start, done) sim times."""
-        lane = min(range(self.cores), key=self._free_at.__getitem__)
-        start = max(now, self._free_at[lane])
-        done = start + cost
-        self._free_at[lane] = done
-        self.busy_seconds += cost
-        return start, done
+    def schedule_at(
+        self, at: float, fn, *args: Any, handle: Optional[EventHandle] = None
+    ) -> EventHandle:
+        if handle is None:
+            handle = EventHandle(at)
+        self._seq += 1
+        heapq.heappush(self.heap, (at, self._seq, handle, fn, args))
+        return handle
+
+    def fire_due(self) -> None:
+        """Pop every due entry; call the ones not cancelled meanwhile."""
+        heap = self.heap
+        while heap and heap[0][0] <= self.now:
+            _, _, handle, fn, args = heapq.heappop(heap)
+            if handle._alive:
+                handle._alive = False
+                fn(*args)
 
 
 class LiveHost(EffectInterpreter):
-    """Runtime for one protocol core living in its own OS process."""
+    """The live substrate: one protocol core in its own OS process."""
 
     def __init__(
         self,
@@ -120,47 +126,23 @@ class LiveHost(EffectInterpreter):
         up: Any,
         wanted: frozenset[str],
     ) -> None:
-        self.core = core
-        self.pid = core.pid
-        self.capture = False  # replay capture is DES-only (spec-validated)
+        pid = core.pid
         self._inboxes = inboxes
-        self._inbox = inboxes[self.pid]
+        self._inbox = inboxes[pid]
         self._up = up
-        self._wanted = wanted
-        self.cpu = _EmuCpu(cores)
-        self.ctrl = _EmuCpu(1)
-        self.crashed = False
-        self.unhandled_messages = 0
-        self._t0: Optional[float] = None
-        self._scale = 1.0
-        self._heap: list[tuple[float, int, str, tuple]] = []
-        self._seq = 0
-        self._timers: dict[str, int] = {}  # armed name -> heap entry seq
+        self.wants = wanted.__contains__
         self._stop = False
         self._outbox: dict[str, list[tuple[bool, str]]] = {}
         self._events: list[ChildEvent] = []  # emitted this turn
-        core.bind(self)
+        clock = _WallClock()
+        self._attach(
+            core,
+            clock,
+            CpuBank(clock, cores, owner=pid, name="app"),
+            CpuBank(clock, 1, owner=pid, name="ctrl"),
+        )
 
-    # --------------------------------------------------- runtime interface
-    @property
-    def now(self) -> float:
-        if self._t0 is None:
-            return 0.0
-        return max(0.0, (time.monotonic() - self._t0) / self._scale)
-
-    def wants(self, category: str) -> bool:
-        return category in self._wanted
-
-    @property
-    def app_cpu(self):
-        return self.cpu
-
-    def timer_armed(self, name: str) -> bool:
-        return name in self._timers
-
-    perform = EffectInterpreter.interpret
-
-    # ---------------------------------------------------------- primitives
+    # ----------------------------------------------------------- transport
     def _post(self, dsts, msg: Any, neq: bool) -> None:
         payload = encode_json(msg, with_sender=False)
         item = (neq, payload)
@@ -177,6 +159,21 @@ class LiveHost(EffectInterpreter):
             else:
                 self._outbox.setdefault(dst, []).append(item)
 
+    def _send(self, dst: str, msg: Any) -> None:
+        self._post((dst,), msg, False)
+
+    def _multicast(self, dsts, msg: Any) -> None:
+        self._post(dsts, msg, False)
+
+    def _neq_multicast(self, dsts, msg: Any) -> None:
+        self._post(dsts, msg, True)
+
+    def _emit(self, event: Any) -> None:
+        # cores gate with wants() before constructing events, mirroring
+        # the DES bus guard; anything performed anyway is forwarded and
+        # the parent bus applies its own category routing
+        self._events.append(ChildEvent(pid=self.pid, event=event))
+
     def _flush(self) -> None:
         """End of a turn: one put per destination, one for the events."""
         for dst, batch in self._outbox.items():
@@ -186,77 +183,26 @@ class LiveHost(EffectInterpreter):
             self._up.put(encode_json(self._events))
             self._events.clear()
 
-    def _do_send(self, effect: Send) -> None:
-        self._post((effect.dst,), effect.msg, neq=False)
-
-    def _do_multicast(self, effect: Multicast) -> None:
-        self._post(effect.dsts, effect.msg, neq=False)
-
-    def _do_neq_multicast(self, effect: NeqMulticast) -> None:
-        self._post(effect.dsts, effect.msg, neq=True)
-
-    def _push(self, at: float, kind: str, payload: tuple) -> int:
-        self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, kind, payload))
-        return self._seq
-
-    def _do_set_timer(self, effect: SetTimer) -> None:
-        seq = self._push(self.now + effect.delay, "timer", (effect,))
-        self._timers[effect.name] = seq  # re-arm supersedes (lazy delete)
-
-    def _do_cancel_timer(self, effect: CancelTimer) -> None:
-        self._timers.pop(effect.name, None)
-
-    def _do_schedule(self, effect: Schedule) -> None:
-        self._push(self.now + effect.delay, "sched", (effect,))
-
-    def _do_job(self, effect: Job) -> None:
-        start, done = self.cpu.submit(self.now, effect.cost)
-        self._push(done, "job", (effect,))
-        for idx in range(len(effect.milestones)):
-            offset = effect.milestones[idx][0]
-            self._push(start + offset, "milestone", (effect, idx))
-
-    def _do_ctrl_job(self, effect: CtrlJob) -> None:
-        _, done = self.ctrl.submit(self.now, effect.cost)
-        self._push(done, "ctrljob", (effect,))
-
-    def _do_apply_update(self, effect: ApplyUpdate) -> None:
-        # occupies the app bank and accrues busy time; no continuation
-        self.cpu.submit(self.now, effect.cost)
-
-    def _do_emit(self, effect: Emit) -> None:
-        # cores gate with wants() before constructing events, mirroring
-        # the DES bus guard; anything performed anyway is forwarded and
-        # the parent bus applies its own category routing
-        self._events.append(ChildEvent(pid=self.pid, event=effect.event))
-
-    def _do_halt(self, effect: Halt) -> None:
-        # fail-stop: state freezes, pending timers die (guarded jobs are
-        # blocked at fire time; unguarded jobs/milestones/schedules still
-        # fire, exactly like SimProcess.crash under the DES)
-        self.core.crashed = True
-        self.crashed = True
-        self._timers.clear()
-
     # ------------------------------------------------------------ the loop
     def run(self) -> None:
         """Serve the inbox until the parent shuts us down."""
         self._up.put(encode_json(ChildReady(pid=self.pid)))
+        clock = self.clock
+        heap = clock.heap
         while not self._stop:
             timeout = _POLL_S
-            if self._t0 is not None and self._heap:
-                next_wall = self._t0 + self._heap[0][0] * self._scale
+            if clock.t0 is not None and heap:
+                next_wall = clock.t0 + heap[0][0] * clock.scale
                 timeout = min(
                     _POLL_S, max(0.0, next_wall - time.monotonic())
                 )
             item = self._recv(timeout)
-            if self._t0 is not None:
-                self._fire_due()
+            if clock.t0 is not None:
+                clock.fire_due()
             budget = _DRAIN_MSGS
             while item is not None and not self._stop:
                 budget -= self._handle(item)
-                if budget <= 0 or (self._heap and self._heap[0][0] <= self.now):
+                if budget <= 0 or (heap and heap[0][0] <= clock.now):
                     break
                 item = self._recv(0.0)
             self._flush()
@@ -270,51 +216,21 @@ class LiveHost(EffectInterpreter):
             return None
         return raw if type(raw) is tuple else decode_json(raw)
 
-    def _fire_due(self) -> None:
-        while self._heap and self._heap[0][0] <= self.now:
-            _, seq, kind, payload = heapq.heappop(self._heap)
-            if kind == "timer":
-                (effect,) = payload
-                if self._timers.get(effect.name) != seq:
-                    continue  # cancelled or superseded by a re-arm
-                del self._timers[effect.name]
-                if self.crashed:
-                    continue
-                self._fire_timer(effect)
-            elif kind == "sched":
-                (effect,) = payload
-                self._fire_sched(effect)
-            elif kind == "job":
-                (effect,) = payload
-                if effect.guarded and self.crashed:
-                    continue
-                self._job_thunk(effect)()
-            elif kind == "ctrljob":
-                (effect,) = payload
-                if self.crashed:
-                    continue  # control jobs are always guarded
-                self._job_thunk(effect)()
-            else:  # milestone
-                effect, idx = payload
-                self._fire_milestone(effect, idx)
-
     def _handle(self, item: Any) -> int:
         """One inbox item: a net frame or a control envelope.  Returns how
         many messages it carried (the unit of the drain budget)."""
         if type(item) is tuple:
             src, batch = item
             for neq, payload in batch:
-                if self.crashed:
-                    break  # fail-stop mid-frame: the rest is never seen
                 msg = decode_json(payload)
                 msg.sender = src  # transport stamp, as Network.send does
                 if neq:
                     msg._neq = True  # delivery stamp, as Network._deliver does
-                self._deliver_to_core(msg)
+                self.deliver(msg)
             return len(batch)
         if isinstance(item, CtrlStart):
-            self._t0 = item.t0
-            self._scale = item.time_scale
+            self.clock.t0 = item.t0
+            self.clock.scale = item.time_scale
             if isinstance(self.core, InputProcess):
                 self.core.start()
         elif isinstance(item, CtrlSubmit):
@@ -341,7 +257,7 @@ class LiveHost(EffectInterpreter):
                         break
                     if isinstance(tail, (tuple, CtrlSubmit)):
                         self._handle(tail)
-                self._fire_due()
+                self.clock.fire_due()
             self._flush()
             self._up.put(encode_json(self._exit_report()))
             self._stop = True
@@ -361,12 +277,9 @@ class LiveHost(EffectInterpreter):
             summary=summary,
             busy_seconds=self.cpu.busy_seconds,
             tasks_executed=getattr(engine, "tasks_executed", 0),
-            unhandled=self.unhandled_messages,
+            unhandled=self.core.unhandled_messages,
             crashed=self.crashed,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LiveHost {type(self.core).__name__} {self.pid}>"
 
 
 def _reseed(seed: int, pid: str) -> None:

@@ -12,8 +12,10 @@ Exactly two payload shapes cross a process boundary:
   inbox in one loop turn, in send order.  Each ``payload`` is the codec
   JSON of one protocol message in content form, encoded once per effect
   and shared by every destination's frame; ``src`` and ``neq`` are the
-  transport stamps (``sender``/``_neq`` applied at delivery, exactly
-  like the DES network), carried as plain fields beside the payload.
+  transport stamps, carried as plain fields beside the payload.  The
+  receiving :class:`~repro.live.host.LiveHost` sets them as
+  ``sender``/``_neq`` (as the DES network does) before the shared
+  :class:`~repro.runtime.interpreter.EffectInterpreter` delivers.
 
 :func:`register_wire` installs every envelope *and* the full
 trace-event vocabulary in the codec registry; both the parent and each
@@ -128,7 +130,7 @@ class ChildExit:
 
     ``summary`` carries the commit outcomes for output processes (see
     :func:`repro.live.crossval.commit_outcomes`) and is empty for other
-    roles.
+    roles; ``busy_seconds`` is the host's app ``CpuBank`` total.
     """
 
     pid: str

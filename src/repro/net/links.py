@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional, Protocol
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from repro.obs.events import LinkTransfer
 from repro.net.partial_synchrony import SynchronyModel
 from repro.sim.kernel import Simulator
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.process import SimProcess
-
 __all__ = ["Network", "Nic", "ByteMeter"]
 
 #: Default NIC bandwidth: the paper's 100 Gbps Infiniband, in bytes/second.
@@ -46,6 +43,16 @@ DEFAULT_BANDWIDTH = 100e9 / 8
 
 #: Vectorized latency draw size (amortizes one RNG call over this many sends).
 _LATENCY_BUF = 512
+
+
+class Endpoint(Protocol):
+    """What the network delivers to: a protocol host
+    (:class:`~repro.runtime.des.DesHost`) or, in unit tests, a bare
+    :class:`~repro.sim.process.SimProcess`."""
+
+    pid: str
+
+    def deliver(self, msg: Message) -> None: ...
 
 
 class ByteMeter:
@@ -197,7 +204,7 @@ class Network:
                 f"premium (delta={self.synchrony.delta}, worst neq "
                 f"latency={worst})"
             )
-        self._procs: dict[str, "SimProcess"] = {}
+        self._procs: dict[str, Endpoint] = {}
         self._nics: dict[str, Nic] = {}
         # pid → (deliver-callback, nic): one dict lookup on the send path
         self._endpoints: dict[str, tuple] = {}
@@ -221,7 +228,7 @@ class Network:
         sim.add_batch_hook(self._sweep_fifo_tails)
 
     # ------------------------------------------------------------- topology
-    def register(self, proc: "SimProcess") -> None:
+    def register(self, proc: Endpoint) -> None:
         """Attach a process to the network (one NIC per process id)."""
         if proc.pid in self._procs:
             raise NetworkError(f"duplicate process id {proc.pid!r}")
@@ -230,7 +237,7 @@ class Network:
         self._nics[proc.pid] = nic
         self._endpoints[proc.pid] = (proc.deliver, nic)
 
-    def process(self, pid: str) -> "SimProcess":
+    def process(self, pid: str) -> Endpoint:
         """Look up a registered process."""
         try:
             return self._procs[pid]

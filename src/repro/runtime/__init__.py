@@ -3,16 +3,17 @@
 Every protocol role (coordinator, verifier, executor, IP/OP, the
 consensus engines and both baselines) is a :class:`ProtocolCore`: a pure
 state machine whose handlers emit typed :mod:`~repro.runtime.effects`
-instead of touching the simulator or the network directly.  Three
-backends host cores (the contract is documented on
+instead of touching the simulator or the network directly.  A core runs
+on one of two runtimes (the contract is documented on
 :meth:`ProtocolCore.bind`):
 
-* :class:`~repro.runtime.des.DesHost` — the discrete-event backend used
-  by every deployment builder; interprets effects through the shared
-  :class:`~repro.runtime.interpreter.EffectInterpreter` exactly as the
-  pre-refactor inline calls did (bit-identical traces).
-* :class:`~repro.live.host.LiveHost` — one core per OS process, over
-  the same interpreter.
+* :class:`~repro.runtime.interpreter.EffectInterpreter` — the one
+  executing host: it owns the effect rules (timers, crash and
+  guarded-job rules, CPU lanes, capture) over a substrate that supplies
+  a clock, a transport, two CPU banks and an event sink.
+  :class:`~repro.runtime.des.DesHost` is the discrete-event substrate
+  every deployment builder uses (bit-identical traces);
+  :class:`~repro.live.host.LiveHost` runs one core per OS process.
 * :class:`~repro.runtime.testing.TestRuntime` — the one in-memory
   backend, with no Simulator and no Network: unit tests drive it by
   hand, :mod:`repro.mc` explores orderings over it, and

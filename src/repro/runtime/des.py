@@ -1,12 +1,12 @@
-"""Discrete-event backend: hosts one :class:`ProtocolCore` on the DES.
+"""The DES substrate: hosts one :class:`ProtocolCore` on the simulator.
 
-A :class:`DesHost` is the glue between a pure core and the simulated
-substrate.  Effect dispatch, capture and continuation plumbing live in
-the shared :class:`~repro.runtime.interpreter.EffectInterpreter`; this
-module supplies the DES primitives with exactly the calls the
-pre-refactor inline role code made — same ``Network.send`` order, same
-``CpuBank.submit`` / ``Simulator.schedule_at`` sequence, same guard
-closures — so same-seed traces are bit-identical across the refactor.
+A :class:`DesHost` is the :class:`~repro.runtime.interpreter.EffectInterpreter`
+with the Simulator as its clock, the Network as its transport, two
+:class:`~repro.sim.cpu.CpuBank` as its CPU banks and the simulator's bus
+as its event sink.  Every rule lives in the interpreter; this module only
+wires the substrate, so the kernel sees exactly the ``schedule_at`` /
+``CpuBank.submit`` / ``Network`` call sequence of the pre-refactor
+inline role code and same-seed traces stay bit-identical.
 
 With :attr:`capture` enabled the host additionally publishes
 :class:`~repro.obs.events.ReplayInput` / ``ReplayEffect`` events on the
@@ -20,35 +20,16 @@ seeing the exact pre-capture event stream.
 
 from __future__ import annotations
 
-from typing import Any
+from functools import partial
 
-from repro.obs.events import ReplayEffect, ReplayInput
 from repro.runtime.core import ProtocolCore
-from repro.runtime.effects import (
-    ApplyUpdate,
-    CancelTimer,
-    CtrlJob,
-    Emit,
-    Halt,
-    Job,
-    Multicast,
-    NeqMulticast,
-    Schedule,
-    Send,
-    SetTimer,
-)
 from repro.runtime.interpreter import EffectInterpreter
-from repro.runtime.replay import effect_signature
-from repro.sim.process import SimProcess
+from repro.sim.cpu import CpuBank
 
 __all__ = ["DesHost"]
 
 
-def _noop() -> None:
-    return None
-
-
-class DesHost(SimProcess, EffectInterpreter):
+class DesHost(EffectInterpreter):
     """One simulated node running one protocol core."""
 
     def __init__(
@@ -59,111 +40,22 @@ class DesHost(SimProcess, EffectInterpreter):
         cores: int = 7,
         capture: bool = False,
     ) -> None:
-        super().__init__(sim, core.pid, cores=cores)
-        self.net = net
-        self.core = core
-        # pre-bound network entry points: the Send/Multicast/NeqMulticast
-        # arms route straight into the flyweight fan-out without
-        # re-resolving attributes per performed effect
-        self._net_send = net.send
-        self._net_multicast = net.multicast
-        self._net_neq_multicast = net.neq_multicast
-        #: opt-in replay capture (see module docstring).  Pass it at
-        #: construction to also capture the core's birth effects (the
-        #: initial timers performed during ``bind``) — a replayed core
-        #: re-performs those, so a from-birth log is what byte-compares.
-        self.capture = capture
-        core.bind(self)
-
-    # --------------------------------------------------- runtime interface
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def wants(self, category: str) -> bool:
-        return self.sim.bus.wants(category)
-
-    @property
-    def app_cpu(self):
-        return self.cpu
-
-    # SimProcess already provides timer_armed()
-
-    perform = EffectInterpreter.interpret
-
-    # -------------------------------------------------------- capture hooks
-    def _capture_effect(self, effect) -> None:
-        self.sim.bus.emit(
-            ReplayEffect(
-                time=self.sim.now,
-                pid=self.pid,
-                signature=effect_signature(effect),
-            )
+        pid = core.pid
+        self._send = partial(net.send, pid)
+        self._multicast = partial(net.multicast, pid)
+        self._neq_multicast = partial(net.neq_multicast, pid)
+        self.wants = sim.bus.wants
+        self._emit = sim.bus.emit
+        # the paper dedicates one core per node to "network operations"
+        # (Sec 7): protocol-critical work (consensus signing, acks) runs
+        # on the ctrl bank so it never queues behind application jobs.
+        # ``capture`` is set before ``bind`` so the core's birth effects
+        # (its initial timers) are captured too: a replayed core
+        # re-performs those, so a from-birth log is what byte-compares.
+        self._attach(
+            core,
+            sim,
+            CpuBank(sim, cores, owner=pid, name="app"),
+            CpuBank(sim, 1, owner=pid, name="ctrl"),
+            capture,
         )
-
-    def _record_input(self, kind: str, ref: str) -> None:
-        self.sim.bus.emit(
-            ReplayInput(
-                time=self.sim.now, pid=self.pid, input_kind=kind, ref=ref
-            )
-        )
-
-    # ------------------------------------------------------- DES primitives
-    def _do_send(self, effect: Send) -> None:
-        self._net_send(self.pid, effect.dst, effect.msg)
-
-    def _do_multicast(self, effect: Multicast) -> None:
-        self._net_multicast(self.pid, effect.dsts, effect.msg)
-
-    def _do_neq_multicast(self, effect: NeqMulticast) -> None:
-        self._net_neq_multicast(self.pid, effect.dsts, effect.msg)
-
-    def _do_set_timer(self, effect: SetTimer) -> None:
-        self.set_timer(effect.name, effect.delay, self._fire_timer, effect)
-
-    def _do_cancel_timer(self, effect: CancelTimer) -> None:
-        self.cancel_timer(effect.name)
-
-    def _do_schedule(self, effect: Schedule) -> None:
-        self.sim.schedule(effect.delay, self._fire_sched, effect)
-
-    def _do_job(self, effect: Job) -> None:
-        run = self._job_thunk(effect)
-        handle = self.cpu.submit(
-            effect.cost, self._guard(run) if effect.guarded else run
-        )
-        start = handle.time - effect.cost
-        for idx in range(len(effect.milestones)):
-            offset = effect.milestones[idx][0]
-            self.sim.schedule_at(
-                start + offset,
-                self._fire_milestone,
-                effect,
-                idx,
-            )
-
-    def _do_ctrl_job(self, effect: CtrlJob) -> None:
-        self.ctrl.submit(effect.cost, self._guard(self._job_thunk(effect)))
-
-    def _do_apply_update(self, effect: ApplyUpdate) -> None:
-        self.cpu.submit(effect.cost, self._guard(_noop))
-
-    def _do_emit(self, effect: Emit) -> None:
-        self.sim.bus.emit(effect.event)
-
-    def _do_halt(self, effect: Halt) -> None:
-        self.crash()
-
-    # ------------------------------------------------------------ messaging
-    def deliver(self, msg: Any) -> None:
-        if self.crashed:
-            return
-        self._deliver_to_core(msg)
-
-    # ---------------------------------------------------------------- crash
-    def crash(self) -> None:
-        self.core.crashed = True
-        super().crash()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<DesHost {type(self.core).__name__} {self.pid}>"

@@ -4,9 +4,9 @@ An :class:`Effect` is a *request* for the hosting runtime: send this
 message, arm this timer, burn this much CPU and then call me back.  The
 vocabulary is the complete set of interactions any role in the system
 has with its substrate; a backend that interprets all of them can host
-any core.  Cores never see how an effect is realised — the DES backend
-maps them onto the simulated kernel/network, the test backend records
-them, the replay backend matches them against a captured log.
+any core.  Cores never see how an effect is realised — the one host
+(:mod:`repro.runtime.interpreter`) runs them on the simulated or the
+live substrate, the in-memory backend records them.
 
 Callback-carrying effects (:class:`SetTimer`, :class:`Schedule`,
 :class:`Job`, :class:`CtrlJob`) name their continuation with a stable

@@ -1,27 +1,37 @@
-"""Host-side effect interpretation shared by every *executing* backend.
+"""The one host every executing backend runs a protocol core on.
 
-A backend that actually runs a :class:`~repro.runtime.core.ProtocolCore`
-(the DES backend, the live OS-process backend) has to do the same three
-things regardless of its substrate: dispatch each performed effect to a
-substrate primitive, wrap callback-carrying effects in continuation
-thunks that honour replay capture, and feed delivered messages into the
-core.  :class:`EffectInterpreter` owns exactly that shared skeleton; a
-concrete host supplies the primitives (``_do_send`` … ``_do_halt``) that
-map onto its substrate — simulated NICs and CPU banks for
-:class:`~repro.runtime.des.DesHost`, multiprocessing queues and
-wall-clock timers for :class:`~repro.live.host.LiveHost`.
+:class:`EffectInterpreter` owns what it means to run a
+:class:`~repro.runtime.core.ProtocolCore`: the eleven effect arms, the
+named-timer table, the crash and guarded-job rules, replay capture, and
+the CPU lane model (a :class:`~repro.sim.cpu.CpuBank` per bank).  A
+*substrate* subclass supplies only four things:
+
+==========  ==========================================================
+clock       ``now`` and ``schedule_at(time, fn, *args)``, returning a
+            cancellable handle
+transport   ``_send(dst, msg)``, ``_multicast(dsts, msg)``,
+            ``_neq_multicast(dsts, msg)``
+CPU banks   ``cpu`` (app, ``cores`` lanes) and ``ctrl`` (one lane), both
+            ``CpuBank`` over the clock
+event sink  ``wants(category)`` and ``_emit(event)``
+==========  ==========================================================
+
+:class:`~repro.runtime.des.DesHost` is the DES substrate (Simulator,
+Network); :class:`~repro.live.host.LiveHost` is the live one (queues, a
+wall-clock heap).  ``tests/runtime/test_host_contract.py`` checks the
+rules below on both.
 
 The dispatch order and the capture hook placement are part of the byte-
-identical-trace contract: capture emission happens *before* the
-primitive runs, and primitives execute synchronously in perform order,
-exactly as the pre-extraction inline ``DesHost.perform`` did (pinned by
-the golden fig5/turncoat fixtures).
+identical-trace contract: capture emission happens *before* the arm
+runs, and arms execute synchronously in perform order (pinned by the
+golden fig5/turncoat fixtures).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.obs.events import ReplayEffect, ReplayInput
 from repro.runtime.core import ProtocolCore
 from repro.runtime.effects import (
     ApplyUpdate,
@@ -36,30 +46,34 @@ from repro.runtime.effects import (
     Send,
     SetTimer,
 )
-from repro.runtime.replay import encode_message
+from repro.runtime.replay import effect_signature, encode_message
 
 __all__ = ["EffectInterpreter"]
 
 
+def _noop() -> None:
+    return None
+
+
 class EffectInterpreter:
-    """Effect dispatch + capture + continuation plumbing for real hosts.
+    """One core on one substrate (see the module docstring).
 
-    Subclasses set :attr:`core` and :attr:`capture` and implement the
-    ``_do_*`` primitives plus the two capture emitters
-    (:meth:`_capture_effect`, :meth:`_record_input`).
+    A substrate sets its transport and event sink first and calls
+    :meth:`_attach` last: binding the core runs its ``on_bind``, which
+    already performs effects.  The class itself takes no constructor
+    arguments, so a bare subclass can time dispatch alone.
 
-    Dispatch is a per-host table of bound primitives built lazily from
+    Dispatch is a per-host table of bound arms built lazily from
     :data:`_PRIMITIVES` on first use of each effect type — one dict lookup
     per performed effect instead of an 11-arm type chain, with subclass
     overrides picked up by the late binding.
     """
 
-    core: ProtocolCore
     #: opt-in replay capture: when set, every performed effect and every
-    #: consumed input is published through the capture emitters.
+    #: consumed input is published on the event sink.
     capture: bool = False
 
-    #: effect type → host primitive name (the closed effect vocabulary)
+    #: effect type → arm name (the closed effect vocabulary)
     _PRIMITIVES = {
         Send: "_do_send",
         Multicast: "_do_multicast",
@@ -74,9 +88,34 @@ class EffectInterpreter:
         Halt: "_do_halt",
     }
 
-    # ------------------------------------------------------------ dispatch
+    def _attach(
+        self, core: ProtocolCore, clock, cpu, ctrl, capture: bool = False
+    ) -> None:
+        """Install the clock and CPU banks, then bind ``core``."""
+        self.core = core
+        self.pid = core.pid
+        self.clock = clock
+        self.cpu = cpu
+        self.ctrl = ctrl
+        self.capture = capture
+        self.crashed = False
+        self._timers: dict[str, Any] = {}  # armed name -> clock handle
+        core.bind(self)
+
+    # --------------------------------------------------- runtime interface
+    @property
+    def now(self) -> float:
+        return self.clock.now
+
+    @property
+    def app_cpu(self):
+        return self.cpu
+
+    def timer_armed(self, name: str) -> bool:
+        return name in self._timers
+
     def interpret(self, effect) -> None:
-        """Realise one effect through the host's substrate primitives."""
+        """Realise one effect through its arm."""
         if self.capture:
             self._capture_effect(effect)
         try:
@@ -85,8 +124,10 @@ class EffectInterpreter:
             fn = self._bind_primitive(type(effect))
         fn(effect)
 
+    perform = interpret
+
     def _bind_primitive(self, effect_type):
-        """Bind (and cache) the primitive for one effect type."""
+        """Bind (and cache) the arm for one effect type."""
         name = self._PRIMITIVES.get(effect_type)
         if name is None:  # pragma: no cover - vocabulary is closed
             raise TypeError(f"unknown effect type {effect_type!r}")
@@ -96,15 +137,98 @@ class EffectInterpreter:
         fn = table[effect_type] = getattr(self, name)
         return fn
 
-    # ------------------------------------------------------ capture hooks
-    def _capture_effect(self, effect) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def deliver(self, msg: Any) -> None:
+        """Hand one delivered message to the core; dropped once halted."""
+        if self.crashed:
+            return
+        if self.capture:
+            self._record_input("msg", encode_message(msg))
+        self.core.handle(msg)
 
-    def _record_input(self, kind: str, ref: str) -> None:  # pragma: no cover
-        raise NotImplementedError
+    # ------------------------------------------------------ capture hooks
+    def _capture_effect(self, effect) -> None:
+        self._emit(
+            ReplayEffect(
+                time=self.now, pid=self.pid, signature=effect_signature(effect)
+            )
+        )
+
+    def _record_input(self, kind: str, ref: str) -> None:
+        self._emit(
+            ReplayInput(time=self.now, pid=self.pid, input_kind=kind, ref=ref)
+        )
+
+    # ---------------------------------------------------------------- arms
+    def _do_send(self, effect: Send) -> None:
+        self._send(effect.dst, effect.msg)
+
+    def _do_multicast(self, effect: Multicast) -> None:
+        self._multicast(effect.dsts, effect.msg)
+
+    def _do_neq_multicast(self, effect: NeqMulticast) -> None:
+        self._neq_multicast(effect.dsts, effect.msg)
+
+    def _do_set_timer(self, effect: SetTimer) -> None:
+        """Re-arming supersedes the old deadline; a halted host arms
+        nothing."""
+        old = self._timers.pop(effect.name, None)
+        if old is not None:
+            old.cancel()
+        if self.crashed:
+            return
+        clock = self.clock
+        self._timers[effect.name] = clock.schedule_at(
+            clock.now + effect.delay, self._fire_timer, effect
+        )
+
+    def _do_cancel_timer(self, effect: CancelTimer) -> None:
+        handle = self._timers.pop(effect.name, None)
+        if handle is not None:
+            handle.cancel()
+
+    def _do_schedule(self, effect: Schedule) -> None:
+        clock = self.clock
+        clock.schedule_at(clock.now + effect.delay, self._fire_sched, effect)
+
+    def _do_job(self, effect: Job) -> None:
+        handle = self.cpu.submit(effect.cost, self._finish_job, effect)
+        # the start is re-derived from the completion time, as the inline
+        # role code did: milestone times stay bit-identical
+        start = handle.time - effect.cost
+        for idx in range(len(effect.milestones)):
+            self.clock.schedule_at(
+                start + effect.milestones[idx][0],
+                self._fire_milestone,
+                effect,
+                idx,
+            )
+
+    def _do_ctrl_job(self, effect: CtrlJob) -> None:
+        self.ctrl.submit(effect.cost, self._finish_job, effect)
+
+    def _do_apply_update(self, effect: ApplyUpdate) -> None:
+        # no continuation, but the completion is still scheduled: on the
+        # DES it takes a kernel sequence number the trace depends on
+        self.cpu.submit(effect.cost, _noop)
+
+    def _do_emit(self, effect: Emit) -> None:
+        self._emit(effect.event)
+
+    def _do_halt(self, effect: Halt) -> None:
+        """Fail-stop: later deliveries drop, armed timers die and new ones
+        are refused, guarded jobs are skipped at completion.  Milestones,
+        unguarded jobs and schedules still run."""
+        self.crashed = self.core.crashed = True
+        for handle in self._timers.values():
+            handle.cancel()
+        self._timers.clear()
 
     # ------------------------------------------------------- continuations
     def _fire_timer(self, effect: SetTimer) -> None:
+        # only a live handle fires, and a live handle is always its name's
+        # table entry (re-arm, cancel and Halt cancel what they drop);
+        # leaving the table first lets the callback re-arm the name
+        del self._timers[effect.name]
         if self.capture:
             self._record_input("timer", effect.name)
         effect.fn(*effect.args)
@@ -114,13 +238,14 @@ class EffectInterpreter:
             self._record_input("sched", str(effect.sched_id))
         effect.fn(*effect.args)
 
-    def _job_thunk(self, effect):
-        def run() -> None:
-            if self.capture:
-                self._record_input("job", str(effect.job_id))
-            effect.fn(*effect.args)
-
-        return run
+    def _finish_job(self, effect) -> None:
+        """Job/CtrlJob completion: a guarded ``Job`` and every ``CtrlJob``
+        is skipped once the host halted."""
+        if self.crashed and (type(effect) is CtrlJob or effect.guarded):
+            return
+        if self.capture:
+            self._record_input("job", str(effect.job_id))
+        effect.fn(*effect.args)
 
     def _fire_milestone(self, effect: Job, idx: int) -> None:
         if self.capture:
@@ -128,45 +253,5 @@ class EffectInterpreter:
         _, fn, args = effect.milestones[idx]
         fn(*args)
 
-    # ------------------------------------------------------------ delivery
-    def _deliver_to_core(self, msg: Any) -> None:
-        """Feed one delivered message into the core (capture included);
-        the host's own crash gating happens *before* this call."""
-        if self.capture:
-            self._record_input("msg", encode_message(msg))
-        self.core.handle(msg)
-        self.unhandled_messages = self.core.unhandled_messages
-
-    # ---------------------------------------------------------- primitives
-    def _do_send(self, effect: Send) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _do_multicast(self, effect: Multicast) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _do_neq_multicast(self, effect: NeqMulticast) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _do_set_timer(self, effect: SetTimer) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _do_cancel_timer(self, effect: CancelTimer) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _do_schedule(self, effect: Schedule) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _do_job(self, effect: Job) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _do_ctrl_job(self, effect: CtrlJob) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _do_apply_update(self, effect: ApplyUpdate) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _do_emit(self, effect: Emit) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _do_halt(self, effect: Halt) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} {type(self.core).__name__} {self.pid}>"

@@ -1,6 +1,6 @@
 """Standalone re-execution of one core from a bus-captured inbox.
 
-Enable :attr:`DesHost.capture` on a host during a live run and attach a
+Enable :attr:`DesHost.capture` on a host during a DES run and attach a
 :class:`~repro.obs.sinks.JsonlTraceSink` subscribed to
 ``CATEGORY_REPLAY``: the sink then records every *input* the core
 consumed (messages in codec form; timer, job, milestone and sched fires

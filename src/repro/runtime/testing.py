@@ -111,7 +111,7 @@ class TestRuntime:
     def perform(self, effect) -> None:
         self.effects.append(effect)
         t = type(effect)
-        if t is SetTimer:
+        if t is SetTimer and not self.core.crashed:  # halted: arms nothing
             self.timers[effect.name] = effect
         elif t is CancelTimer:
             self.timers.pop(effect.name, None)

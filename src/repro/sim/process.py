@@ -1,19 +1,17 @@
-"""Base class for simulated processes.
+"""Bare simulated processes, for wiring the network by hand.
 
-Every actor bound to the DES — protocol cores via
-:class:`repro.runtime.des.DesHost`, plus bare processes in unit tests —
-derives from :class:`SimProcess`.  A process owns a CPU bank, receives
-messages dispatched by type, and can arm cancellable timers (the
-building block for reassignment timeouts, negligent-leader timeouts,
-and role-switching control loops).
+Protocol cores run on :class:`repro.runtime.des.DesHost`, which owns
+their timers, jobs and crash rules.  :class:`SimProcess` is the plain
+network endpoint that unit tests register next to (or instead of)
+hosts: a pid, a CPU bank, and messages dispatched by type.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.cpu import CpuBank
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
 
 __all__ = ["SimProcess"]
 
@@ -34,14 +32,9 @@ class SimProcess:
         self.sim = sim
         self.pid = pid
         self.cpu = CpuBank(sim, cores, owner=pid, name="app")
-        #: control-plane core: the paper dedicates one core per node to
-        #: "network operations" (Sec 7); protocol-critical work (consensus
-        #: signing, acks) runs here so it never queues behind long
-        #: application jobs on the worker cores.
         self.ctrl = CpuBank(sim, 1, owner=pid, name="ctrl")
         self.crashed = False
         self.unhandled_messages = 0
-        self._timers: dict[str, EventHandle] = {}
         handlers: dict[str, Callable[..., None]] = {}
         for name in dir(type(self)):
             if name.startswith("on_"):
@@ -53,7 +46,6 @@ class SimProcess:
         """The deployment's observability bus (owned by the simulator)."""
         return self.sim.bus
 
-    # ------------------------------------------------------------- messaging
     def deliver(self, msg: Any) -> None:
         """Entry point the network calls when a message arrives."""
         if self.crashed:
@@ -64,75 +56,9 @@ class SimProcess:
             return
         handler(msg)
 
-    # ---------------------------------------------------------------- timers
-    def set_timer(
-        self, name: str, delay: float, fn: Callable[..., None], *args: Any
-    ) -> Optional[EventHandle]:
-        """Arm (or re-arm) a named timer.  Re-arming cancels the old one.
-
-        A crashed process cannot arm timers (returns ``None``): a crash
-        must permanently silence the process even if some stale callback
-        still holds a reference to it.  Fired timers remove themselves
-        from the table, so long-lived processes don't accumulate dead
-        handles and ``cancel_timer`` after the fire is a clean no-op.
-        """
-        self.cancel_timer(name)
-        if self.crashed:
-            return None
-
-        def fire(*fire_args: Any) -> None:
-            if self._timers.get(name) is handle:
-                del self._timers[name]
-            if not self.crashed:
-                fn(*fire_args)
-
-        handle = self.sim.schedule(delay, fire, *args)
-        self._timers[name] = handle
-        return handle
-
-    def cancel_timer(self, name: str) -> None:
-        """Cancel a named timer if armed; no-op otherwise (including for
-        timers that already fired or were never armed)."""
-        handle = self._timers.pop(name, None)
-        if handle is not None:
-            handle.cancel()
-
-    def timer_armed(self, name: str) -> bool:
-        """Whether a live timer with this name exists."""
-        handle = self._timers.get(name)
-        return handle is not None and handle.alive
-
-    def _guard(self, fn: Callable[..., None]) -> Callable[..., None]:
-        def run(*args: Any) -> None:
-            if not self.crashed:
-                fn(*args)
-
-        return run
-
-    # ------------------------------------------------------------------- cpu
-    def run_job(
-        self, cost: float, on_done: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Submit application CPU work; completion callback is crash-guarded."""
-        return self.cpu.submit(cost, self._guard(on_done), *args)
-
-    def run_ctrl_job(
-        self, cost: float, on_done: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Submit protocol-plane work to the dedicated control core."""
-        return self.ctrl.submit(cost, self._guard(on_done), *args)
-
-    # ----------------------------------------------------------------- crash
     def crash(self) -> None:
-        """Silence the process: drops all future messages, timers and jobs.
-
-        Crash is one point in the Byzantine behaviour space; richer faults
-        are injected via the strategies in :mod:`repro.core.faults`.
-        """
+        """Silence the process: it drops all future messages."""
         self.crashed = True
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.pid}>"

@@ -279,7 +279,7 @@ class TestShutdownAndParent:
         host._inbox.put(_start())  # anything but frames/submits is skipped
         host.run()
         assert [m.request_id for m in core.seen] == ["late1", "late2"]
-        assert host._t0 is None
+        assert host.clock.t0 is None
         assert _tags(_drain(host._inboxes["b"])) == ["ack-late1", "ack-late2"]
         up = [decode_json(raw) for raw in _drain(host._up)]
         assert [type(i) for i in up] == [ChildReady, ChildExit]

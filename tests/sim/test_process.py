@@ -1,8 +1,13 @@
-"""Tests for the SimProcess base class: dispatch, timers, crash semantics."""
+"""SimProcess dispatch and crash, plus timer and job basics of the host
+on the DES substrate (the full timer and job rules are in
+``tests/sim/test_timers.py`` and ``tests/runtime/test_host_contract.py``)."""
 
 from dataclasses import dataclass
 
+from repro.net.links import Network
 from repro.net.message import Message
+from repro.runtime.core import ProtocolCore
+from repro.runtime.des import DesHost
 from repro.sim import Simulator, SimProcess
 
 
@@ -23,6 +28,13 @@ class Echo(SimProcess):
 
     def on_Ping(self, msg):
         self.seen.append(msg.value)
+
+
+def hosted(sim):
+    """A bare core on the DES host: what timers and jobs run on."""
+    core = ProtocolCore("p0")
+    DesHost(sim, Network(sim), core, cores=2)
+    return core
 
 
 class TestDispatch:
@@ -50,7 +62,7 @@ class TestDispatch:
 class TestTimers:
     def test_timer_fires_after_delay(self):
         sim = Simulator()
-        p = Echo(sim, "p0")
+        p = hosted(sim)
         fired = []
         p.set_timer("t", 2.0, lambda: fired.append(sim.now))
         sim.run()
@@ -58,7 +70,7 @@ class TestTimers:
 
     def test_rearming_timer_cancels_previous(self):
         sim = Simulator()
-        p = Echo(sim, "p0")
+        p = hosted(sim)
         fired = []
         p.set_timer("t", 1.0, fired.append, "first")
         p.set_timer("t", 2.0, fired.append, "second")
@@ -67,7 +79,7 @@ class TestTimers:
 
     def test_cancel_timer(self):
         sim = Simulator()
-        p = Echo(sim, "p0")
+        p = hosted(sim)
         fired = []
         p.set_timer("t", 1.0, fired.append, "x")
         p.cancel_timer("t")
@@ -75,12 +87,12 @@ class TestTimers:
         assert fired == []
 
     def test_cancel_unknown_timer_is_noop(self):
-        p = Echo(Simulator(), "p0")
+        p = hosted(Simulator())
         p.cancel_timer("never-set")
 
     def test_timer_armed(self):
         sim = Simulator()
-        p = Echo(sim, "p0")
+        p = hosted(sim)
         assert not p.timer_armed("t")
         p.set_timer("t", 1.0, lambda: None)
         assert p.timer_armed("t")
@@ -89,7 +101,7 @@ class TestTimers:
 
     def test_independent_timer_names(self):
         sim = Simulator()
-        p = Echo(sim, "p0")
+        p = hosted(sim)
         fired = []
         p.set_timer("a", 1.0, fired.append, "a")
         p.set_timer("b", 2.0, fired.append, "b")
@@ -100,7 +112,7 @@ class TestTimers:
 class TestCrash:
     def test_crash_cancels_timers(self):
         sim = Simulator()
-        p = Echo(sim, "p0")
+        p = hosted(sim)
         fired = []
         p.set_timer("t", 1.0, fired.append, "x")
         p.crash()
@@ -109,7 +121,7 @@ class TestCrash:
 
     def test_crash_suppresses_pending_job_completion(self):
         sim = Simulator()
-        p = Echo(sim, "p0")
+        p = hosted(sim)
         done = []
         p.run_job(5.0, done.append, "job")
         sim.schedule(1.0, p.crash)
@@ -118,7 +130,7 @@ class TestCrash:
 
     def test_job_completes_when_not_crashed(self):
         sim = Simulator()
-        p = Echo(sim, "p0")
+        p = hosted(sim)
         done = []
         p.run_job(1.0, done.append, "job")
         sim.run()

@@ -1,111 +1,120 @@
-"""Timer lifecycle on SimProcess: re-arming, cancellation after fire,
-and crash interactions — the edge cases the named-timer table must get
-right for reassignment/negligent-leader timeouts to be trustworthy."""
+"""Timer lifecycle of the host on the DES substrate, checked against the
+kernel: deadlines in simulated seconds, and what re-arming, cancelling
+and ``Halt`` do to the scheduled kernel events.  The substrate-neutral
+form of the same rules, run on the DES and the live substrate alike, is
+``tests/runtime/test_host_contract.py``."""
 
+from repro.net.links import Network
+from repro.runtime.core import ProtocolCore
+from repro.runtime.des import DesHost
 from repro.sim import Simulator
-from repro.sim.process import SimProcess
 
 
 def make_proc(pid="p0"):
     sim = Simulator(seed=1)
-    return sim, SimProcess(sim, pid, cores=1)
+    core = ProtocolCore(pid)
+    return sim, core, DesHost(sim, Network(sim), core, cores=1)
 
 
 class TestArming:
     def test_timer_fires_with_args(self):
-        sim, p = make_proc()
+        sim, core, _ = make_proc()
         fired = []
-        p.set_timer("t", 0.5, fired.append, "x")
+        core.set_timer("t", 0.5, lambda x: fired.append((x, sim.now)), "x")
         sim.run(until=1.0)
-        assert fired == ["x"]
+        assert fired == [("x", 0.5)]
 
     def test_rearming_replaces_deadline(self):
-        sim, p = make_proc()
+        sim, core, _ = make_proc()
         fired = []
-        p.set_timer("t", 0.2, fired.append, "early")
-        p.set_timer("t", 0.8, fired.append, "late")
+        core.set_timer("t", 0.2, fired.append, "early")
+        core.set_timer("t", 0.8, fired.append, "late")
+        assert sim.pending_events == 1  # the first kernel event is dead
         sim.run(until=0.5)
-        assert fired == []  # the first deadline was cancelled
+        assert fired == []
         sim.run(until=1.0)
         assert fired == ["late"]
 
     def test_distinct_names_are_independent(self):
-        sim, p = make_proc()
+        sim, core, _ = make_proc()
         fired = []
-        p.set_timer("a", 0.2, fired.append, "a")
-        p.set_timer("b", 0.4, fired.append, "b")
-        p.cancel_timer("a")
+        core.set_timer("a", 0.2, fired.append, "a")
+        core.set_timer("b", 0.4, fired.append, "b")
+        core.cancel_timer("a")
         sim.run(until=1.0)
         assert fired == ["b"]
 
 
 class TestCancellation:
     def test_cancel_unarmed_timer_is_noop(self):
-        sim, p = make_proc()
-        p.cancel_timer("never-armed")  # must not raise
+        sim, core, _ = make_proc()
+        core.cancel_timer("never-armed")  # must not raise
+        assert sim.pending_events == 0
 
     def test_cancel_after_fire_is_noop(self):
-        sim, p = make_proc()
+        sim, core, _ = make_proc()
         fired = []
-        p.set_timer("t", 0.1, fired.append, 1)
+        core.set_timer("t", 0.1, fired.append, 1)
         sim.run(until=1.0)
         assert fired == [1]
-        p.cancel_timer("t")  # stale cancel of an already-fired timer
+        core.cancel_timer("t")  # stale cancel of an already-fired timer
 
     def test_fired_timer_removes_itself_from_table(self):
-        sim, p = make_proc()
-        p.set_timer("t", 0.1, lambda: None)
-        assert p.timer_armed("t")
+        sim, core, host = make_proc()
+        core.set_timer("t", 0.1, lambda: None)
+        assert core.timer_armed("t")
         sim.run(until=1.0)
-        assert not p.timer_armed("t")
-        assert "t" not in p._timers  # no dead handle accumulates
+        assert not core.timer_armed("t")
+        assert "t" not in host._timers  # no dead handle accumulates
 
     def test_rearm_from_within_fire_callback_sticks(self):
         """A periodic timer re-arming itself must not be clobbered by the
         just-fired handle's self-removal."""
-        sim, p = make_proc()
+        sim, core, _ = make_proc()
         ticks = []
 
         def tick():
             ticks.append(sim.now)
             if len(ticks) < 3:
-                p.set_timer("t", 0.1, tick)
+                core.set_timer("t", 0.1, tick)
 
-        p.set_timer("t", 0.1, tick)
+        core.set_timer("t", 0.1, tick)
         sim.run(until=1.0)
         assert len(ticks) == 3
-        assert not p.timer_armed("t")
+        assert not core.timer_armed("t")
 
 
 class TestCrash:
     def test_crash_cancels_pending_timers(self):
-        sim, p = make_proc()
+        sim, core, host = make_proc()
         fired = []
-        p.set_timer("t", 0.5, fired.append, 1)
-        p.crash()
-        assert p._timers == {}
+        core.set_timer("t", 0.5, fired.append, 1)
+        core.crash()
+        assert host._timers == {}
+        assert sim.pending_events == 0  # the kernel event is cancelled too
         sim.run(until=1.0)
         assert fired == []
 
     def test_crashed_process_refuses_new_timers(self):
-        sim, p = make_proc()
-        p.crash()
+        sim, core, _ = make_proc()
+        core.crash()
         fired = []
-        assert p.set_timer("t", 0.1, fired.append, 1) is None
-        assert not p.timer_armed("t")
+        core.set_timer("t", 0.1, fired.append, 1)
+        assert not core.timer_armed("t")
+        assert sim.pending_events == 0  # nothing reached the kernel
         sim.run(until=1.0)
         assert fired == []
 
     def test_crash_between_arm_and_fire_suppresses_callback(self):
-        sim, p = make_proc()
+        sim, core, _ = make_proc()
         fired = []
-        p.set_timer("t", 0.5, fired.append, 1)
-        sim.schedule(0.2, p.crash)
+        core.set_timer("t", 0.5, fired.append, 1)
+        sim.schedule(0.2, core.crash)
         sim.run(until=1.0)
         assert fired == []
 
     def test_crashed_delivery_dropped(self):
-        sim, p = make_proc()
-        p.crash()
-        p.deliver(object())
-        assert p.unhandled_messages == 0  # dropped before dispatch
+        sim, core, host = make_proc()
+        core.crash()
+        host.deliver(object())
+        assert core.unhandled_messages == 0  # dropped before dispatch
