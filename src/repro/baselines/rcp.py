@@ -24,7 +24,6 @@ from repro.consensus.fast_robust import ConsensusClient, ConsensusMember
 from repro.core.api import VerifiableApplication
 from repro.core.metrics import MetricsHub
 from repro.core.tasks import Chunk, Task, chunk_records
-from repro.crypto.digest import digest
 from repro.crypto.signatures import KeyRegistry, Signer, sign_cost
 from repro.errors import ProtocolError
 from repro.net.links import DEFAULT_BANDWIDTH, Network
@@ -229,7 +228,7 @@ class RcpWorker(ProtocolCore):
     def _emit(self, chunk: Chunk) -> None:
         if self.crashed:
             return
-        sigma = digest(chunk)
+        sigma = chunk.sigma
         for op in self.output_pids:
             if self.is_primary:
                 self.send(
@@ -336,7 +335,7 @@ class RcpOutput(ProtocolCore):
             return
         slot.endorsers.setdefault(sigma, set()).add(msg.sender)
         if chunk is not None:
-            slot.data[digest(chunk)] = chunk
+            slot.data[chunk.sigma] = chunk
         if final:
             self._final[task_id] = index
         for sig, who in slot.endorsers.items():

@@ -22,7 +22,6 @@ from repro.core.faults import ExecutorFault
 from repro.core.messages import AssignmentMsg, ChunkDigestMsg, ChunkMsg
 from repro.core.tasks import Assignment, Chunk, Record, chunk_records
 from repro.core.worker import WorkerBase
-from repro.crypto.digest import digest
 from repro.crypto.signatures import Signature, verify_cost
 from repro.obs.events import CATEGORY_CHUNK, ChunkEmitted
 
@@ -179,7 +178,7 @@ class ExecutionEngine:
         if fault is not None and chunk.final and fault.suppress_final_chunk(a.task):
             return
         members = host.topo.cluster(a.vp_index).members
-        sigma = digest(chunk)
+        sigma = chunk.sigma
         if host.wants(CATEGORY_CHUNK):
             host.emit(
                 ChunkEmitted(

@@ -28,7 +28,6 @@ from repro.core.messages import (
     VerifiedDigestMsg,
 )
 from repro.core.tasks import Chunk, Task
-from repro.crypto.digest import digest
 from repro.obs.events import (
     CATEGORY_CHUNK,
     CATEGORY_TASK,
@@ -261,8 +260,7 @@ class OutputProcess(ProtocolCore):
         if got is None or msg.chunk is None:
             return
         ot, slot = got
-        actual = digest(msg.chunk)
-        slot.data[actual] = msg.chunk
+        slot.data[msg.chunk.sigma] = msg.chunk
         slot.endorsements.setdefault(msg.digest, set()).add(msg.sender)
         self._try_accept(msg.task_id, ot, msg.index, slot)
 

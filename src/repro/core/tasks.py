@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
+from repro.crypto.digest import digest
 from repro.errors import ProtocolError
 
 __all__ = ["Opcode", "Task", "Record", "Assignment", "Chunk", "chunk_records"]
@@ -134,6 +136,18 @@ class Chunk:
     index: int
     records: tuple[Record, ...]
     final: bool
+
+    @cached_property
+    def sigma(self) -> bytes:
+        """σ(C), computed once per chunk object.
+
+        In one process the executor, every verifier and the OP hold the
+        same object, so they share one digest.  The memo lives in the
+        instance ``__dict__``, outside the dataclass fields, so ``==``,
+        ``hash``, ``replace`` and the codec never see it.  A tampered
+        chunk is a new object and gets its own digest.
+        """
+        return digest(self)
 
     def payload_bytes(self) -> int:
         return sum(r.size_bytes for r in self.records)

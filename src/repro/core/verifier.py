@@ -97,6 +97,10 @@ class Verifier(WorkerBase):
         self.executor_mode = False
         self.role_epoch = 0
         self._tasks: dict[tuple[str, int], _VerState] = {}
+        #: task_id -> its attempts in ``_tasks``, in insertion order; the
+        #: only way to reach sibling attempts (fallback can push attempt
+        #: numbers past max_attempts, so they cannot be enumerated)
+        self._attempts: dict[str, list[int]] = {}
         self._completed_tasks: set[str] = set()
         #: task_id -> (tenant, submitted_at) for OP routing/SLO tagging;
         #: grows with _completed_tasks (same unbounded-set precedent)
@@ -159,7 +163,7 @@ class Verifier(WorkerBase):
             return
         if a.task.task_id in self._completed_tasks:
             return
-        st = self._tasks.setdefault(a.key, _VerState())
+        st = self._state(a.key)
         if st.assignment is None:
             st.assignment = a
         elif st.assignment.signed_payload() != a.signed_payload():
@@ -167,6 +171,14 @@ class Verifier(WorkerBase):
         st.sigs[msg.sig.signer] = msg.sig
         if len(st.sigs) >= self.topo.coordinator.quorum and not st.activated:
             self._activate(a.key)
+
+    def _state(self, key: tuple[str, int]) -> _VerState:
+        """State of one attempt, created and indexed on first sight."""
+        st = self._tasks.get(key)
+        if st is None:
+            st = self._tasks[key] = _VerState()
+            self._attempts.setdefault(key[0], []).append(key[1])
+        return st
 
     def _activate(self, key: tuple[str, int]) -> None:
         """f+1 signed assignments held: start outputSize and the watchdog."""
@@ -218,7 +230,7 @@ class Verifier(WorkerBase):
             return
         if a.task.task_id in self._completed_tasks:
             return
-        st = self._tasks.setdefault(a.key, _VerState())
+        st = self._state(a.key)
         if st.failed or st.finished:
             return
         if not st.activated:
@@ -249,7 +261,7 @@ class Verifier(WorkerBase):
         if msg.task_id in self._completed_tasks:
             return
         key = (msg.task_id, msg.attempt)
-        st = self._tasks.setdefault(key, _VerState())
+        st = self._state(key)
         st.expected_digests.setdefault(msg.index, (msg.sender, msg.digest))
         self._pump(key)
 
@@ -275,7 +287,7 @@ class Verifier(WorkerBase):
         sender, sigma = st.expected_digests[idx]
         if sender != a.executor:
             return  # digest not from the assigned executor: ignore noise
-        if digest(msg.chunk) != sigma:
+        if msg.chunk.sigma != sigma:
             # chunk content disagrees with the non-equivocable digest:
             # the executor equivocated or corrupted the stream
             self._fail(key, "digest-mismatch")
@@ -408,10 +420,11 @@ class Verifier(WorkerBase):
         done.sig = self.signer.sign(done.signed_payload())
         self.multicast(self.topo.coordinator.members, done)
         # drop sibling attempts: first finished attempt wins
-        for other_key, other in list(self._tasks.items()):
-            if other_key[0] == task_id and other_key != key:
+        for attempt in self._attempts[task_id]:
+            if attempt != key[1]:
+                other_key = (task_id, attempt)
                 self.cancel_timer(self._suspect_timer_name(other_key))
-                other.failed = True
+                self._tasks[other_key].failed = True
 
     def _retain(self, task_id: str, chunks: list[tuple[Chunk, bytes]]) -> None:
         self._retained[task_id] = chunks
@@ -569,8 +582,10 @@ class Verifier(WorkerBase):
         # quoted digest differs — a Byzantine leader may have fed the OP a
         # bogus digest, and receivers validate any share against their own
         # non-equivocable σ(C) regardless.
-        for key, st in self._tasks.items():
-            if key[0] != msg.task_id or st.assignment is None:
+        for attempt in self._attempts.get(msg.task_id, ()):
+            key = (msg.task_id, attempt)
+            st = self._tasks[key]
+            if st.assignment is None:
                 continue
             for chunk, sigma in st.verified:
                 if chunk.index == msg.index:
@@ -602,7 +617,7 @@ class Verifier(WorkerBase):
         if st is None or st.finished:
             return
         expected = st.expected_digests.get(msg.index)
-        if expected is None or expected[1] != digest(msg.chunk):
+        if expected is None or expected[1] != msg.chunk.sigma:
             return  # only accept shares matching the executor's own σ(C)
         if st.failed:
             # The executor equivocated *at us* (its plain-channel chunk
@@ -731,7 +746,7 @@ class Verifier(WorkerBase):
         chunks = chunk_records(
             task.task_id, list(result.records), self.config.chunk_bytes
         )
-        pairs = [(c, digest(c)) for c in chunks]
+        pairs = [(c, c.sigma) for c in chunks]
         total = len(result.records)
         self.run_job(
             result.cost, self._fallback_emit, task.task_id, pairs, total

@@ -77,9 +77,7 @@ class Signer:
 
     def sign(self, payload: Any) -> Signature:
         """Sign the canonical form of ``payload``."""
-        mac = hmac.new(
-            self._secret, canonical_bytes(payload), hashlib.sha256
-        ).digest()
+        mac = hmac.digest(self._secret, canonical_bytes(payload), "sha256")
         return Signature(self.pid, mac)
 
 
@@ -140,9 +138,9 @@ class KeyRegistry:
         key = (sig.signer, pb)
         expected = self._mac_cache.get(key)
         if expected is None:
-            expected = self._mac_cache[key] = hmac.new(
-                secret, pb, hashlib.sha256
-            ).digest()
+            expected = self._mac_cache[key] = hmac.digest(
+                secret, pb, "sha256"
+            )
         return hmac.compare_digest(expected, sig.mac)
 
     def verify_quorum(

@@ -38,9 +38,12 @@ __all__ = ["stable_digest", "DEFAULT_SKIP"]
 # ``world``/``_rt``/``host`` would recurse into the whole deployment;
 # topo/registry/signer/app/config are immutable-by-convention and
 # identical across schedules; ``_handlers`` is a derived dispatch table.
+# ``sigma`` (``Chunk``'s digest memo, present only once something read
+# it) and ``_attempts`` (the verifier's per-task index of ``_tasks``)
+# are derived from attributes the walk already covers.
 DEFAULT_SKIP = frozenset(
     {"_rt", "host", "topo", "registry", "signer", "app", "config",
-     "_handlers", "world"}
+     "_handlers", "world", "sigma", "_attempts"}
 )
 
 _PRIMITIVES = (str, bytes, int, float, bool, type(None))

@@ -1,12 +1,16 @@
 """Tests for task/record/chunk data types."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Chunk, Opcode, Record, Task, chunk_records
 from repro.core.tasks import Assignment
+from repro.crypto import digest
 from repro.errors import ProtocolError
+from repro.runtime.codec import decode_json, encode_json
 
 
 class TestOpcode:
@@ -105,3 +109,38 @@ class TestChunking:
         a = Chunk("t", 0, (Record(key=(1,)),), final=True)
         b = Chunk("t", 0, (Record(key=(2,)),), final=True)
         assert a.canonical() != b.canonical()
+
+
+class TestChunkSigma:
+    def _chunk(self):
+        records = tuple(Record(key=(i,), data=f"r{i}") for i in range(3))
+        return Chunk("t", 0, records, final=True)
+
+    def test_sigma_is_the_chunk_digest(self):
+        chunk = self._chunk()
+        assert chunk.sigma == digest(chunk)
+        assert chunk.sigma is chunk.sigma  # computed once per object
+
+    def test_digest_keeps_no_memo(self):
+        chunk = self._chunk()
+        digest(chunk)
+        assert "sigma" not in vars(chunk)
+
+    def test_rebuilt_chunk_with_one_record_changed_has_new_sigma(self):
+        chunk = self._chunk()
+        before = chunk.sigma
+        records = list(chunk.records)
+        records[1] = Record(records[1].key, "<tampered>", records[1].size_bytes)
+        tampered = Chunk(chunk.task_id, chunk.index, tuple(records), chunk.final)
+        assert tampered.sigma != before
+        assert chunk.sigma == before
+
+    def test_memo_is_invisible_to_eq_hash_replace_and_codec(self):
+        chunk, twin = self._chunk(), self._chunk()
+        wire = encode_json(chunk)
+        assert len(chunk.sigma) == 32  # fills the memo
+        assert chunk == twin and hash(chunk) == hash(twin)
+        assert encode_json(chunk) == wire
+        copy = dataclasses.replace(chunk)
+        assert "sigma" not in vars(copy) and copy == chunk
+        assert decode_json(wire).sigma == chunk.sigma

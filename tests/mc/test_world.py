@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.tasks import Chunk, Record
 from repro.errors import ProtocolError
 from repro.mc import McModel, audit_world, build_world
+from repro.mc.fingerprint import stable_digest
 
 
 class TestModelValidation:
@@ -70,6 +72,15 @@ class TestSnapshots:
         assert clone.registry is world.registry
         assert clone.config is world.config
         assert clone.cores["v0"] is not world.cores["v0"]
+
+    def test_reading_a_chunk_digest_leaves_its_fingerprint(self):
+        # Chunk.sigma memoises into __dict__; the walk must not see it,
+        # or states that differ only in who read σ(C) would split
+        chunk = Chunk("t", 0, (Record(key=(1,), data="x"),), final=True)
+        before = stable_digest(chunk)
+        assert len(chunk.sigma) == 32
+        assert "sigma" in vars(chunk)
+        assert stable_digest(chunk) == before
 
     def test_fingerprint_ignores_occurrence_history(self):
         # two worlds that enqueued different *numbers* of identical

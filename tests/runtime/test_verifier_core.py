@@ -7,6 +7,7 @@ no Network — every interaction is a typed effect.
 """
 
 from repro.core.messages import (
+    ChunkDigestMsg,
     RoleSwitchMsg,
     SuspectExecutorMsg,
     TaskCompleteMsg,
@@ -143,6 +144,47 @@ class TestEquivocation:
         rt.drain()
         # the task is already complete; the replay must not be endorsed
         assert verifier.chunks_verified == len(chunks)
+
+
+class TestSiblingAttempts:
+    def test_completion_cancels_every_sibling_and_nothing_else(self):
+        """The first finished attempt wins: every other attempt of the
+        task — whichever handler first saw it, and even one numbered
+        past max_attempts (fallback) — fails and loses its suspect
+        timer; attempts of other tasks are untouched."""
+        verifier, rt, registry, signers = make_verifier(max_attempts=3)
+        task = make_compute_task(0)
+        other = make_compute_task(1)
+        a0 = activate_assignment(rt, signers, task=task, attempt=0)
+        past_max = activate_assignment(
+            rt, signers, task=task, executor="e1", attempt=5
+        )
+        a_other = activate_assignment(rt, signers, task=other, attempt=0)
+        winner = activate_assignment(
+            rt, signers, task=task, executor="e1", attempt=1
+        )
+        # attempts first seen as a bare chunk (never activated) and as a
+        # bare neq digest
+        chunk = honest_chunks(verifier.app, a0)[0]
+        seen_by_chunk = Assignment(a0.task, "e0", 1, attempt=2)
+        feed_chunk(rt, seen_by_chunk, chunk)
+        seen_by_digest = Assignment(a0.task, "e0", 1, attempt=4)
+        dmsg = ChunkDigestMsg(
+            task_id=task.task_id, attempt=4, index=0, digest=chunk.sigma
+        )
+        dmsg.sender, dmsg._neq = "e0", True
+        rt.deliver(dmsg)
+
+        for c in honest_chunks(verifier.app, winner):
+            feed_chunk(rt, winner, c, sender="e1")
+        rt.drain()
+
+        assert verifier._tasks[winner.key].finished
+        for a in (a0, past_max, seen_by_chunk, seen_by_digest):
+            assert verifier._tasks[a.key].failed, a.key
+            assert not rt.timer_armed(verifier._suspect_timer_name(a.key))
+        assert not verifier._tasks[a_other.key].failed
+        assert rt.timer_armed(verifier._suspect_timer_name(a_other.key))
 
 
 class TestStaleEpochRoleSwitch:
