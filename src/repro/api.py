@@ -377,6 +377,10 @@ def _osiris_config(spec: DeploymentSpec, workload: BenchWorkload) -> OsirisConfi
     return OsirisConfig(**base)
 
 
+def _bandwidth(spec: DeploymentSpec) -> float:
+    return spec.bandwidth if spec.bandwidth is not None else BENCH_BANDWIDTH
+
+
 def build(spec: DeploymentSpec, **build_extra):
     """Build (don't start) the deployment a spec describes.
 
@@ -410,9 +414,7 @@ def build(spec: DeploymentSpec, **build_extra):
         k=spec.k,
         seed=spec.seed,
         config=_osiris_config(spec, workload),
-        bandwidth=(
-            spec.bandwidth if spec.bandwidth is not None else BENCH_BANDWIDTH
-        ),
+        bandwidth=_bandwidth(spec),
         faults=spec.faults,
         capture=spec.capture,
         sanitize=spec.sanitize,
@@ -431,28 +433,32 @@ def _build_live(spec: DeploymentSpec, time_scale: float = 0.25, **extra):
             f"override, got {sorted(extra)}"
         )
     from repro.live.runtime import LiveRuntime
-    from repro.runtime.plan import plan_osiris_cluster
 
     workload = spec.resolve_workload()
-    plan = plan_osiris_cluster(
-        n_workers=spec.n,
-        k=spec.k,
-        seed=spec.seed,
-        config=_osiris_config(spec, workload),
-        bandwidth=(
-            spec.bandwidth if spec.bandwidth is not None else BENCH_BANDWIDTH
-        ),
-        faults=spec.faults,
-        capture=spec.capture,
-        sanitize=spec.sanitize,
-        shards=spec.shards,
-    )
     return LiveRuntime(
-        plan,
+        _live_plan(spec, _osiris_config(spec, workload)),
         workload.app,
         workload=workload,
         sinks=spec.sinks,
         time_scale=time_scale,
+    )
+
+
+def _live_plan(spec: DeploymentSpec, config: OsirisConfig):
+    """The :class:`~repro.runtime.plan.ClusterPlan` a live deployment of
+    ``spec`` runs under ``config`` (also the serve gateway's plan)."""
+    from repro.runtime.plan import plan_osiris_cluster
+
+    return plan_osiris_cluster(
+        n_workers=spec.n,
+        k=spec.k,
+        seed=spec.seed,
+        config=config,
+        bandwidth=_bandwidth(spec),
+        faults=spec.faults,
+        capture=spec.capture,
+        sanitize=spec.sanitize,
+        shards=spec.shards,
     )
 
 
@@ -719,9 +725,7 @@ def _baseline_cores(spec: DeploymentSpec) -> int:
 def _run_baseline(spec: DeploymentSpec) -> ScenarioResult:
     workload = spec.resolve_workload()
     cores = _baseline_cores(spec)
-    bandwidth = (
-        spec.bandwidth if spec.bandwidth is not None else BENCH_BANDWIDTH
-    )
+    bandwidth = _bandwidth(spec)
     if spec.system == "zft":
         from repro.baselines.zft import build_zft_cluster
 

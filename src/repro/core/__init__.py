@@ -8,54 +8,36 @@ Public surface:
 * :class:`OsirisConfig` — deployment tunables.
 * :class:`Task` / :class:`Record` / :class:`Opcode` — the data plane.
 * :mod:`repro.core.faults` — Byzantine fault injection strategies.
+
+Every name resolves on first use, so importing one light submodule
+(the serve frames import :mod:`repro.core.admission`) does not pull in
+the protocol cores, numpy or the deployment builder.
 """
 
-from repro.core.api import ComputeResult, CountResult, VerifiableApplication
-from repro.core.config import OsirisConfig
-from repro.core.coordinator import Coordinator
-from repro.core.executor import ExecutionEngine, Executor
-from repro.core.failure_model import OutputFailure, classify_output, operators_accept
-from repro.core.input_output import InputProcess, OutputProcess
-from repro.core.metrics import MetricsHub
-from repro.core.tasks import Assignment, Chunk, Opcode, Record, Task, chunk_records
-from repro.core.verifier import Verifier
+from importlib import import_module
 
-_DEPLOY_NAMES = ("OsirisCluster", "build_osiris_cluster", "default_cluster_count")
+#: module -> the public names it defines.  The deployment builder lives
+#: in repro.runtime.deploy (it binds cores to the DES backend).
+_EXPORTS = {
+    "repro.core.api": "ComputeResult CountResult VerifiableApplication",
+    "repro.core.config": "OsirisConfig",
+    "repro.core.coordinator": "Coordinator",
+    "repro.core.executor": "ExecutionEngine Executor",
+    "repro.core.failure_model": "OutputFailure classify_output operators_accept",
+    "repro.core.input_output": "InputProcess OutputProcess",
+    "repro.core.metrics": "MetricsHub",
+    "repro.core.tasks": "Assignment Chunk Opcode Record Task chunk_records",
+    "repro.core.verifier": "Verifier",
+    "repro.runtime.deploy": "OsirisCluster build_osiris_cluster default_cluster_count",
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 
 
 def __getattr__(name: str):
-    # The deployment builder lives in repro.runtime.deploy (it binds
-    # cores to the DES backend); resolving it lazily keeps this package
-    # import-light and cycle-free.
-    if name in _DEPLOY_NAMES:
-        import repro.runtime.deploy as deploy
-
-        return getattr(deploy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(home), name)
 
 
-__all__ = [
-    "Assignment",
-    "Chunk",
-    "ComputeResult",
-    "Coordinator",
-    "CountResult",
-    "ExecutionEngine",
-    "Executor",
-    "InputProcess",
-    "MetricsHub",
-    "Opcode",
-    "OsirisCluster",
-    "OutputFailure",
-    "classify_output",
-    "operators_accept",
-    "OsirisConfig",
-    "OutputProcess",
-    "Record",
-    "Task",
-    "VerifiableApplication",
-    "Verifier",
-    "build_osiris_cluster",
-    "chunk_records",
-    "default_cluster_count",
-]
+__all__ = sorted(_HOME)

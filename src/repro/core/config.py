@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.admission import Admission
 from repro.errors import ProtocolError
 
 __all__ = ["OsirisConfig"]
@@ -46,13 +47,13 @@ class OsirisConfig:
         Whether the non-equivocating multicast primitive is available;
         without it sub-clusters need 3f+1 members (Sec 3).
     admission_queue / admission_rate:
-        IP-side admission control for open-loop traffic.  ``None`` for
-        both (the default) keeps the exact legacy submit path: every
-        arrival is forwarded immediately.  ``admission_queue`` bounds
-        the IP's ingress queue — arrivals past the bound are *rejected*
-        (shed).  ``admission_rate`` drains the queue at that many
-        submits/second; arrivals that must wait behind the drain are
-        counted as *deferred*.
+        Admission control for open-loop traffic, run by the IP or the
+        serve gateway (:class:`~repro.core.admission.Admission`).
+        ``None`` for both (the default) forwards every arrival at once.
+        ``admission_queue`` bounds the ingress queue — arrivals past
+        the bound are *rejected* (shed).  ``admission_rate`` drains the
+        queue at that many submits/second; arrivals that must wait
+        behind the drain are *deferred*.
     """
 
     f: int = 1
@@ -85,10 +86,7 @@ class OsirisConfig:
             raise ProtocolError("chunk_bytes must be positive")
         if self.max_attempts < 1:
             raise ProtocolError("max_attempts must be >= 1")
-        if self.admission_queue is not None and self.admission_queue < 1:
-            raise ProtocolError("admission_queue must be >= 1 when set")
-        if self.admission_rate is not None and self.admission_rate <= 0:
-            raise ProtocolError("admission_rate must be positive when set")
+        Admission(self.admission_queue, self.admission_rate)  # range check
 
     @property
     def subcluster_size(self) -> int:

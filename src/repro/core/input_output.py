@@ -14,11 +14,11 @@ machines; scheduling and transmission happen through typed effects.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from repro.consensus.fast_robust import ConsensusClient
+from repro.core.admission import ADMITTED, DEFERRED, Admission
 from repro.core.config import OsirisConfig
 from repro.core.faults import OutputFault
 from repro.core.messages import (
@@ -53,13 +53,10 @@ class InputProcess(ProtocolCore):
     non-decreasing time order; tasks are scheduled one ahead so huge
     workloads never materialize in memory.
 
-    When ``config`` enables admission control (``admission_queue`` /
-    ``admission_rate``), arrivals pass through a bounded ingress queue
-    drained at the configured rate, with explicit shed accounting:
-    ``tasks_admitted`` were forwarded, ``tasks_deferred`` additionally
-    had to wait behind the drain, ``tasks_rejected`` were dropped at a
-    full queue.  With both knobs unset (the default) every arrival is
-    forwarded immediately on the exact legacy path.
+    Every arrival is offered to ``admission``
+    (:class:`~repro.core.admission.Admission`, from ``config``'s knobs),
+    which this process drives on simulated time.  With both knobs unset
+    every arrival is forwarded at once, with no admission events.
     """
 
     def __init__(
@@ -75,18 +72,8 @@ class InputProcess(ProtocolCore):
         self._workload = iter(workload)
         self.client = ConsensusClient(self, topo.coordinator)
         self.tasks_submitted = 0
-        self.tasks_admitted = 0
-        self.tasks_deferred = 0
-        self.tasks_rejected = 0
-        self._queue: deque[Task] = deque()
-        self._draining = False
-
-    @property
-    def _admission(self) -> bool:
-        c = self.config
-        return c is not None and (
-            c.admission_queue is not None or c.admission_rate is not None
-        )
+        knobs = (config.admission_queue, config.admission_rate) if config else ()
+        self.admission = Admission(*knobs)
 
     def start(self) -> None:
         """Begin streaming tasks (call once after deployment wiring)."""
@@ -97,11 +84,11 @@ class InputProcess(ProtocolCore):
             at, task = next(self._workload)
         except StopIteration:
             return
-        delay = max(0.0, at - self.now)
-        if self._admission:
-            self.schedule(delay, self._arrive, task)
-        else:
-            self.schedule(delay, self._submit, task)
+        self.schedule(max(0.0, at - self.now), self._arrive, task)
+
+    def _arrive(self, task: Task) -> None:
+        self.inject(task)
+        self._schedule_next()
 
     def _forward(self, task: Task) -> None:
         stamped = replace(task, submitted_at=self.now)
@@ -114,88 +101,39 @@ class InputProcess(ProtocolCore):
         self.client.submit(stamped, size=task.size_bytes)
         self.tasks_submitted += 1
 
-    def _submit(self, task: Task) -> None:
-        if not self.crashed:
-            self._forward(task)
-        self._schedule_next()
+    def _about(self, task: Task) -> dict:
+        """The fields every admission event carries."""
+        return dict(
+            time=self.now, pid=self.pid, task_id=task.task_id, tenant=task.tenant
+        )
 
     def inject(self, task: Task) -> None:
-        """Externally-submitted arrival (the live gateway path).
-
-        Same treatment as a workload arrival — through admission control
-        when configured, straight to consensus otherwise — but without
-        touching the workload iterator, so serving deployments need no
-        pre-planned stream at all.
-        """
+        """One arrival, from the workload or from outside (the live
+        gateway path, which needs no pre-planned stream at all)."""
         if self.crashed:
             return
-        if self._admission:
-            self._admit(task)
-        else:
+        status, depth = self.admission.offer(task)
+        if not self.admission.enforcing:
             self._forward(task)
-
-    # ----------------------------------------------------------- admission
-    def _arrive(self, task: Task) -> None:
-        if not self.crashed:
-            self._admit(task)
-        self._schedule_next()
-
-    def _admit(self, task: Task) -> None:
-        bound = self.config.admission_queue
-        if bound is not None and len(self._queue) >= bound:
-            self.tasks_rejected += 1
-            if self.wants(CATEGORY_TASK):
-                self.emit(
-                    TaskRejected(
-                        time=self.now,
-                        pid=self.pid,
-                        task_id=task.task_id,
-                        tenant=task.tenant,
-                    )
-                )
-        else:
-            if self._draining or self._queue:
-                self.tasks_deferred += 1
-                if self.wants(CATEGORY_TASK):
-                    self.emit(
-                        TaskDeferred(
-                            time=self.now,
-                            pid=self.pid,
-                            task_id=task.task_id,
-                            tenant=task.tenant,
-                            queue_depth=len(self._queue) + 1,
-                        )
-                    )
-            self._queue.append(task)
-            if not self._draining:
-                self._draining = True
-                self._drain()
+        elif status == ADMITTED:
+            self._drain()
+        elif self.wants(CATEGORY_TASK):
+            about = self._about(task)
+            self.emit(
+                TaskDeferred(**about, queue_depth=depth)
+                if status == DEFERRED
+                else TaskRejected(**about)
+            )
 
     def _drain(self) -> None:
-        if self.crashed or not self._queue:
-            self._draining = False
+        task = None if self.crashed else self.admission.pop()
+        if task is None:
             return
-        task = self._queue.popleft()
         self._forward(task)
-        self.tasks_admitted += 1
         if self.wants(CATEGORY_TASK):
-            self.emit(
-                TaskAdmitted(
-                    time=self.now,
-                    pid=self.pid,
-                    task_id=task.task_id,
-                    tenant=task.tenant,
-                )
-            )
-        rate = self.config.admission_rate
-        if rate is not None:
-            # rate-limited drain: the pending tick spaces the next
-            # submit even if the queue is briefly empty when it fires
-            self.schedule(1.0 / rate, self._drain)
-        elif self._queue:
-            self.schedule(0.0, self._drain)
-        else:
-            self._draining = False
+            self.emit(TaskAdmitted(**self._about(task)))
+        if self.admission.busy:
+            self.schedule(self.admission.gap, self._drain)
 
 
 @dataclass

@@ -131,6 +131,7 @@ class MetricsHub(Sink):
         acc.add(time - submitted_at)
 
     def on_task_admitted(self) -> None:
+        """IP admission forwarded a task (a forward, not a verdict)."""
         self.tasks_admitted += 1
 
     def on_task_deferred(self) -> None:

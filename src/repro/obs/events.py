@@ -215,6 +215,9 @@ class TaskOutcome(TraceEvent):
 class TaskAdmitted(TraceEvent):
     """IP admission control forwarded a task into the pipeline.
 
+    Counts *forwards*, not ADMITTED verdicts: a task deferred at its
+    verdict still yields one ``TaskAdmitted`` when it is forwarded (the
+    gateway's ``gate.admitted``, by contrast, counts ADMITTED verdicts).
     Only emitted when admission control is configured
     (``OsirisConfig.admission_queue`` / ``admission_rate``).
     """

@@ -10,9 +10,10 @@ speaking length-prefixed codec-JSON frames:
   to the submitting client.  Built via :func:`repro.api.serve`.
 * :class:`Client` / :class:`AsyncClient` — blocking and asyncio
   bindings for the frame protocol.
-* :class:`AdmissionGate` — the gateway-side admission state machine
-  (the input process's policy, enforced before tasks cross a process
-  boundary).
+* :class:`AdmissionGate` — the input process's admission machine
+  (:class:`~repro.core.admission.Admission`) driven on the wall clock
+  by a dispatcher thread, so the verdict is taken before a task
+  crosses a process boundary.
 * :func:`serve_bench` — seeded open-loop clients against both a DES run
   and a served live deployment: identical offered load, commit-set
   cross-validation, client-observed SLOs (``python -m repro serve

@@ -78,11 +78,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from repro import api
 
-    config = []
-    if args.admission_queue:
-        config.append(("admission_queue", args.admission_queue))
-    if args.admission_rate:
-        config.append(("admission_rate", args.admission_rate))
+    # any value given is forwarded: an explicit 0 fails the range check
+    config = tuple(
+        (knob, getattr(args, knob))
+        for knob in ("admission_queue", "admission_rate")
+        if getattr(args, knob) is not None
+    )
     spec = api.DeploymentSpec(
         workload="open_loop",
         workload_params=(
@@ -96,7 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tenants=args.tenants,
         backend="live",
         sanitize=True,
-        config=tuple(config),
+        config=config,
     )
     gateway = api.serve(
         spec, host=args.host, port=args.port, time_scale=args.time_scale
@@ -143,8 +144,8 @@ def main(argv=None) -> int:
     run.add_argument(
         "--duration", type=float, default=10.0, help="wall seconds to serve"
     )
-    run.add_argument("--admission-queue", type=int, default=0)
-    run.add_argument("--admission-rate", type=float, default=0.0)
+    run.add_argument("--admission-queue", type=int, default=None)
+    run.add_argument("--admission-rate", type=float, default=None)
 
     args = parser.parse_args(argv)
     if args.cmd == "bench":

@@ -1,47 +1,30 @@
-"""Gateway-side admission control: the IP's policy, enforced at the edge.
+"""Gateway-side admission: the IP's machine, driven on the wall clock.
 
-The DES backend enforces ``OsirisConfig.admission_queue`` /
-``admission_rate`` *inside* the input process
-(:meth:`repro.core.input_output.InputProcess._admit`).  A serving
-deployment moves the same policy to the gateway so the verdict can be
-told to the submitting client *synchronously* — a ``REJECTED`` reply
-arrives before the task would ever cross a process boundary, which is
-the whole point of backpressure.  The input processes behind the
-gateway then run with the admission knobs stripped, so the policy is
-enforced exactly once.
-
-Semantics mirror the IP's state machine:
-
-* a full ingress queue (``queue_bound``) sheds the task — ``REJECTED``;
-* a non-empty queue, or a drain tick pending from the rate limiter,
-  defers the task — ``DEFERRED`` (it is queued and will be forwarded);
-* otherwise the task is forwarded at the next drain — ``ADMITTED``.
-
-The drain runs on one dispatcher thread: pop, forward, then (with a
-rate set) sleep ``time_scale / rate`` wall seconds — the wall-clock
-image of the IP's ``schedule(1.0 / rate, self._drain)`` tick.  With
-neither knob set the gate is pass-through, matching the IP's legacy
-immediate-forward path.
+:class:`AdmissionGate` is :class:`~repro.core.admission.Admission` plus
+a thread layer: ``offer`` under one lock, and a dispatcher thread that
+pops, forwards, then sleeps ``gap * time_scale`` wall seconds — the
+image of the IP's ``schedule(gap, _drain)`` (DESIGN.md §17).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+import time
 from typing import Callable, Optional
 
+from repro.core.admission import ADMITTED, Admission
 from repro.errors import ServeError
-from repro.serve.frames import ADMITTED, DEFERRED, REJECTED
 
 __all__ = ["AdmissionGate"]
 
 
-class AdmissionGate:
+class AdmissionGate(Admission):
     """Bounded, rate-drained ingress queue in front of a live runtime.
 
     ``forward`` is called on the dispatcher thread with each task that
-    survives admission (typically ``LiveRuntime.submit``).  ``offer``
-    may be called from any number of connection threads.
+    survives admission (typically ``LiveRuntime.submit``), or inline by
+    ``offer`` when no knob is set.  ``offer`` may be called from any
+    number of connection threads.
     """
 
     def __init__(
@@ -51,33 +34,15 @@ class AdmissionGate:
         rate: Optional[float] = None,
         time_scale: float = 1.0,
     ) -> None:
-        if queue_bound is not None and queue_bound < 1:
-            raise ServeError(
-                f"admission queue bound must be >= 1, got {queue_bound}"
-            )
-        if rate is not None and rate <= 0:
-            raise ServeError(f"admission rate must be positive, got {rate}")
+        super().__init__(queue_bound, rate)
         if time_scale <= 0:
             raise ServeError(f"time_scale must be positive, got {time_scale}")
         self._forward = forward
-        self.queue_bound = queue_bound
-        self.rate = rate
         self.time_scale = time_scale
-        self.admitted = 0
-        self.deferred = 0
-        self.rejected = 0
-        self.forwarded = 0
-        self._queue: deque = deque()
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._tick_pending = False  # rate tick outstanding (drain "busy")
+        self._cond = threading.Condition(self._lock)
         self._closed = False
         self._thread: Optional[threading.Thread] = None
-
-    @property
-    def enforcing(self) -> bool:
-        """Whether any admission knob is set (pass-through otherwise)."""
-        return self.queue_bound is not None or self.rate is not None
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -90,9 +55,10 @@ class AdmissionGate:
 
     def close(self, drain_timeout: float = 5.0) -> None:
         """Stop accepting, drain what is queued, stop the dispatcher."""
-        with self._lock:
+        with self._cond:
             self._closed = True
-            self._work.notify_all()
+            self.bound = 0  # no room left: every later offer is REJECTED
+            self._cond.notify_all()
         if self._thread is not None:
             self._thread.join(timeout=drain_timeout)
             self._thread = None
@@ -100,76 +66,34 @@ class AdmissionGate:
     # -------------------------------------------------------------- ingress
     def offer(self, task) -> tuple[str, int]:
         """Admission verdict for one task: ``(status, queue_depth)``.
-
-        Rejected tasks are dropped here; admitted/deferred tasks are
-        queued for the dispatcher.  Thread-safe.
-        """
+        Thread-safe."""
         with self._lock:
-            if self._closed:
-                self.rejected += 1
-                return REJECTED, len(self._queue)
-            if not self.enforcing:
-                # legacy shape: forward inline, no queue, no verdicts
-                self.admitted += 1
-                self.forwarded += 1
-                forward = self._forward
-            else:
-                bound = self.queue_bound
-                if bound is not None and len(self._queue) >= bound:
-                    self.rejected += 1
-                    return REJECTED, len(self._queue)
-                status = (
-                    DEFERRED
-                    if (self._tick_pending or self._queue)
-                    else ADMITTED
-                )
-                if status == DEFERRED:
-                    self.deferred += 1
-                else:
-                    self.admitted += 1
-                self._queue.append(task)
-                self._work.notify()
-                return status, len(self._queue)
-        forward(task)
-        return ADMITTED, 0
-
-    @property
-    def depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
+            inline = not self.enforcing
+            status, depth = super().offer(task)
+            if status == ADMITTED and not inline:
+                self._cond.notify_all()  # the dispatcher parks when idle
+        if inline:
+            self._forward(task)
+        return status, depth
 
     def wait_empty(self, timeout: float) -> bool:
-        """Block until the ingress queue drained (or ``timeout`` wall s)."""
-        import time
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._queue and not self._tick_pending:
-                    return True
-            time.sleep(0.01)
-        with self._lock:
-            return not self._queue and not self._tick_pending
+        """Block until the machine is idle (or ``timeout`` wall s)."""
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: not self.queue and not self.busy, timeout
+            )
 
     # ----------------------------------------------------------- dispatcher
     def _run(self) -> None:
-        import time
-
-        wall_gap = (
-            self.time_scale / self.rate if self.rate is not None else 0.0
-        )
         while True:
-            with self._lock:
-                while not self._queue and not self._closed:
-                    self._tick_pending = False
-                    self._work.wait(timeout=0.1)
-                if not self._queue and self._closed:
-                    self._tick_pending = False
-                    return
-                task = self._queue.popleft()
-                self._tick_pending = self.rate is not None
+            with self._cond:
+                task = self.pop()
+                while task is None:
+                    self._cond.notify_all()  # idle: release wait_empty
+                    if self._closed:
+                        return
+                    self._cond.wait()
+                    task = self.pop()
             self._forward(task)
-            with self._lock:
-                self.forwarded += 1
-            if wall_gap > 0.0:
-                time.sleep(wall_gap)
+            if self.gap:
+                time.sleep(self.gap * self.time_scale)

@@ -27,6 +27,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.core.admission import ADMITTED, DEFERRED, REJECTED
 from repro.errors import ServeError
 from repro.runtime import codec
 
@@ -54,11 +55,6 @@ __all__ = [
 MAX_FRAME = 1 << 20
 
 _HEADER = struct.Struct(">I")
-
-#: Backpressure verdicts carried by :class:`SubmitReply`.
-ADMITTED = "admitted"
-DEFERRED = "deferred"
-REJECTED = "rejected"
 
 
 # ------------------------------------------------------------ frame types

@@ -129,10 +129,8 @@ class Gateway:
         port: int = 0,
         time_scale: float = 0.25,
     ) -> None:
-        from repro.api import _osiris_config
-        from repro.bench.scenarios import BENCH_BANDWIDTH
+        from repro.api import _live_plan, _osiris_config
         from repro.live.runtime import LiveRuntime
-        from repro.runtime.plan import plan_osiris_cluster
 
         if spec.system != "osiris":
             raise ServeError(
@@ -151,29 +149,13 @@ class Gateway:
         self.time_scale = time_scale
         workload = spec.resolve_workload()
         cfg = _osiris_config(spec, workload)
-        #: admission knobs move from the IP to the gateway: the plan's
-        #: children run with them stripped so the policy applies once
-        self.admission_queue = cfg.admission_queue
-        self.admission_rate = cfg.admission_rate
+        # admission knobs move from the IP to the gateway: the plan's
+        # children run with them stripped so the policy applies once
         plan_cfg = dataclasses.replace(
             cfg, admission_queue=None, admission_rate=None
         )
-        plan = plan_osiris_cluster(
-            n_workers=spec.n,
-            k=spec.k,
-            seed=spec.seed,
-            config=plan_cfg,
-            bandwidth=(
-                spec.bandwidth
-                if spec.bandwidth is not None
-                else BENCH_BANDWIDTH
-            ),
-            faults=spec.faults,
-            sanitize=spec.sanitize,
-            shards=spec.shards,
-        )
         self.runtime = LiveRuntime(
-            plan,
+            _live_plan(spec, plan_cfg),
             workload.app,
             workload=None,
             sinks=spec.sinks,
@@ -182,8 +164,8 @@ class Gateway:
         self.runtime.bus.attach(_CompletionSink(self))
         self.gate = AdmissionGate(
             self.runtime.submit,
-            queue_bound=self.admission_queue,
-            rate=self.admission_rate,
+            queue_bound=cfg.admission_queue,
+            rate=cfg.admission_rate,
             time_scale=time_scale,
         )
         self.address: Optional[tuple[str, int]] = None
@@ -255,10 +237,7 @@ class Gateway:
                 pass
         self.gate.close(drain_timeout=max(drain, 1.0))
         deadline = time.monotonic() + drain
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not set(self._owner) - self._completed:
-                    break
+        while self.in_flight() and time.monotonic() < deadline:
             time.sleep(0.05)
         self._stopping.set()
         if self._pump_thread is not None:

@@ -1,12 +1,14 @@
-"""AdmissionGate: the input process's admission semantics, replayed at
-the gateway edge — verdicts, shedding, pacing, drain-on-close."""
+"""AdmissionGate: the input process's admission machine, driven at the
+gateway edge on the wall clock — verdicts, shedding, pacing,
+drain-on-close."""
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ProtocolError, ServeError
 from repro.serve import ADMITTED, DEFERRED, REJECTED, AdmissionGate
 
 
@@ -22,9 +24,10 @@ class Collector:
 
 class TestValidation:
     def test_bad_knobs_rejected(self):
-        with pytest.raises(ServeError):
+        # the knob range check is the machine's (and OsirisConfig's)
+        with pytest.raises(ProtocolError):
             AdmissionGate(lambda t: None, queue_bound=0)
-        with pytest.raises(ServeError):
+        with pytest.raises(ProtocolError):
             AdmissionGate(lambda t: None, rate=0.0)
         with pytest.raises(ServeError):
             AdmissionGate(lambda t: None, time_scale=-1.0)
@@ -49,6 +52,13 @@ class TestPassThrough:
         assert (status, depth) == (ADMITTED, 0)
         assert sink.items == ["task-a"]
         assert gate.admitted == 1 and gate.forwarded == 1
+
+    def test_closed_gate_sheds_even_without_knobs(self):
+        sink = Collector()
+        gate = AdmissionGate(sink)
+        gate.close()
+        assert gate.offer("late") == (REJECTED, 0)
+        assert sink.items == [] and gate.rejected == 1
 
 
 class TestBoundedQueue:
@@ -138,3 +148,33 @@ class TestConcurrentOffers:
         # everything that was not shed reached the runtime
         assert len(sink.items) == gate.admitted + gate.deferred
         assert gate.forwarded == len(sink.items)
+
+    def test_no_task_stranded_under_switch_pressure(self):
+        # the dispatcher parks when idle and only an ADMITTED verdict
+        # wakes it: offers racing its park must never strand a task
+        sink = Collector()
+        gate = AdmissionGate(sink, queue_bound=4)  # no rate: no sleeps
+        gate.start()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda j=j: [gate.offer((j, i)) for i in range(200)]
+                )
+                for j in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            assert gate.wait_empty(10.0)
+        finally:
+            sys.setswitchinterval(old)
+            gate.close()
+        assert gate.admitted + gate.deferred + gate.rejected == 1600
+        assert len(sink.items) == gate.admitted + gate.deferred == gate.forwarded
+        for j in range(8):  # FIFO per offering thread
+            mine = [i for k, i in sink.items if k == j]
+            assert mine == sorted(mine)

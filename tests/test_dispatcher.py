@@ -29,3 +29,48 @@ class TestDispatch:
             main([name, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out  # the sub-CLI printed its help
+
+
+class TestServeRunAdmissionFlags:
+    """``serve run`` forwards every admission value it was given, so an
+    explicit 0 fails the range check instead of meaning "off"."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        from repro.serve.gateway import Gateway
+
+        def refuse(self):
+            raise AssertionError("the gateway would have started")
+
+        monkeypatch.setattr(Gateway, "start", refuse)
+
+    @pytest.mark.parametrize(
+        "flag, knob",
+        [("--admission-queue", "admission_queue"),
+         ("--admission-rate", "admission_rate")],
+    )
+    def test_explicit_zero_fails_loudly(self, no_fork, flag, knob):
+        from repro.errors import ProtocolError
+
+        with pytest.raises(ProtocolError, match=knob):
+            main(["serve", "run", flag, "0", "--duration", "0"])
+
+    def test_omitted_flags_leave_admission_off(self, monkeypatch):
+        from repro import api
+
+        seen = []
+
+        class Served(Exception):
+            pass
+
+        def fake_serve(spec, **kwargs):
+            seen.append(spec)
+            raise Served
+
+        monkeypatch.setattr(api, "serve", fake_serve)
+        with pytest.raises(Served):
+            main(["serve", "run", "--duration", "0"])
+        with pytest.raises(Served):
+            main(["serve", "run", "--admission-queue", "3"])
+        assert seen[0].config == ()
+        assert seen[1].config == (("admission_queue", 3),)
