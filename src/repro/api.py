@@ -495,7 +495,7 @@ def _run_to_completion(sim, metrics, workload: BenchWorkload, deadline: float):
 def _finish(
     system, n, f, metrics, net, busy_fn, cores, extra=None,
     horizon=0.0, output_pids=(),
-    sanitizer_violations=None, recovery=None,
+    sanitizer_violations=None, recovery=None, commits=None,
 ):
     sharded = len(output_pids) > 1
     if metrics.completion_times:
@@ -546,6 +546,7 @@ def _finish(
         per_shard=metrics.per_shard() if sharded else {},
         sanitizer_violations=sanitizer_violations,
         recovery=recovery,
+        commits=commits or {},
         extra=extra or {},
     )
 
@@ -631,6 +632,7 @@ def _run_osiris(spec: DeploymentSpec, **build_extra) -> ScenarioResult:
         output_pids=tuple(cluster.topo.output_pids),
         sanitizer_violations=violations,
         recovery=recovery,
+        commits={op.pid: op.commit_record() for op in cluster.outputs},
     )
 
 
@@ -681,7 +683,6 @@ def _fold_live_result(spec: DeploymentSpec, rt, report) -> ScenarioResult:
 
     extra = {
         "backend": "live",
-        "commits": report.commits,
         "live_report": report,
         "unhandled_messages": report.unhandled_messages,
         "reassignments": len(rt.metrics.reassignments),
@@ -708,6 +709,7 @@ def _fold_live_result(spec: DeploymentSpec, rt, report) -> ScenarioResult:
         output_pids=tuple(plan.topo.output_pids),
         sanitizer_violations=violations,
         recovery=recovery_scalars,
+        commits=report.commits,
     )
 
 

@@ -71,6 +71,9 @@ class ScenarioResult:
     #: submitting clients measured on their own wall clocks —
     #: ``p50``/``p99`` latency, ``goodput``, admission verdict counts
     client_slo: dict = field(default_factory=dict)
+    #: output pid -> ``OutputProcess.commit_record()`` (OsirisBFT runs),
+    #: what :func:`repro.check.crossval.crossval` compares
+    commits: dict = field(default_factory=dict)
 
     def row(self) -> str:
         """One printable table row (formatting lives in reporting)."""
@@ -105,6 +108,7 @@ class ScenarioResult:
             "sanitizer_violations": self.sanitizer_violations,
             "recovery": dict(self.recovery) if self.recovery is not None else None,
             "client_slo": dict(self.client_slo),
+            "commits": dict(self.commits),
             "extra": {
                 k: v
                 for k, v in self.extra.items()
@@ -137,5 +141,6 @@ class ScenarioResult:
             sanitizer_violations=d.get("sanitizer_violations"),
             recovery=dict(recovery) if recovery is not None else None,
             client_slo=dict(d.get("client_slo", {})),
+            commits=dict(d.get("commits", {})),
             extra=dict(d.get("extra", {})),
         )

@@ -211,43 +211,66 @@ class OutputProcess(ProtocolCore):
         self._try_accept(msg.task_id, ot, msg.index, slot)
 
     # -------------------------------------------------------------- accept
+    def _winner(self, ot: _OutTask, slot: _ChunkSlot) -> Optional[bytes]:
+        """The acceptance rule: the first quorum-endorsed digest with data."""
+        quorum = self.topo.cluster(ot.vp_index).quorum
+        for sigma, endorsers in slot.endorsements.items():
+            if len(endorsers) >= quorum and sigma in slot.data:
+                return sigma
+        return None
+
     def _try_accept(
         self, task_id: str, ot: _OutTask, index: int, slot: _ChunkSlot
     ) -> None:
         if slot.accepted:
             return
-        quorum = self.topo.cluster(ot.vp_index).quorum
-        for sigma, endorsers in slot.endorsements.items():
-            if len(endorsers) >= quorum and sigma in slot.data:
-                chunk = slot.data[sigma]
-                slot.accepted = True
-                ot.accepted.add(index)
-                self.cancel_timer(f"op-wait-{task_id}-{index}")
-                self.chunks_accepted += 1
-                self.records_accepted += len(chunk.records)
-                if self.wants(CATEGORY_TASK):
-                    self.emit(
-                        RecordsAccepted(
-                            time=self.now,
-                            pid=self.pid,
-                            task_id=task_id,
-                            count=len(chunk.records),
-                        )
-                    )
-                if self.wants(CATEGORY_CHUNK):
-                    self.emit(
-                        ChunkAccepted(
-                            time=self.now,
-                            pid=self.pid,
-                            task_id=task_id,
-                            index=index,
-                            records=len(chunk.records),
-                        )
-                    )
-                self._check_complete(task_id, ot)
-                return
-        # not acceptable yet: something is late or someone is lying
-        self._arm_wait_timer(task_id, index)
+        sigma = self._winner(ot, slot)
+        if sigma is None:
+            # not acceptable yet: something is late or someone is lying
+            self._arm_wait_timer(task_id, index)
+            return
+        chunk = slot.data[sigma]
+        slot.accepted = True
+        ot.accepted.add(index)
+        self.cancel_timer(f"op-wait-{task_id}-{index}")
+        self.chunks_accepted += 1
+        self.records_accepted += len(chunk.records)
+        if self.wants(CATEGORY_TASK):
+            self.emit(
+                RecordsAccepted(
+                    time=self.now,
+                    pid=self.pid,
+                    task_id=task_id,
+                    count=len(chunk.records),
+                )
+            )
+        if self.wants(CATEGORY_CHUNK):
+            self.emit(
+                ChunkAccepted(
+                    time=self.now,
+                    pid=self.pid,
+                    task_id=task_id,
+                    index=index,
+                    records=len(chunk.records),
+                )
+            )
+        self._check_complete(task_id, ot)
+
+    def commit_record(self) -> dict:
+        """What this OP committed: ``completed`` task ids, and per
+        accepted slot ``"task:index"`` the :meth:`_winner` digest (hex,
+        in ``chunks``) and its record count (``records``)."""
+        chunks: dict[str, str] = {}
+        records: dict[str, int] = {}
+        for task_id, ot in self._tasks.items():
+            for index, slot in ot.slots.items():
+                # None only under an accept-without-quorum bug (sanitizer)
+                sigma = self._winner(ot, slot) if slot.accepted else None
+                if sigma is not None:
+                    chunks[f"{task_id}:{index}"] = sigma.hex()
+                    records[f"{task_id}:{index}"] = len(slot.data[sigma].records)
+        completed = sorted(t for t, ot in self._tasks.items() if ot.completed)
+        return {"completed": completed, "chunks": chunks, "records": records}
 
     def _check_complete(self, task_id: str, ot: _OutTask) -> None:
         if ot.completed or ot.final_index is None:

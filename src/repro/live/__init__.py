@@ -5,10 +5,11 @@ the DES hosts, run as one OS process per node over ``multiprocessing``
 queues, selected by ``backend="live"`` on a
 :class:`~repro.api.DeploymentSpec`.  See :mod:`repro.live.host` (child
 side), :mod:`repro.live.runtime` (parent side) and
-:mod:`repro.live.crossval` (DES ↔ live semantic equivalence harness).
+:mod:`repro.live.crossval` (runs one spec on DES and live and compares
+the commit records with :func:`repro.check.crossval.crossval`).
 """
 
-from repro.live.crossval import CrossValReport, commit_outcomes, cross_validate
+from repro.live.crossval import cross_validate
 from repro.live.host import LiveHost
 from repro.live.runtime import LiveReport, LiveRuntime
 
@@ -16,7 +17,5 @@ __all__ = [
     "LiveHost",
     "LiveReport",
     "LiveRuntime",
-    "CrossValReport",
-    "commit_outcomes",
     "cross_validate",
 ]

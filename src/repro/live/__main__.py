@@ -80,16 +80,19 @@ def main(argv=None) -> int:
         from repro.api import run
 
         result = run(_spec(args, "live"), time_scale=args.time_scale)
-        out = result.to_dict() if hasattr(result, "to_dict") else vars(result)
+        out = result.to_dict()
         out.pop("extra", None)
         print(json.dumps(out, indent=2, default=str))
         return 0
 
+    from repro.check.crossval import summary
     from repro.live.crossval import cross_validate
 
-    report = cross_validate(_spec(args, "des"), time_scale=args.time_scale)
-    print(report.summary())
-    return 0 if report.ok else 1
+    spec = _spec(args, "des")
+    des, _, mismatches = cross_validate(spec, time_scale=args.time_scale)
+    label = f"{spec.workload} n={spec.n} seed={spec.seed}; a=des b=live"
+    print(summary(label, des, mismatches))
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -1,176 +1,29 @@
-"""Cross-validation: DES and live runs of one spec must commit the same.
+"""DES ↔ live cross-validation: one spec on both backends, one diff.
 
-The live backend replays none of the DES's timing — queue latencies are
-real, CPU lanes are emulated against the wall clock, reassignment
-timers race actual execution.  What *must* coincide is the protocol
-outcome the paper's safety theorem speaks about: the set of committed
-``(task, chunk index) → record-content digest`` outcomes at the output
-processes, and the set of completed tasks.  Chunk digests are content
-digests (independent of which executor attempt produced them), and
-quorum acceptance is exactly-once per slot, so two semantically correct
-executions of one spec + seed agree on this map even when their
-schedules differ wildly.
-
-:func:`cross_validate` runs one :class:`~repro.api.DeploymentSpec`
-under both backends and compares:
-
-* identical commit outcomes (per-slot winning digests, completed task
-  set, record counts),
-* zero sanitizer violations on the DES side and zero conservation
-  violations on the live side.
-
-It deliberately does **not** compare traces byte-for-byte — wall-clock
-scheduling makes that meaningless — nor performance numbers.
+The live backend replays none of the DES's timing, so what must coincide
+is the commit records :func:`repro.check.crossval.crossval` compares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.input_output import OutputProcess
-from repro.errors import BenchmarkError
 
-__all__ = ["commit_outcomes", "CrossValReport", "cross_validate"]
+__all__ = ["commit_outcomes", "cross_validate"]
 
-
-def commit_outcomes(op: OutputProcess) -> dict:
-    """Distil one output process's committed state into a comparable map.
-
-    For every accepted chunk slot the *winning* digest is recovered from
-    the endorsement table: the digest that reached quorum with its chunk
-    data present — the exact acceptance condition of
-    ``OutputProcess._try_accept``, which fires at most once per slot.
-    """
-    chunks: dict[str, str] = {}
-    records: dict[str, int] = {}
-    completed: list[str] = []
-    for task_id, ot in op._tasks.items():
-        if ot.completed:
-            completed.append(task_id)
-        if ot.vp_index < 0:
-            continue
-        quorum = op.topo.cluster(ot.vp_index).quorum
-        for index, slot in ot.slots.items():
-            if not slot.accepted:
-                continue
-            key = f"{task_id}:{index}"
-            for sigma, endorsers in slot.endorsements.items():
-                if len(endorsers) >= quorum and sigma in slot.data:
-                    chunks[key] = sigma.hex()
-                    records[key] = len(slot.data[sigma].records)
-                    break
-    return {
-        "completed": sorted(completed),
-        "chunks": chunks,
-        "records": records,
-        "chunks_accepted": op.chunks_accepted,
-        "records_accepted": op.records_accepted,
-    }
+#: the performance ledger's name for the record
+commit_outcomes = OutputProcess.commit_record
 
 
-@dataclass
-class CrossValReport:
-    """Outcome of one DES-vs-live comparison."""
-
-    spec_label: str
-    des_commits: dict = field(default_factory=dict)
-    live_commits: dict = field(default_factory=dict)
-    des_violations: int = 0
-    live_violations: int = 0
-    mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.mismatches
-            and self.des_violations == 0
-            and self.live_violations == 0
-        )
-
-    def summary(self) -> str:
-        if self.ok:
-            ops = sorted(self.des_commits)
-            slots = sum(
-                len(self.des_commits[op]["chunks"]) for op in ops
-            )
-            return (
-                f"cross-validation OK [{self.spec_label}]: "
-                f"{len(ops)} OP(s), {slots} committed slot(s) identical, "
-                f"0 violations"
-            )
-        lines = [f"cross-validation FAILED [{self.spec_label}]:"]
-        lines.extend(f"  {m}" for m in self.mismatches[:20])
-        if self.des_violations:
-            lines.append(f"  DES sanitizer violations: {self.des_violations}")
-        if self.live_violations:
-            lines.append(f"  live conservation violations: {self.live_violations}")
-        return "\n".join(lines)
-
-
-def _diff_outcomes(des: dict, live: dict) -> list[str]:
-    out: list[str] = []
-    for op_pid in sorted(set(des) | set(live)):
-        d, l = des.get(op_pid), live.get(op_pid)
-        if d is None or l is None:
-            out.append(f"{op_pid}: present only under {'live' if d is None else 'des'}")
-            continue
-        if d["completed"] != l["completed"]:
-            out.append(
-                f"{op_pid}: completed tasks differ "
-                f"(des={d['completed']} live={l['completed']})"
-            )
-        for key in sorted(set(d["chunks"]) | set(l["chunks"])):
-            dd, ll = d["chunks"].get(key), l["chunks"].get(key)
-            if dd != ll:
-                out.append(
-                    f"{op_pid}: slot {key} digest des={dd and dd[:12]} "
-                    f"live={ll and ll[:12]}"
-                )
-        if d["records"] != l["records"]:
-            for key in sorted(set(d["records"]) | set(l["records"])):
-                if d["records"].get(key) != l["records"].get(key):
-                    out.append(
-                        f"{op_pid}: slot {key} record count "
-                        f"des={d['records'].get(key)} live={l['records'].get(key)}"
-                    )
-    return out
-
-
-def cross_validate(spec, time_scale: float = 0.25) -> CrossValReport:
-    """Run ``spec`` under both backends and compare commit outcomes.
-
-    ``spec`` must be DES-eligible *and* live-eligible (osiris system, no
-    trigger campaign, no capture); ``sanitize`` is forced on for the DES
-    leg so the comparison also certifies substrate invariants.
-    """
+def cross_validate(spec, time_scale: float = 0.25) -> tuple:
+    """Run a live-eligible ``spec`` on the DES (side ``a``) and live
+    (side ``b``), both sanitized; returns ``(des, live, crossval(des,
+    live))``."""
     from repro.api import run
+    from repro.check.crossval import crossval
 
-    if spec.backend not in ("des", "live"):  # pragma: no cover - validated
-        raise BenchmarkError(f"unexpected backend {spec.backend!r}")
-
-    des_result = run(spec.with_(backend="des", sanitize=True, sinks=()))
-    des_cluster = des_result.extra["cluster"]
-    des_commits = {
-        op.pid: commit_outcomes(op) for op in des_cluster.outputs
-    }
-    des_violations = (des_result.sanitizer_violations or 0)
-
-    live_result = run(
+    des = run(spec.with_(backend="des", sanitize=True, sinks=()))
+    live = run(
         spec.with_(backend="live", sanitize=True, sinks=()),
         time_scale=time_scale,
     )
-    live_commits = live_result.extra["commits"]
-    live_violations = (live_result.sanitizer_violations or 0)
-
-    label = spec.label or (
-        f"{spec.workload if isinstance(spec.workload, str) else 'workload'}"
-        f" n={spec.n} seed={spec.seed}"
-    )
-    return CrossValReport(
-        spec_label=label,
-        des_commits=des_commits,
-        live_commits=live_commits,
-        des_violations=des_violations,
-        live_violations=live_violations,
-        mismatches=_diff_outcomes(des_commits, live_commits),
-    )
+    return des, live, crossval(des, live)

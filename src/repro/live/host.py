@@ -25,8 +25,9 @@ this substrate and on the DES one, case for case.
 
 A child that falls behind wall-clock (real Python execution is not free)
 simply fires its due work late but **in order** — commit outcomes are
-timing-independent by protocol design, which is what the
-cross-validation harness (:mod:`repro.live.crossval`) checks.
+timing-independent by protocol design, which is what
+:func:`repro.check.crossval.crossval` checks on the records
+:meth:`~repro.core.input_output.OutputProcess.commit_record` builds.
 
 The loop is single-threaded on purpose: one blocking queue read, all
 due timer/job continuations, whatever else already sits in the inbox
@@ -268,9 +269,7 @@ class LiveHost(EffectInterpreter):
     def _exit_report(self) -> ChildExit:
         summary: dict = {}
         if isinstance(self.core, OutputProcess):
-            from repro.live.crossval import commit_outcomes
-
-            summary = commit_outcomes(self.core)
+            summary = self.core.commit_record()
         engine = getattr(self.core, "engine", None)
         return ChildExit(
             pid=self.pid,

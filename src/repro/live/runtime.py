@@ -78,9 +78,9 @@ _ALL_CATEGORIES = frozenset(
 @dataclass
 class LiveReport:
     """Everything a live run produces (the wall-clock ScenarioResult
-    ingredients plus the commit summaries cross-validation compares)."""
+    ingredients plus the commit records cross-validation compares)."""
 
-    #: op pid → commit outcome map (see :func:`repro.live.crossval.commit_outcomes`)
+    #: op pid → ``OutputProcess.commit_record()`` (→ ``ScenarioResult.commits``)
     commits: dict = field(default_factory=dict)
     #: pid → emulated-CPU busy seconds
     busy_seconds: dict = field(default_factory=dict)

@@ -128,9 +128,9 @@ class ChildEvent:
 class ChildExit:
     """Child → parent: final report, sent in response to CtrlShutdown.
 
-    ``summary`` carries the commit outcomes for output processes (see
-    :func:`repro.live.crossval.commit_outcomes`) and is empty for other
-    roles; ``busy_seconds`` is the host's app ``CpuBank`` total.
+    ``summary`` carries ``OutputProcess.commit_record()`` for output
+    processes and is empty for other roles; ``busy_seconds`` is the
+    host's app ``CpuBank`` total.
     """
 
     pid: str

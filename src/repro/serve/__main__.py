@@ -62,8 +62,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     payload = {
         "ok": report.ok,
-        "crossval_ok": report.crossval.ok,
-        "mismatches": report.crossval.mismatches,
+        "crossval_ok": not report.mismatches,
+        "mismatches": report.mismatches,
         "des": report.des_result.to_dict(),
         "serve": report.serve_result.to_dict(),
         "client_slo": report.serve_result.client_slo,

@@ -11,9 +11,9 @@ Extends :mod:`repro.live.crossval` from "same spec, both backends" to
   the *same* ``(arrival time, task)`` pairs over TCP, paced on the wall
   clock, with admission enforced at the gateway.  The admission queue
   is sized generously so neither leg sheds — both forward the full
-  task set, so their committed ``(task, chunk) → digest`` outcomes
-  must be identical (timing-independent), and both report client-side
-  SLO percentiles over the same offered load.
+  task set, so :func:`repro.check.crossval.crossval` must find their
+  commit records identical (timing-independent), and both report
+  client-side SLO percentiles over the same offered load.
 * **overload leg** (serve-only) — the same traffic against a tiny
   admission queue and a drain rate far below the offered rate: the
   gateway's backpressure must demonstrably engage (deferrals and
@@ -168,7 +168,9 @@ def drive_open_loop(
 class ServeBenchReport:
     """Crossval + overload outcome of one serving benchmark."""
 
-    crossval: object  # CrossValReport
+    label: str  # the bench spec's label
+    #: ``crossval(des_result, serve_result)``: empty iff the legs agree
+    mismatches: list
     des_result: object  # ScenarioResult (DES leg)
     serve_result: object  # ScenarioResult (serve leg, client_slo attached)
     overload_slo: dict = field(default_factory=dict)
@@ -180,13 +182,16 @@ class ServeBenchReport:
             or self.overload_slo.get("rejected", 0) > 0
         )
         return (
-            self.crossval.ok
+            not self.mismatches
             and self.serve_result.client_slo.get("completed", 0) > 0
             and backpressure_ok
         )
 
     def summary(self) -> str:
-        lines = [self.crossval.summary()]
+        from repro.check.crossval import summary
+
+        label = f"{self.label}; a=des b=served"
+        lines = [summary(label, self.des_result, self.mismatches)]
         slo = self.serve_result.client_slo
         lines.append(
             f"client SLO (serve leg): {slo.get('completed', 0)}/"
@@ -259,11 +264,7 @@ def serve_bench(
     emit the per-task outcomes the gateway streams back.
     """
     from repro import api
-    from repro.live.crossval import (
-        CrossValReport,
-        _diff_outcomes,
-        commit_outcomes,
-    )
+    from repro.check.crossval import crossval
 
     if tenants < 2:
         raise BenchmarkError(
@@ -281,10 +282,6 @@ def serve_bench(
 
     # --- DES leg: same spec, admission enforced inside the IP
     des_result = api.run(spec.with_(backend="des", sinks=()))
-    des_cluster = des_result.extra["cluster"]
-    des_commits = {
-        op.pid: commit_outcomes(op) for op in des_cluster.outputs
-    }
 
     # --- serve leg: same arrivals offered through real client sockets
     items = spec.resolve_workload().tasks
@@ -300,16 +297,6 @@ def serve_bench(
     finally:
         gateway.stop()
     serve_result = gateway.result(client_slo=clients.slo())
-    live_commits = serve_result.extra["commits"]
-
-    crossval = CrossValReport(
-        spec_label=spec.label,
-        des_commits=des_commits,
-        live_commits=live_commits,
-        des_violations=des_result.sanitizer_violations or 0,
-        live_violations=serve_result.sanitizer_violations or 0,
-        mismatches=_diff_outcomes(des_commits, live_commits),
-    )
 
     # --- overload leg: tiny queue, drain rate far below offered load
     overload_slo: dict = {}
@@ -337,7 +324,8 @@ def serve_bench(
         overload_slo = ov_clients.slo()
 
     return ServeBenchReport(
-        crossval=crossval,
+        label=spec.label,
+        mismatches=crossval(des_result, serve_result),
         des_result=des_result,
         serve_result=serve_result,
         overload_slo=overload_slo,

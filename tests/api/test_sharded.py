@@ -168,13 +168,16 @@ class TestResultRoundTrip:
         assert d["sanitizer_violations"] == 0
         assert d["recovery"] is None
         assert d["client_slo"] == {}
+        assert d["commits"] == res.commits and res.commits["op0"]["chunks"]
         again = type(res).from_dict(d)
         assert again.sanitizer_violations == 0
         assert again.recovery is None
+        assert again.commits == res.commits
         # legacy dicts without the typed keys still load
-        for key in ("sanitizer_violations", "recovery", "client_slo"):
+        for key in ("sanitizer_violations", "recovery", "client_slo", "commits"):
             d.pop(key)
         legacy = type(res).from_dict(d)
         assert legacy.sanitizer_violations is None
         assert legacy.recovery is None
         assert legacy.client_slo == {}
+        assert legacy.commits == {}

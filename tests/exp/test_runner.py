@@ -108,6 +108,12 @@ class TestRunSweep:
             o.result.to_dict() for o in second.outcomes
         ]
         assert all(o.cached for o in second.outcomes)
+        # the cached osiris point returns the fresh run's commit record;
+        # the baselines have none
+        commits = [o.result.commits for o in second.outcomes]
+        assert commits == [o.result.commits for o in first.outcomes]
+        assert commits[1]["op0"]["chunks"]
+        assert commits[0] == commits[2] == {}
 
     def test_changed_point_misses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -84,7 +84,7 @@ class TestGatewayEndToEnd:
         assert clients.completed == 8
         assert (result.sanitizer_violations or 0) == 0
         # both shard pipelines committed work: every OP reports outcomes
-        commits = result.extra["commits"]
+        commits = result.commits
         assert len(commits) == 2
         assert all(commits.values())
 
@@ -152,6 +152,6 @@ class TestServeBench:
             n=4, tasks=10, rate=60.0, seed=5, time_scale=_TIME_SCALE
         )
         assert report.ok, report.summary()
-        assert report.crossval.mismatches == []
+        assert report.mismatches == []
         assert report.serve_result.client_slo["completed"] == 10
         assert report.overload_slo["rejected"] > 0
