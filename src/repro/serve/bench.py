@@ -36,6 +36,13 @@ __all__ = ["ClientReport", "drive_open_loop", "ServeBenchReport", "serve_bench"]
 
 
 # ---------------------------------------------------------- client driver
+def _pct(values: list, q: float) -> float:
+    if not values:
+        return 0.0
+    xs = sorted(values)
+    return xs[min(len(xs) - 1, int(round(q / 100.0 * (len(xs) - 1))))]
+
+
 @dataclass
 class ClientReport:
     """What the submitting clients observed, in simulated seconds."""
@@ -46,17 +53,15 @@ class ClientReport:
     rejected: int = 0
     completed: int = 0
     #: client-observed end-to-end latency per completed task (sim s):
-    #: wall clock from submit to TaskDone, divided by the time scale
+    #: wall clock from submit to TaskDone arrival, divided by the time
+    #: scale
     latencies: list = field(default_factory=list)
+    #: per completed task, its latency minus the cluster's own
+    #: (``TaskDone.completed_at - submitted_at``): what the gateway and
+    #: the sockets add (sim s)
+    edges: list = field(default_factory=list)
     #: sim seconds from the first submission to the last observed event
     horizon: float = 0.0
-
-    def _pct(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        xs = sorted(self.latencies)
-        idx = min(len(xs) - 1, int(round(q / 100.0 * (len(xs) - 1))))
-        return xs[idx]
 
     def slo(self) -> dict:
         """JSON-scalar summary for ``ScenarioResult.client_slo``."""
@@ -66,8 +71,9 @@ class ClientReport:
             "deferred": self.deferred,
             "rejected": self.rejected,
             "completed": self.completed,
-            "p50_latency": self._pct(50.0),
-            "p99_latency": self._pct(99.0),
+            "p50_latency": _pct(self.latencies, 50.0),
+            "p99_latency": _pct(self.latencies, 99.0),
+            "edge_p50": _pct(self.edges, 50.0),
             #: completed tasks per sim second over the offered horizon —
             #: the client-side analogue of the result's record goodput
             "task_goodput": (
@@ -91,8 +97,9 @@ def drive_open_loop(
     submissions fared — and split round-robin across the connections.
     After the last submission, each client waits up to ``done_timeout``
     wall seconds for completions of its non-rejected tasks.  Latencies
-    are measured on the client's own clock: submit wall time →
-    ``TaskDone`` wall time, converted to simulated seconds.
+    are measured on the client's own clock: submit wall time → the wall
+    time a receiver thread per connection reads the ``TaskDone``,
+    converted to simulated seconds.
     """
     from repro.serve.client import Client
 
@@ -108,9 +115,36 @@ def drive_open_loop(
 
     def lane(idx: int) -> None:
         report = reports[idx]
+        submitted_wall: dict[str, float] = {}
+        # task id → (TaskDone arrival wall time, cluster latency in sim s)
+        done: dict[str, tuple[float, float]] = {}
+        arrived = threading.Condition()
+        closed = False
+
+        def receive(client) -> None:
+            # stamp each completion when it arrives, not when the lane
+            # has finished offering and gets round to reading it
+            nonlocal closed
+            while (frame := client.next_done()) is not None:
+                with arrived:
+                    done[frame.task_id] = (
+                        time.monotonic(),
+                        frame.completed_at - frame.submitted_at,
+                    )
+                    arrived.notify()
+            with arrived:
+                closed = True
+                arrived.notify()
+
         try:
             with Client(host, port, client=f"bench-{idx}") as client:
-                submitted_wall: dict[str, float] = {}
+                receiver = threading.Thread(
+                    target=receive,
+                    args=(client,),
+                    name=f"bench-done-{idx}",
+                    daemon=True,
+                )
+                receiver.start()
                 expect = 0
                 for when, task in lanes[idx]:
                     due = t0 + when * time_scale
@@ -131,15 +165,24 @@ def drive_open_loop(
                     else:  # pragma: no cover - protocol guarantees
                         raise ServeError(f"unknown verdict {reply.status!r}")
                 last = time.monotonic()
-                for done in client.collect_done(expect, done_timeout):
-                    last = time.monotonic()
-                    report.completed += 1
-                    sub = submitted_wall.get(done.task_id)
-                    if sub is not None:
-                        report.latencies.append((last - sub) / time_scale)
-                report.horizon = max(0.0, (last - t0) / time_scale)
+                with arrived:
+                    arrived.wait_for(
+                        lambda: closed or len(done) >= expect, done_timeout
+                    )
+                    stamps = dict(done)
+            receiver.join(timeout=5.0)  # the closed client ends it
         except BaseException as exc:  # surfaced to the caller below
             errors.append(exc)
+            return
+        for task_id, (at, cluster) in stamps.items():
+            last = max(last, at)
+            report.completed += 1
+            sub = submitted_wall.get(task_id)
+            if sub is not None:
+                latency = (at - sub) / time_scale
+                report.latencies.append(latency)
+                report.edges.append(latency - cluster)
+        report.horizon = max(0.0, (last - t0) / time_scale)
 
     threads = [
         threading.Thread(target=lane, args=(i,), name=f"bench-lane-{i}")
@@ -159,6 +202,7 @@ def drive_open_loop(
         total.rejected += r.rejected
         total.completed += r.completed
         total.latencies.extend(r.latencies)
+        total.edges.extend(r.edges)
         total.horizon = max(total.horizon, r.horizon)
     return total
 
@@ -198,6 +242,7 @@ class ServeBenchReport:
             f"{slo.get('offered', 0)} completed, "
             f"p50={slo.get('p50_latency', 0.0):.3f}s "
             f"p99={slo.get('p99_latency', 0.0):.3f}s "
+            f"edge p50={slo.get('edge_p50', 0.0):.3f}s "
             f"goodput={slo.get('task_goodput', 0.0):.1f} tasks/s"
         )
         lines.append(

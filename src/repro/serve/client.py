@@ -23,6 +23,7 @@ from repro.serve.frames import (
     SubmitReply,
     SubmitTask,
     TaskDone,
+    no_delay,
     read_frame_async,
     recv_frame,
     send_frame,
@@ -42,7 +43,7 @@ class Client:
     """
 
     def __init__(self, host: str, port: int, client: str = "client") -> None:
-        self._sock = socket.create_connection((host, port))
+        self._sock = no_delay(socket.create_connection((host, port)))
         self._send_lock = threading.Lock()
         self._replies: _queue.Queue = _queue.Queue()
         self._done: _queue.Queue = _queue.Queue()
@@ -159,6 +160,7 @@ class AsyncClient:
 
         from repro.serve.frames import pack_frame
 
+        # asyncio already sets TCP_NODELAY on every TCP transport
         reader, writer = await asyncio.open_connection(host, port)
         writer.write(pack_frame(ClientHello(client=client)))
         await writer.drain()

@@ -18,6 +18,12 @@ Conversation shape (client-initiated):
    :data:`DEFERRED` / :data:`REJECTED`) and the ingress queue depth;
 3. ``TaskDone`` frames stream back asynchronously, interleaved with
    replies, as the output processes commit the client's tasks.
+
+Every served TCP socket goes through :func:`no_delay`.  Each frame is
+one ``sendall``, so Nagle's algorithm has nothing to coalesce; all it
+would do is hold a small ``TaskDone`` behind a ``SubmitReply`` the peer
+has not acknowledged yet, for as long as the peer's delayed-ACK timer
+runs (up to 40 ms on Linux).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ __all__ = [
     "SubmitReply",
     "TaskDone",
     "register_frames",
+    "no_delay",
     "pack_frame",
     "unpack_payload",
     "send_frame",
@@ -166,6 +173,13 @@ def _recv_exactly(sock: socket.socket, n: int, what: str) -> Optional[bytes]:
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
+
+
+def no_delay(sock: socket.socket) -> socket.socket:
+    """Make ``sock`` send every frame as soon as it is written
+    (``TCP_NODELAY``); returns the socket."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 def send_frame(sock: socket.socket, value: Any) -> None:

@@ -55,6 +55,7 @@ from repro.serve.frames import (
     SubmitReply,
     SubmitTask,
     TaskDone,
+    no_delay,
     recv_frame,
     register_frames,
     send_frame,
@@ -171,8 +172,9 @@ class Gateway:
         self.address: Optional[tuple[str, int]] = None
         self._listener: Optional[socket.socket] = None
         self._conns: dict[str, _Conn] = {}
+        #: task id → submitting connection, for tasks admitted or
+        #: deferred whose ``TaskDone`` has not gone out yet
         self._owner: dict[str, _Conn] = {}
-        self._completed: set[str] = set()
         self._lock = threading.Lock()
         self._events: _queue.Queue = _queue.Queue()
         self._stopping = threading.Event()
@@ -255,7 +257,7 @@ class Gateway:
         """Tasks admitted or deferred whose completion has not streamed
         back yet."""
         with self._lock:
-            return len(set(self._owner) - self._completed)
+            return len(self._owner)
 
     def result(self, client_slo: Optional[dict] = None):
         """Fold the stopped deployment into a
@@ -284,7 +286,7 @@ class Gateway:
             with self._lock:
                 conn_id = f"c{self._next_conn}"
                 self._next_conn += 1
-            conn = _Conn(conn_id, sock, f"{addr[0]}:{addr[1]}")
+            conn = _Conn(conn_id, no_delay(sock), f"{addr[0]}:{addr[1]}")
             reader = threading.Thread(
                 target=self._serve_conn,
                 args=(conn,),
@@ -387,9 +389,9 @@ class Gateway:
         self._events.put(event)
 
     def _deliver_done(self, event: TaskOutcome) -> None:
+        # the first outcome takes the owner: a repeated one finds none
         with self._lock:
-            self._completed.add(event.task_id)
-            conn = self._owner.get(event.task_id)
+            conn = self._owner.pop(event.task_id, None)
         if conn is not None:
             conn.send(
                 TaskDone(

@@ -2,8 +2,10 @@
 frames, protocol value types."""
 
 import socket
+import statistics
 import struct
 import threading
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.serve.frames import (
     SubmitReply,
     SubmitTask,
     TaskDone,
+    no_delay,
     pack_frame,
     recv_frame,
     send_frame,
@@ -153,6 +156,43 @@ class TestSocketFraming:
             assert got == [f"t{i}" for i in range(n)]
         finally:
             b.close()
+
+
+class TestNoDelay:
+    def test_task_done_leaves_without_waiting_for_an_ack(self):
+        # the gateway's frame pattern: SubmitTask -> SubmitReply, then a
+        # small TaskDone 5 ms later while the reply may still be unACKed;
+        # with Nagle on, it waits for the client's delayed-ACK timer
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = socket.create_connection(listener.getsockname()[:2])
+        server = no_delay(listener.accept()[0])
+        listener.close()
+        sent: list[float] = []
+
+        def serve():
+            while (frame := recv_frame(server)) is not None:
+                send_frame(server, SubmitReply(task_id=frame.task,
+                                               status=ADMITTED))
+                time.sleep(0.005)
+                sent.append(time.perf_counter())
+                send_frame(server, TaskDone(task_id=frame.task, tenant="t0",
+                                            completed_at=1.0, submitted_at=0.5))
+
+        t = threading.Thread(target=serve)
+        t.start()
+        delays = []
+        try:
+            for i in range(10):
+                send_frame(client, SubmitTask(task=f"t{i}"))
+                assert isinstance(recv_frame(client), SubmitReply)
+                assert isinstance(recv_frame(client), TaskDone)
+                delays.append(time.perf_counter() - sent[-1])
+        finally:
+            client.close()
+            t.join(timeout=5.0)
+            server.close()
+        assert not t.is_alive()
+        assert statistics.median(delays) < 0.010, delays
 
 
 class TestAsyncFraming:

@@ -133,6 +133,20 @@ class TestGatewayEndToEnd:
         result = gateway.result()
         assert (result.sanitizer_violations or 0) == 0
 
+    def test_every_accepted_connection_sends_frames_when_written(self):
+        gateway = api.serve(_spec(n_tasks=4), time_scale=_TIME_SCALE)
+        try:
+            host, port = gateway.address
+            with Client(host, port, client="a"), Client(host, port, client="b"):
+                conns = list(gateway._conns.values())
+                assert len(conns) == 2
+                for conn in conns:
+                    assert conn.sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    ) == 1
+        finally:
+            gateway.stop()
+
     def test_hello_reports_cluster_shape(self):
         spec = _spec(n_tasks=4, shards=2)
         gateway = api.serve(spec, time_scale=_TIME_SCALE)
