@@ -4,11 +4,15 @@
 
     python -m repro.live run --workload anomaly --profile MM --n 4
     python -m repro.live crossval --n 4 --seed 0 [--campaign fig7a]
+    python -m repro.live split [--n-tasks 400] [--n 4] [--seed 0]
 
 ``run`` executes one deployment under ``backend="live"`` and prints the
 result as JSON; ``crossval`` runs the same spec under both backends and
 exits non-zero on any commit-outcome mismatch or invariant violation —
-the shape the CI live-smoke job drives under a hard timeout.
+the shape the CI live-smoke job drives under a hard timeout.  ``split``
+runs a live burst with thread-CPU timers around each child's codec,
+delivery and receive calls and prints the milliseconds per task each
+costs (:mod:`repro.live.cpusplit`).
 """
 
 from __future__ import annotations
@@ -74,7 +78,20 @@ def main(argv=None) -> int:
     _add_spec_args(
         subs.add_parser("crossval", help="compare DES and live outcomes")
     )
+    split = subs.add_parser(
+        "split", help="CPU per task in each child's codec and handlers"
+    )
+    split.add_argument("--n-tasks", type=int, default=400)
+    split.add_argument("--n", type=int, default=4)
+    split.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+
+    if args.cmd == "split":
+        from repro.live.cpusplit import burst_spec, measure, render
+
+        spec = burst_spec(args.n_tasks, args.n, args.seed)
+        print(render(measure(spec, time_scale=1.0)))
+        return 0
 
     if args.cmd == "run":
         from repro.api import run

@@ -11,7 +11,11 @@ This module supplies what those rules run on in a real process —
   as one *net frame* (see :mod:`repro.live.wire`) on the destination
   child's ``multiprocessing`` inbox queue (per-(src,dst) FIFO order is
   append order plus the queue's own FIFO guarantee, and ``sender``/``_neq``
-  are stamped at delivery as the DES network stamps them);
+  are stamped at delivery as the DES network stamps them).  A send to the
+  node itself skips the codec and the queue: the message object waits in
+  a loopback list that the next turn takes as its first frame, so
+  self-sends batch per turn as frames do, and it is delivered as the
+  object every DES receiver shares, stamped the same way;
 * **clock**: simulated time is ``(monotonic() - t0) / time_scale`` with
   ``t0`` shared by all processes via :class:`~repro.live.wire.CtrlStart`;
   timers, schedules, job completions and milestones wait on one heap
@@ -29,10 +33,11 @@ timing-independent by protocol design, which is what
 :func:`repro.check.crossval.crossval` checks on the records
 :meth:`~repro.core.input_output.OutputProcess.commit_record` builds.
 
-The loop is single-threaded on purpose: one blocking queue read, all
-due timer/job continuations, whatever else already sits in the inbox
-(bounded, see :data:`_DRAIN_MSGS`), one flush — the same
-run-to-completion handler atomicity cores enjoy under the DES.  An idle
+The loop is single-threaded on purpose: the last turn's self-sends or
+one blocking queue read, all due timer/job continuations, whatever else
+already sits in the inbox (bounded, see :data:`_DRAIN_MSGS`), one
+flush — the same run-to-completion handler atomicity cores enjoy under
+the DES.  An idle
 node therefore flushes after every message (low-load latency is one
 hop, as before) and a saturated one amortises its queue puts.
 """
@@ -134,6 +139,8 @@ class LiveHost(EffectInterpreter):
         self.wants = wanted.__contains__
         self._stop = False
         self._outbox: dict[str, list[tuple[bool, str]]] = {}
+        #: this turn's sends to ``pid`` itself, as ``(neq, msg)``
+        self._loopback: list[tuple[bool, Any]] = []
         self._events: list[ChildEvent] = []  # emitted this turn
         clock = _WallClock()
         self._attach(
@@ -145,18 +152,24 @@ class LiveHost(EffectInterpreter):
 
     # ----------------------------------------------------------- transport
     def _post(self, dsts, msg: Any, neq: bool) -> None:
-        payload = encode_json(msg, with_sender=False)
-        item = (neq, payload)
-        solo = len(payload) > _SOLO_BYTES
+        pid = self.pid
+        item = None
         for dst in dsts:
+            if dst == pid:  # the object itself, as the DES delivers it
+                self._loopback.append((neq, msg))
+                continue
             box = self._inboxes.get(dst)
             if box is None:
-                raise LiveError(f"{self.pid}: send to unknown node {dst!r}")
+                raise LiveError(f"{pid}: send to unknown node {dst!r}")
+            if item is None:  # encoded once, for the first remote dst
+                payload = encode_json(msg, with_sender=False)
+                item = (neq, payload)
+                solo = len(payload) > _SOLO_BYTES
             if solo:
                 queued = self._outbox.pop(dst, None)
                 if queued:  # per-(src,dst) FIFO: earlier sends go first
-                    box.put((self.pid, queued))
-                box.put((self.pid, [item]))
+                    box.put((pid, queued))
+                box.put((pid, [item]))
             else:
                 self._outbox.setdefault(dst, []).append(item)
 
@@ -197,7 +210,7 @@ class LiveHost(EffectInterpreter):
                 timeout = min(
                     _POLL_S, max(0.0, next_wall - time.monotonic())
                 )
-            item = self._recv(timeout)
+            item = self._next(timeout)
             if clock.t0 is not None:
                 clock.fire_due()
             budget = _DRAIN_MSGS
@@ -207,6 +220,14 @@ class LiveHost(EffectInterpreter):
                     break
                 item = self._recv(0.0)
             self._flush()
+
+    def _next(self, timeout: float) -> Any:
+        """A turn's first item: the last turn's sends to this node as one
+        frame of objects, if it made any, else :meth:`_recv`."""
+        if self._loopback:
+            batch, self._loopback = self._loopback, []
+            return (self.pid, batch)
+        return self._recv(timeout)
 
     def _recv(self, timeout: float) -> Any:
         """Next inbox item — a net frame as is, a control string decoded —
@@ -218,15 +239,18 @@ class LiveHost(EffectInterpreter):
         return raw if type(raw) is tuple else decode_json(raw)
 
     def _handle(self, item: Any) -> int:
-        """One inbox item: a net frame or a control envelope.  Returns how
-        many messages it carried (the unit of the drain budget)."""
+        """One item: a net frame or a control envelope.  Returns how many
+        messages it carried (the unit of the drain budget)."""
         if type(item) is tuple:
             src, batch = item
-            for neq, payload in batch:
-                msg = decode_json(payload)
-                msg.sender = src  # transport stamp, as Network.send does
-                if neq:
-                    msg._neq = True  # delivery stamp, as Network._deliver does
+            for neq, msg in batch:
+                if type(msg) is str:  # a loopback frame holds the objects
+                    msg = decode_json(msg)
+                # delivery stamps, as Network._fanout/_deliver set them on
+                # the one object every DES receiver shares
+                msg.sender = src
+                if msg._neq is not neq:
+                    msg._neq = neq
                 self.deliver(msg)
             return len(batch)
         if isinstance(item, CtrlStart):
@@ -253,7 +277,7 @@ class LiveHost(EffectInterpreter):
                 deadline = time.monotonic() + item.grace
                 while (left := deadline - time.monotonic()) > 0:
                     self._flush()  # peers are draining too: let them see it
-                    tail = self._recv(left)
+                    tail = self._next(left)
                     if tail is None:
                         break
                     if isinstance(tail, (tuple, CtrlSubmit)):

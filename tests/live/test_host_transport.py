@@ -238,6 +238,95 @@ class TestDelivery:
         assert up[-1].crashed is True
 
 
+class TestLoopback:
+    """A send to the node itself skips the codec and the queue: the
+    objects a turn sent to self are the next turn's first frame, stamped
+    as the DES stamps the one object all its receivers share."""
+
+    def _counting(self, monkeypatch):
+        calls = []
+
+        def counting(value, with_sender=True):
+            calls.append(value)
+            return encode_json(value, with_sender)
+
+        monkeypatch.setattr(host_mod, "encode_json", counting)
+        return calls
+
+    def test_multicast_including_self_encodes_once_and_skips_own_inbox(
+        self, monkeypatch
+    ):
+        calls = self._counting(monkeypatch)
+        out = _req("out")
+        log = []
+
+        def go(core, msg):
+            core.neq_multicast("abc", out)
+            log.append(("returned", len(core.seen)))
+
+        host, core = _host({"go": go, "out": lambda c, m: log.append("self")})
+        _run(host, _frame("d", "go"), grace=0.05)
+        assert [m for m in calls if isinstance(m, CsRequest)] == [out]
+        assert _drain(host._inbox) == []  # nothing went through a queue
+        assert _tags(_drain(host._inboxes["b"])) == ["out"]
+        _, self_copy = core.seen
+        assert self_copy is out  # the object itself, not a decoded copy
+        assert (self_copy.sender, self_copy._neq) == ("a", True)
+        assert log == [("returned", 1), "self"]  # never re-entrant
+
+    def test_send_only_to_self_never_encodes(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        host, core = _host({"go": lambda c, m: c.send("a", _req("me"))})
+        _run(host, _frame("b", "go"), grace=0.05)
+        assert [m.request_id for m in core.seen] == ["go", "me"]
+        assert not [m for m in calls if isinstance(m, CsRequest)]
+        me = core.seen[1]
+        assert me.sender == "a" and "_neq" not in vars(me)
+
+    def test_each_send_stamps_its_own_neq_on_the_shared_object(self):
+        shared = _req("twice")
+
+        def go(core, msg):
+            core.neq_multicast("a", shared)
+            core.send("a", shared)
+
+        stamps = []
+        host, core = _host(
+            {"go": go, "twice": lambda c, m: stamps.append((m.sender, m._neq))}
+        )
+        _run(host, _frame("b", "go"), grace=0.05)
+        assert stamps == [("a", True), ("a", False)]
+
+    def test_self_sends_keep_fifo_and_spend_the_drain_budget(self):
+        n = host_mod._DRAIN_MSGS + 6
+
+        def go(core, msg):
+            for i in range(n):
+                core.send("a", _req(f"s{i}"))
+
+        echo = lambda c, m: c.send("b", _req("echo-" + m.request_id))  # noqa: E731
+        host, core = _host({"go": go, "*": echo})
+        host._handle(_frame("d", "go"))  # a turn that leaves n self-sends
+        _run(host, _frame("c", "tail"), grace=0.05)
+        selfs = [f"s{i}" for i in range(n)]
+        assert [m.request_id for m in core.seen] == ["go", *selfs, "tail"]
+        frames = _drain(host._inboxes["b"])
+        assert _tags(frames) == [f"echo-{t}" for t in (*selfs, "tail")]
+        # the self-sends used up the next turn's budget: "tail" waited
+        # for the turn after, so the echoes left in two flushes
+        assert [len(batch) for _, batch in frames] == [n, 1]
+
+    def test_self_send_queued_at_shutdown_is_delivered_in_the_grace_drain(self):
+        host, core = _host({"go": lambda c, m: c.send("a", _req("late"))})
+        _run(host, _frame("b", "go"), grace=0.05)
+        assert [m.request_id for m in core.seen] == ["go", "late"]
+
+    def test_without_grace_pending_self_sends_are_dropped(self):
+        host, core = _host({"go": lambda c, m: c.send("a", _req("late"))})
+        _run(host, _frame("b", "go"))
+        assert [m.request_id for m in core.seen] == ["go"]
+
+
 class TestBoundedDrain:
     def test_due_job_fires_though_the_inbox_never_empties(self):
         fired_after = []

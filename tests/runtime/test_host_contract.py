@@ -41,9 +41,11 @@ class _Probe(ProtocolCore):
     def __init__(self, pid="a"):
         super().__init__(pid)
         self.seen = []
+        self.stamps = []
 
     def on_CsRequest(self, msg):
         self.seen.append(msg.request_id)
+        self.stamps.append((msg.request_id, msg.sender, msg._neq))
 
 
 def _frame(src, *tags):
@@ -59,7 +61,9 @@ def _frame(src, *tags):
 class _Des:
     def __init__(self, core, monkeypatch):
         self.sim = Simulator(seed=1)
-        self.host = DesHost(self.sim, Network(self.sim), core, cores=2)
+        net = Network(self.sim)
+        self.host = DesHost(self.sim, net, core, cores=2)
+        net.register(self.host)
 
     def advance(self, until):
         self.sim.run(until=until)
@@ -83,6 +87,8 @@ class _Live:
     def advance(self, until):
         self.host.clock.now = until
         self.host.clock.fire_due()
+        while (item := self.host._next(0.0)) is not None:  # self-sends
+            self.host._handle(item)
 
     def deliver(self, tag):
         self.host._handle(_frame("b", tag))  # the loop's own frame path
@@ -159,6 +165,21 @@ def test_rearm_inside_the_fire_callback_sticks(node):
         node.advance(step / 10)
     assert len(ticks) == 3
     assert not node.core.timer_armed("t")
+
+
+# -------------------------------------------------------------- self-sends
+def test_self_sends_arrive_with_the_same_stamps(node):
+    plain, neq = CsRequest(request_id="plain"), CsRequest(request_id="neq")
+    node.core.send(node.core.pid, plain)
+    node.core.neq_multicast((node.core.pid,), neq)
+    node.core.send(node.core.pid, plain)  # the same object, sent again
+    assert node.core.stamps == []  # never inside the sending step
+    node.advance(1.0)
+    assert node.core.stamps == [
+        ("plain", "a", False),
+        ("neq", "a", True),
+        ("plain", "a", False),
+    ]
 
 
 # -------------------------------------------------------------------- Halt

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.tasks import Opcode, Task
 from repro.errors import ServeError
+from repro.runtime import codec
 from repro.serve.frames import (
     ADMITTED,
     MAX_FRAME,
@@ -21,6 +22,7 @@ from repro.serve.frames import (
     TaskDone,
     no_delay,
     pack_frame,
+    register_frames,
     recv_frame,
     send_frame,
     unpack_payload,
@@ -76,6 +78,31 @@ class TestPackUnpack:
     def test_undecodable_payload(self):
         with pytest.raises(ServeError, match="undecodable"):
             unpack_payload(b"not json at all {")
+
+
+class TestRegistryReuse:
+    """Every pack/unpack registers the frame vocabulary; registering what
+    is already registered must leave the codec registry alone."""
+
+    def test_second_registration_keeps_the_registry_object(self):
+        register_frames()
+        registry = codec._registry()
+        register_frames()
+        assert codec._registry() is registry
+
+    def test_frames_do_not_rebuild_the_registry(self, monkeypatch):
+        builds = []
+        build = codec._build_registry
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(codec, "_build_registry", counting)
+        reply = SubmitReply(task_id="t1", status=ADMITTED, queue_depth=1)
+        for _ in range(100):
+            assert unpack_payload(pack_frame(reply)[4:]) == reply
+        assert len(builds) <= 1
 
 
 class TestSocketFraming:
