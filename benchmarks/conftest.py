@@ -41,9 +41,9 @@ def run_spec():
     :class:`repro.exp.SweepOutcome` back (memoized by spec name).
     ``REPRO_BENCH_JOBS=N`` fans points out over a process pool —
     results are bit-identical to serial.  ``REPRO_BENCH_NO_CACHE=1``
-    bypasses the content-addressed disk cache.  ``live=True`` runs
-    serially, uncached, keeping live cluster handles in result extras
-    (for benchmarks that inspect cluster internals).
+    bypasses the content-addressed disk cache.  Benchmarks that inspect
+    cluster internals call :func:`repro.api.run` per spec instead, which
+    keeps the cluster handle in ``result.extra``.
     """
     from repro.exp import ResultCache, run_sweep
 
@@ -52,15 +52,10 @@ def run_spec():
         None if os.environ.get("REPRO_BENCH_NO_CACHE") else ResultCache()
     )
 
-    def run(spec, live=False):
-        key = ("sweep", spec.name, live)
+    def run(spec):
+        key = ("sweep", spec.name)
         if key not in _CACHE:
-            _CACHE[key] = run_sweep(
-                spec,
-                jobs=1 if live else jobs,
-                cache=None if live else cache,
-                live=live,
-            )
+            _CACHE[key] = run_sweep(spec, jobs=jobs, cache=cache)
         return _CACHE[key]
 
     return run

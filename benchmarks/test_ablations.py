@@ -10,9 +10,11 @@ config knob.
 
 import pytest
 
+from repro import api
+from repro.adversary import FaultSpec
+from repro.api import DeploymentSpec
 from repro.bench import print_table
-from repro.exp import Point, SweepSpec
-from repro.exp.spec import kv
+from repro.exp import SweepSpec
 
 SEED = 1
 N = 16
@@ -20,21 +22,19 @@ DEADLINE = 3000.0
 
 
 def _wl_params(records=10, cost=200e-3, record_bytes=65536, verify_ratio=0.05):
-    return kv(
-        {
-            "n_tasks": 200,
-            "records_per_task": records,
-            "compute_cost": cost,
-            "record_bytes": record_bytes,
-            "verify_cost_ratio": verify_ratio,
-        }
-    )
+    return {
+        "n_tasks": 200,
+        "records_per_task": records,
+        "compute_cost": cost,
+        "record_bytes": record_bytes,
+        "verify_cost_ratio": verify_ratio,
+    }
 
 
 def _config(**overrides):
     defaults = dict(role_switching=False)
     defaults.update(overrides)
-    return kv(defaults)
+    return defaults
 
 
 class TestSubclusterSizeAblation:
@@ -45,12 +45,12 @@ class TestSubclusterSizeAblation:
     SPEC = SweepSpec.of(
         "abl-subcluster",
         [
-            Point(
+            DeploymentSpec(
                 system="osiris", workload="synthetic", workload_params=_WP,
                 n=N, seed=SEED, deadline=DEADLINE,
                 config=_config(non_equivocation=True), label="with-neq",
             ),
-            Point(
+            DeploymentSpec(
                 system="osiris", workload="synthetic", workload_params=_WP,
                 n=N, seed=SEED, deadline=DEADLINE,
                 config=_config(non_equivocation=False), label="without-neq",
@@ -79,27 +79,25 @@ class TestChunkingAblation:
     # execution within each task, so per-task latency (not capacity) is
     # the metric — exactly the paper's "verifiers proceed in parallel
     # instead of waiting for the entire sequence of records"
-    _WP = kv(
-        {
-            "n_tasks": 60,
-            "records_per_task": 64,
-            "compute_cost": 400e-3,
-            "record_bytes": 65536,
-            "rate": 4.0,
-            "verify_cost_ratio": 0.3,
-        }
-    )
+    _WP = {
+        "n_tasks": 60,
+        "records_per_task": 64,
+        "compute_cost": 400e-3,
+        "record_bytes": 65536,
+        "rate": 4.0,
+        "verify_cost_ratio": 0.3,
+    }
 
     SPEC = SweepSpec.of(
         "abl-chunking",
         [
-            Point(
+            DeploymentSpec(
                 system="osiris", workload="synthetic", workload_params=_WP,
                 n=N, seed=SEED, deadline=DEADLINE, bandwidth=1e9,
                 config=_config(chunk_bytes=256 * 1024, op_timeout=2.0),
                 label="streamed",
             ),
-            Point(
+            DeploymentSpec(
                 system="osiris", workload="synthetic", workload_params=_WP,
                 n=N, seed=SEED, deadline=DEADLINE, bandwidth=1e9,
                 config=_config(chunk_bytes=10**9, op_timeout=2.0),
@@ -134,22 +132,22 @@ class TestChunkingAblation:
 
 class TestReassignmentAblation:
     _WP = _wl_params(cost=100e-3)
-    _FAULTS = (("e0", "silent", ()),)
+    _FAULTS = {"e0": FaultSpec("executor", "silent")}
 
     SPEC = SweepSpec.of(
         "abl-reassign",
         [
-            Point(
+            DeploymentSpec(
                 system="osiris", workload="synthetic", workload_params=_WP,
                 n=10, k=2, seed=SEED, deadline=DEADLINE,
                 config=_config(suspect_timeout=0.5),
-                executor_faults=_FAULTS, label="with-spec",
+                faults=_FAULTS, label="with-spec",
             ),
-            Point(
+            DeploymentSpec(
                 system="osiris", workload="synthetic", workload_params=_WP,
                 n=10, k=2, seed=SEED, deadline=DEADLINE,
                 config=_config(suspect_timeout=200.0),
-                executor_faults=_FAULTS, label="without",
+                faults=_FAULTS, label="without",
             ),
         ],
     )
@@ -183,7 +181,7 @@ class TestAssignmentSchemeAblation:
     SPEC = SweepSpec.of(
         "abl-assign",
         [
-            Point(
+            DeploymentSpec(
                 system="osiris", workload="synthetic",
                 workload_params=_wl_params(
                     records=4, cost=20e-3, record_bytes=1024
@@ -195,9 +193,10 @@ class TestAssignmentSchemeAblation:
     )
 
     @pytest.fixture(scope="class")
-    def measured(self, run_spec):
-        # live: counts chunk-borne-signature activations on the cluster
-        result = run_spec(self.SPEC, live=True).results[0]
+    def measured(self):
+        # in-process run: counts chunk-borne-signature activations on
+        # the cluster
+        result = api.run(self.SPEC.points[0])
         cluster = result.extra["cluster"]
         early = sum(
             1

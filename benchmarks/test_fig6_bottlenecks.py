@@ -9,9 +9,10 @@ submission rate sweeps from light to overload.
 
 import pytest
 
+from repro import api
+from repro.api import DeploymentSpec
 from repro.bench import print_figure, print_series, print_table
-from repro.exp import Point, SweepSpec
-from repro.exp.spec import kv
+from repro.exp import SweepSpec
 
 NS = (4, 8, 16, 32)
 SEED = 1
@@ -93,12 +94,10 @@ class TestSec72Profiles:
     SPEC = SweepSpec.of(
         "sec72",
         [
-            Point(
+            DeploymentSpec(
                 system=system,
                 workload="anomaly",
-                workload_params=kv(
-                    {"profile": wl, "n_tasks": 240, "seed": SEED}
-                ),
+                workload_params={"profile": wl, "n_tasks": 240, "seed": SEED},
                 n=32,
                 seed=SEED,
                 deadline=DEADLINE,
@@ -154,24 +153,22 @@ class TestSec72Profiles:
 
 
 def _fig6d_point(label, k, dynamic):
-    return Point(
+    return DeploymentSpec(
         system="osiris",
         workload="two_phase",
-        workload_params=kv(
-            {"n_tasks": 400, "records_light": 2, "records_heavy": 40}
-        ),
+        workload_params={
+            "n_tasks": 400, "records_light": 2, "records_heavy": 40
+        },
         n=14,
         k=k,
         seed=SEED,
         deadline=DEADLINE,
-        config=kv(
-            {
-                "role_switching": dynamic,
-                "role_switch_interval": 0.5,
-                "switch_patience": 2,
-                "switch_cooldown": 3,
-            }
-        ),
+        config={
+            "role_switching": dynamic,
+            "role_switch_interval": 0.5,
+            "switch_patience": 2,
+            "switch_cooldown": 3,
+        },
         label=label,
     )
 
@@ -200,10 +197,10 @@ class TestFig6dRoleSwitching:
     )
 
     @pytest.fixture(scope="class")
-    def res(self, run_spec):
-        # live: the dynamic point's cluster is inspected for the
-        # role-switch timeline below
-        return run_spec(self.SPEC, live=True).by(lambda p: p.label)
+    def res(self):
+        # in-process runs: the dynamic point's cluster is inspected for
+        # the role-switch timeline below
+        return {p.label: api.run(p) for p in self.SPEC.points}
 
     def test_fig6d_role_switching(self, run_once, res):
         results = run_once(lambda: res)
@@ -242,17 +239,15 @@ class TestFig6eThroughputLatency:
     SPEC = SweepSpec.of(
         "fig6e",
         [
-            Point(
+            DeploymentSpec(
                 system="osiris",
                 workload="anomaly",
-                workload_params=kv(
-                    {
-                        "profile": wl,
-                        "n_tasks": 300,
-                        "rate": rate,
-                        "seed": SEED,
-                    }
-                ),
+                workload_params={
+                    "profile": wl,
+                    "n_tasks": 300,
+                    "rate": rate,
+                    "seed": SEED,
+                },
                 n=32,
                 seed=SEED,
                 deadline=DEADLINE,

@@ -21,35 +21,30 @@ from repro import api
 from repro.adversary import Action, Campaign, FaultSpec, Phase
 from repro.adversary.library import fig7a
 from repro.bench import print_figure, print_series, print_table
-from repro.exp import Point, SweepSpec
-from repro.exp.spec import kv
+from repro.exp import SweepSpec
 
 SEED = 1
 FAIL_AT = 45.0
 DURATION = 120.0
 
-_STREAM_WP = kv(
-    {
-        "n_tasks": int(12.0 * (DURATION - 20.0)),
-        "records_per_task": 10,
-        "compute_cost": 250e-3,
-        "record_bytes": 4096,
-        "rate": 12.0,
-        "verify_cost_ratio": 0.15,
-    }
-)
+_STREAM_WP = {
+    "n_tasks": int(12.0 * (DURATION - 20.0)),
+    "records_per_task": 10,
+    "compute_cost": 250e-3,
+    "record_bytes": 4096,
+    "rate": 12.0,
+    "verify_cost_ratio": 0.15,
+}
 
-_FAILURE_CONFIG = kv(
-    {
-        "chunk_bytes": 1_000_000,
-        "suspect_timeout": 2.0,
-        "cores_per_node": 1,
-        "role_switching": True,
-        "role_switch_interval": 0.5,
-        "switch_patience": 2,
-        "switch_cooldown": 3,
-    }
-)
+_FAILURE_CONFIG = {
+    "chunk_bytes": 1_000_000,
+    "suspect_timeout": 2.0,
+    "cores_per_node": 1,
+    "role_switching": True,
+    "role_switch_interval": 0.5,
+    "switch_patience": 2,
+    "switch_cooldown": 3,
+}
 
 
 def _spec(campaign, label):
@@ -181,15 +176,13 @@ class TestFig7VerifierFailures:
         assert report.safe is True
 
 
-_FIG7B_WP = kv(
-    {
-        "n_tasks": 240,
-        "records_per_task": 10,
-        "compute_cost": 300e-3,
-        "record_bytes": 4096,
-        "verify_cost_ratio": 0.05,
-    }
-)
+_FIG7B_WP = {
+    "n_tasks": 240,
+    "records_per_task": 10,
+    "compute_cost": 300e-3,
+    "record_bytes": 4096,
+    "verify_cost_ratio": 0.05,
+}
 
 
 class TestFig7bFaultScalability:
@@ -198,13 +191,13 @@ class TestFig7bFaultScalability:
     SPEC = SweepSpec.of(
         "fig7b",
         [
-            Point(
+            api.DeploymentSpec(
                 system="osiris", workload="synthetic", workload_params=_FIG7B_WP,
                 n=32, f=f, seed=SEED, deadline=3000.0, label=f"osiris-f{f}",
             )
             for f in (1, 2, 3, 4)
         ] + [
-            Point(
+            api.DeploymentSpec(
                 system="rcp", workload="synthetic", workload_params=_FIG7B_WP,
                 n=32, f=f, seed=SEED, deadline=3000.0, label=f"rcp-f{f}",
             )

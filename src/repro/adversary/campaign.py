@@ -15,9 +15,10 @@ adversary schedule.  It composes the fault strategies of
   deployment's :class:`~repro.net.topology.Topology` at application time
   (see :func:`resolve_selector`).
 
-Campaigns carry no live objects, so they plug directly into
-:class:`repro.exp.spec.Point` (sweepable, content-addressed-cacheable)
-and :mod:`repro.check.fuzz` (randomized generation with shrinking).
+Campaigns and :class:`FaultSpec` entries carry no live objects, so they
+ride inside a serializable :class:`repro.api.DeploymentSpec` — sweepable
+and content-addressed-cacheable by :mod:`repro.exp`, randomly generated
+and shrunk by :mod:`repro.check.fuzz`.
 uBFT and the verified-log line of work both stress that adversary
 *schedules*, not just fault types, decide whether recovery paths are
 exercised — the campaign is the schedule made first-class.
@@ -298,8 +299,8 @@ class Campaign:
         )
 
     def to_json(self) -> str:
-        """Canonical frozen form (sorted keys, no whitespace) — the cache
-        identity used when a campaign rides inside an exp point."""
+        """Canonical frozen form (sorted keys, no whitespace) — how a
+        campaign rides inside a :meth:`repro.api.DeploymentSpec.descriptor`."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod

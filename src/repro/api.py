@@ -34,7 +34,7 @@ import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.adversary.campaign import Campaign
+from repro.adversary.campaign import Campaign, FaultSpec
 from repro.bench.scenarios import BENCH_BANDWIDTH, ScenarioResult
 from repro.bench.workloads import WORKLOADS, BenchWorkload, TenantTaggedSource
 from repro.core.config import OsirisConfig
@@ -52,11 +52,13 @@ __all__ = [
 
 _SCALARS = (str, int, float, bool, type(None))
 
+#: Systems a spec can run, in the canonical sweep order.
+SYSTEMS = ("zft", "osiris", "rcp")
+
 
 def _kv(params: Mapping[str, Any] | Iterable | None) -> tuple[tuple[str, Any], ...]:
     """Normalize a params mapping to a sorted, hashable kv-tuple of
-    JSON scalars (mirrors :func:`repro.exp.spec.kv`, redeclared here to
-    keep this module import-light)."""
+    JSON scalars."""
     if not params:
         return ()
     items = dict(params)
@@ -73,15 +75,31 @@ def _kv(params: Mapping[str, Any] | Iterable | None) -> tuple[tuple[str, Any], .
 
 
 # -------------------------------------------------------------- fault plans
+def _strategies(entries) -> dict:
+    """pid → strategy, with a fresh instance built for every declarative
+    :class:`~repro.adversary.campaign.FaultSpec` entry."""
+    return {
+        pid: fault.build() if isinstance(fault, FaultSpec) else fault
+        for pid, fault in entries
+    }
+
+
 @dataclass(frozen=True)
 class FaultPlan:
-    """Normalized fault configuration: per-role static strategy maps plus
-    an optional adversary campaign.  Produced by :func:`normalize_faults`;
-    everything downstream consumes this, never the raw argument."""
+    """Normalized fault configuration: per-role static fault maps plus an
+    optional adversary campaign.  Produced by :func:`normalize_faults`;
+    everything downstream consumes this, never the raw argument.
 
-    executors: tuple[tuple[str, ExecutorFault], ...] = ()
-    verifiers: tuple[tuple[str, VerifierFault], ...] = ()
-    outputs: tuple[tuple[str, OutputFault], ...] = ()
+    A static fault is either a live strategy object or a declarative
+    :class:`~repro.adversary.campaign.FaultSpec`.  Declarative entries
+    serialize (see :meth:`DeploymentSpec.descriptor`) and the role maps
+    build a fresh strategy from each one, so no two runs of a plan share
+    strategy state.
+    """
+
+    executors: tuple[tuple[str, ExecutorFault | FaultSpec], ...] = ()
+    verifiers: tuple[tuple[str, VerifierFault | FaultSpec], ...] = ()
+    outputs: tuple[tuple[str, OutputFault | FaultSpec], ...] = ()
     campaign: Optional[Campaign] = None
 
     @property
@@ -94,31 +112,33 @@ class FaultPlan:
         )
 
     def executor_map(self) -> dict[str, ExecutorFault]:
-        return dict(self.executors)
+        return _strategies(self.executors)
 
     def verifier_map(self) -> dict[str, VerifierFault]:
-        return dict(self.verifiers)
+        return _strategies(self.verifiers)
 
     def output_map(self) -> dict[str, OutputFault]:
-        return dict(self.outputs)
+        return _strategies(self.outputs)
 
 
 def _route(mapping: Mapping[str, Any]) -> tuple[dict, dict, dict]:
-    """Split a legacy pid→strategy mapping by strategy role."""
-    executors: dict[str, ExecutorFault] = {}
-    verifiers: dict[str, VerifierFault] = {}
-    outputs: dict[str, OutputFault] = {}
-    for pid, strategy in mapping.items():
-        if isinstance(strategy, ExecutorFault):
-            executors[pid] = strategy
-        elif isinstance(strategy, VerifierFault):
-            verifiers[pid] = strategy
-        elif isinstance(strategy, OutputFault):
-            outputs[pid] = strategy
+    """Split a pid→fault mapping by role: strategies by type, declarative
+    :class:`~repro.adversary.campaign.FaultSpec` entries by ``role``."""
+    executors: dict = {}
+    verifiers: dict = {}
+    outputs: dict = {}
+    for pid, fault in mapping.items():
+        role = fault.role if isinstance(fault, FaultSpec) else None
+        if role == "executor" or isinstance(fault, ExecutorFault):
+            executors[pid] = fault
+        elif role == "verifier" or isinstance(fault, VerifierFault):
+            verifiers[pid] = fault
+        elif role == "output" or isinstance(fault, OutputFault):
+            outputs[pid] = fault
         else:
             raise BenchmarkError(
                 f"fault for {pid!r} must be an Executor/Verifier/Output "
-                f"fault strategy, got {type(strategy).__name__}"
+                f"fault strategy or a FaultSpec, got {type(fault).__name__}"
             )
     return executors, verifiers, outputs
 
@@ -134,9 +154,10 @@ def normalize_faults(
 
     ``faults`` may be ``None``, an existing plan, a
     :class:`~repro.adversary.campaign.Campaign` (or its canonical JSON
-    string), or the legacy pid→strategy mapping — strategies are routed
-    to their role by type.  The keyword role maps carry the builder's
-    legacy per-role dicts; on a pid collision they win over ``faults``.
+    string), or a pid→fault mapping — strategies are routed to their
+    role by type, :class:`~repro.adversary.campaign.FaultSpec` entries by
+    their ``role``.  The keyword role maps carry the builder's legacy
+    per-role dicts; on a pid collision they win over ``faults``.
     """
     campaign: Optional[Campaign] = None
     f_exec: dict = {}
@@ -144,9 +165,9 @@ def normalize_faults(
     f_out: dict = {}
     if isinstance(faults, FaultPlan):
         campaign = faults.campaign
-        f_exec = faults.executor_map()
-        f_verif = faults.verifier_map()
-        f_out = faults.output_map()
+        f_exec = dict(faults.executors)
+        f_verif = dict(faults.verifiers)
+        f_out = dict(faults.outputs)
     elif isinstance(faults, Campaign):
         campaign = faults
     elif isinstance(faults, str):
@@ -176,9 +197,10 @@ class DeploymentSpec:
 
     ``workload`` is either a live :class:`~repro.bench.workloads.BenchWorkload`
     or a factory name from the workload registry (then ``workload_params``
-    are its kwargs — the fully-serializable form :mod:`repro.exp` points
-    use).  ``config`` holds :class:`~repro.core.config.OsirisConfig`
-    overrides as a kv-tuple; unset keys get the scenario defaults
+    are its kwargs — the fully-serializable form that :mod:`repro.exp`
+    sweeps, the result cache and the fuzz driver use).  ``config``
+    holds :class:`~repro.core.config.OsirisConfig` overrides as a
+    kv-tuple; unset keys get the scenario defaults
     (``chunk_bytes`` from the workload, ``suspect_timeout=60``, one core
     per node).  ``faults`` accepts anything :func:`normalize_faults`
     does and is normalized at construction.  ``duration`` switches from
@@ -214,10 +236,9 @@ class DeploymentSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.system not in ("osiris", "zft", "rcp"):
+        if self.system not in SYSTEMS:
             raise BenchmarkError(
-                f"unknown system {self.system!r}; "
-                f"expected 'osiris', 'zft' or 'rcp'"
+                f"unknown system {self.system!r}; expected one of {SYSTEMS}"
             )
         if self.backend not in ("des", "live"):
             raise BenchmarkError(
@@ -305,18 +326,24 @@ class DeploymentSpec:
         return wl
 
     def descriptor(self) -> dict[str, Any]:
-        """Canonical JSON-able form.  Requires the fully-declarative
-        shape: a named workload and no live fault strategies (campaigns
-        serialize fine).  ``sinks``/``label`` are excluded."""
+        """Canonical JSON-able form — the sweep cache identity, the fuzz
+        reproducer and the input of ``python -m repro.check point``.
+
+        Requires the fully-declarative shape: a named workload and
+        static faults given as :class:`~repro.adversary.campaign.FaultSpec`
+        entries (campaigns serialize fine).  ``sinks``/``capture``/
+        ``label`` are excluded, so a relabelled spec keeps its identity.
+        """
         if not isinstance(self.workload, str):
             raise BenchmarkError(
                 "only specs with a registry-named workload are serializable"
             )
         plan: FaultPlan = self.faults
-        if plan.executors or plan.verifiers or plan.outputs:
+        static = plan.executors + plan.verifiers + plan.outputs
+        if not all(isinstance(fault, FaultSpec) for _, fault in static):
             raise BenchmarkError(
                 "specs carrying live fault strategies are not serializable; "
-                "express the adversary as a Campaign"
+                "express the faults as FaultSpec entries or a Campaign"
             )
         return {
             "system": self.system,
@@ -331,14 +358,24 @@ class DeploymentSpec:
             "duration": self.duration,
             "bandwidth": self.bandwidth,
             "config": [list(p) for p in self.config],
+            "faults": [[pid, fault.to_dict()] for pid, fault in static],
             "campaign": plan.campaign.to_json() if plan.campaign else "",
             "sanitize": self.sanitize,
             "shards": self.shards,
             "tenants": self.tenants,
         }
 
+    def to_dict(self) -> dict[str, Any]:
+        """Descriptor plus the presentation label (artifact form)."""
+        return {**self.descriptor(), "label": self.label}
+
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "DeploymentSpec":
+        faults = normalize_faults(
+            {pid: FaultSpec.from_dict(f) for pid, f in d.get("faults", ())}
+        )
+        if d.get("campaign"):
+            faults = replace(faults, campaign=Campaign.from_json(d["campaign"]))
         return cls(
             workload=d["workload"],
             n=d["n"],
@@ -353,7 +390,7 @@ class DeploymentSpec:
             duration=d.get("duration"),
             bandwidth=d.get("bandwidth"),
             config=tuple((k, v) for k, v in d.get("config", ())),
-            faults=d.get("campaign") or None,
+            faults=faults,
             sanitize=d.get("sanitize", False),
             backend=d.get("backend", "des"),
             shards=d.get("shards", 1),
@@ -479,8 +516,6 @@ def _run_to_completion(sim, metrics, workload: BenchWorkload, deadline: float):
     step = 1.0
     while sim.now < deadline:
         sim.run(until=min(sim.now + step, deadline))
-        if metrics.tasks_completed >= target and sim.drained():
-            return
         if metrics.tasks_completed >= target:
             return
         if sim.drained():
@@ -777,7 +812,7 @@ def _run_baseline(spec: DeploymentSpec) -> ScenarioResult:
 def run(spec: DeploymentSpec, **build_extra) -> ScenarioResult:
     """Run the deployment a spec describes; returns the measured result.
 
-    This is the single execution path behind ``repro.exp.run_point``,
+    This is the single execution path behind :mod:`repro.exp` sweeps,
     the bench CLI, the fuzz driver and the adversary CLI.  Campaign
     runs additionally report recovery metrics in the result's typed
     ``recovery`` field (the live ``recovery_report`` rides in

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro import api
+from repro.adversary.campaign import FaultSpec
 from repro.bench.analytic import rsm_parallel_tasks, table1
 from repro.bench.microbench import run_kernel_microbench
 from repro.bench.reporting import (
@@ -53,9 +54,7 @@ from repro.baselines.store_models import (
     kauri_updates_per_sec,
 )
 from repro.core.config import OsirisConfig
-from repro.core.faults import CorruptRecordFault
-from repro.exp import Point, ResultCache, SweepSpec, run_sweep
-from repro.exp.spec import kv
+from repro.exp import ResultCache, SweepSpec, run_sweep
 from repro.obs.sinks import ChromeTraceSink, JsonlTraceSink
 
 __all__ = ["main"]
@@ -150,17 +149,14 @@ def _slo_spec(args) -> SweepSpec:
     ``--sizes`` entry."""
     n = max(args.sizes)
     points = [
-        Point(
-            system="osiris",
+        api.DeploymentSpec(
             workload="open_loop",
-            workload_params=kv(
-                {
-                    "n_tasks": args.tasks,
-                    "rate": rate,
-                    "process": "poisson",
-                    "seed": args.seed,
-                }
-            ),
+            workload_params={
+                "n_tasks": args.tasks,
+                "rate": rate,
+                "process": "poisson",
+                "seed": args.seed,
+            },
             n=n,
             seed=args.seed,
             deadline=DEADLINE,
@@ -175,29 +171,21 @@ def _slo_spec(args) -> SweepSpec:
 
 
 def _fig7b_spec(args) -> SweepSpec:
-    wp = kv(
-        {
-            "n_tasks": args.tasks,
-            "records_per_task": 10,
-            "compute_cost": 300e-3,
-            "record_bytes": 4096,
-            "verify_cost_ratio": 0.05,
-        }
-    )
+    wp = {
+        "n_tasks": args.tasks,
+        "records_per_task": 10,
+        "compute_cost": 300e-3,
+        "record_bytes": 4096,
+        "verify_cost_ratio": 0.05,
+    }
     points = [
-        Point(
-            system="osiris", workload="synthetic", workload_params=wp,
+        api.DeploymentSpec(
+            system=system, workload="synthetic", workload_params=wp,
             n=32, f=f, seed=args.seed, deadline=DEADLINE,
-            label=f"osiris-f{f}",
+            label=f"{system}-f{f}",
         )
-        for f in (1, 2, 3, 4)
-    ] + [
-        Point(
-            system="rcp", workload="synthetic", workload_params=wp,
-            n=32, f=f, seed=args.seed, deadline=DEADLINE,
-            label=f"rcp-f{f}",
-        )
-        for f in (1, 2)
+        for system, levels in (("osiris", (1, 2, 3, 4)), ("rcp", (1, 2)))
+        for f in levels
     ]
     return SweepSpec.of("fig7b", points)
 
@@ -279,7 +267,8 @@ def _trace_recovery(args, sinks):
     )
     activate = 0.3 * (args.tasks / rate)
     faults = {
-        f"e{i}": CorruptRecordFault(activate_at=activate) for i in range(5)
+        f"e{i}": FaultSpec("executor", "corrupt-record", {"activate_at": activate})
+        for i in range(5)
     }
     return _trace_spec(
         args,

@@ -498,8 +498,8 @@ def _anomaly_factory(profile: str, **params) -> BenchWorkload:
 
 
 #: Workload factories addressable by name — the registry behind
-#: :class:`repro.api.DeploymentSpec` and :class:`repro.exp.Point`
-#: (the anomaly factory takes the profile name under ``profile``).
+#: :class:`repro.api.DeploymentSpec`'s named workloads (the anomaly
+#: factory takes the profile name under ``profile``).
 WORKLOADS = {
     "anomaly": _anomaly_factory,
     "planning": planning_bench,

@@ -7,8 +7,9 @@ Subcommands
     Exits 1 if any point fails, printing the minimized reproducer —
     feed it back to ``point`` to replay.
 ``point``
-    Replay one point descriptor (JSON, as printed by ``fuzz``) with the
-    sanitizer attached and print the report.  Exits 1 on violations.
+    Replay one :meth:`repro.api.DeploymentSpec.descriptor` (JSON, as
+    printed by ``fuzz``) with the sanitizer attached and print the
+    report.  Exits 1 on violations.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import argparse
 import json
 import sys
 
+from repro import api
 from repro.check.fuzz import run_fuzz
 from repro.errors import BenchmarkError
-from repro.exp.runner import run_point
-from repro.exp.spec import Point
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -44,14 +44,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"\n{failure.status}: {sorted(failure.invariants)}")
             print(failure.detail)
             print("minimized reproducer (run with `python -m repro.check point`):")
-            print(json.dumps(failure.shrunk.to_dict()))
+            print(json.dumps(failure.shrunk.descriptor()))
     return 0 if outcome.ok else 1
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    point = Point.from_dict(json.loads(args.descriptor))
+    spec = api.DeploymentSpec.from_dict(json.loads(args.descriptor))
     try:
-        result = run_point(point, sanitize=True)
+        result = api.run(spec.with_(sanitize=True))
     except BenchmarkError as exc:
         print(f"inconclusive: {exc}")
         return 2
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
         "point", help="replay one point descriptor with the sanitizer"
     )
     point.add_argument(
-        "descriptor", help="JSON point descriptor (as printed by fuzz)"
+        "descriptor", help="JSON spec descriptor (as printed by fuzz)"
     )
     point.set_defaults(fn=_cmd_point)
 

@@ -1,12 +1,14 @@
 """Randomized sanitizer sweeps over the scenario space.
 
 The sanitizer's invariants hold on *every* run, so any randomized
-point is a test: draw seeds, cluster shapes, workloads and fault mixes,
-run each point with ``sanitize=True``, and flag the ones whose report
-comes back non-empty (or that crash outright).  A failing point is then
-*shrunk* — faults dropped, config overrides cleared, the workload and
-cluster halved — to the smallest point that still reproduces, which is
-what gets reported (and what a regression test should pin).
+point is a test: draw seeds, cluster shapes, workloads and fault mixes
+as declarative :class:`repro.api.DeploymentSpec` values, run each with
+``sanitize=True``, and flag the ones whose report comes back non-empty
+(or that crash outright).  A failing point is then *shrunk* — faults
+dropped, config overrides cleared, the workload and cluster halved — to
+the smallest spec that still reproduces, which is what gets reported
+as its :meth:`~repro.api.DeploymentSpec.descriptor` (and what a
+regression test should pin).
 
 Determinism: the sweep is a pure function of ``(budget, seed)`` — point
 generation uses one ``random.Random(seed)`` stream and the DES itself is
@@ -23,10 +25,10 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
+from repro import api
 from repro.adversary.campaign import Action, Campaign, FaultSpec, Phase, Trigger
+from repro.api import DeploymentSpec
 from repro.errors import BenchmarkError, ProtocolError
-from repro.exp.runner import run_point
-from repro.exp.spec import Point, kv
 
 __all__ = [
     "FuzzFailure",
@@ -133,7 +135,7 @@ def generate_campaign(rng: random.Random, n_exec: int, k: int) -> Campaign:
 
 
 # --------------------------------------------------------------- generation
-def generate_point(rng: random.Random) -> Point:
+def generate_point(rng: random.Random) -> DeploymentSpec:
     """Draw one random-but-valid scenario point.
 
     Sub-cluster size is 2f+1 = 3 (f is pinned at 1 — the substrate
@@ -163,10 +165,10 @@ def generate_point(rng: random.Random) -> Point:
 
     seed = rng.randrange(1 << 16)
     if system != "osiris":
-        return Point(
+        return DeploymentSpec(
             system=system,
             workload=workload,
-            workload_params=kv(wparams),
+            workload_params=wparams,
             n=rng.choice((3, 4, 5, 8)),
             seed=seed,
             label="fuzz",
@@ -199,49 +201,40 @@ def generate_point(rng: random.Random) -> Point:
     if rng.random() < 0.2:
         config["cores_per_node"] = 2
 
-    executor_faults = []
+    faults: dict | Campaign = {}
     if n_exec > 0 and rng.random() < 0.5:
         for pid in rng.sample(
             [f"e{i}" for i in range(n_exec)], k=min(n_exec, rng.randint(1, 2))
         ):
-            executor_faults.append(
-                (
-                    pid,
-                    rng.choice(_EXEC_FAULT_KINDS),
-                    kv({"activate_at": rng.choice((0.0, 0.5, 2.0))}),
-                )
+            faults[pid] = FaultSpec(
+                role="executor",
+                kind=rng.choice(_EXEC_FAULT_KINDS),
+                params={"activate_at": rng.choice((0.0, 0.5, 2.0))},
             )
 
-    verifier_faults = []
     if k >= 2 and rng.random() < 0.4:
         pid = f"v{rng.randint(3, 5)}"
-        verifier_faults.append(
-            (
-                pid,
-                rng.choice(_VERIF_FAULT_KINDS),
-                kv({"activate_at": rng.choice((0.0, 0.5))}),
-            )
+        faults[pid] = FaultSpec(
+            role="verifier",
+            kind=rng.choice(_VERIF_FAULT_KINDS),
+            params={"activate_at": rng.choice((0.0, 0.5))},
         )
 
     # A quarter of osiris points carry a campaign instead of static
     # faults — the engine's scheduling/trigger machinery fuzzes under the
     # same invariants as deployment-time injection.
-    campaign = ""
     if n_exec > 0 and rng.random() < 0.25:
-        executor_faults, verifier_faults = [], []
-        campaign = generate_campaign(rng, n_exec, k).to_json()
+        faults = generate_campaign(rng, n_exec, k)
 
-    return Point(
+    return DeploymentSpec(
         system="osiris",
         workload=workload,
-        workload_params=kv(wparams),
+        workload_params=wparams,
         n=n,
         k=k,
         seed=seed,
-        config=kv(config),
-        executor_faults=tuple(executor_faults),
-        verifier_faults=tuple(verifier_faults),
-        campaign=campaign,
+        config=config,
+        faults=faults,
         shards=shards,
         tenants=tenants,
         label="fuzz",
@@ -249,7 +242,7 @@ def generate_point(rng: random.Random) -> Point:
 
 
 # ---------------------------------------------------------------- execution
-def _check(point: Point) -> tuple[str, frozenset[str], str]:
+def _check(point: DeploymentSpec) -> tuple[str, frozenset[str], str]:
     """Run one sanitized point.
 
     Returns ``(status, invariants, detail)`` where status is ``"ok"``,
@@ -257,7 +250,7 @@ def _check(point: Point) -> tuple[str, frozenset[str], str]:
     drained-state audits don't apply), ``"violation"`` or ``"crash"``.
     """
     try:
-        result = run_point(point, sanitize=True)
+        result = api.run(replace(point, sanitize=True))
     except BenchmarkError:
         return ("inconclusive", frozenset(), "deadline miss")
     except ProtocolError as exc:
@@ -280,31 +273,39 @@ def _check(point: Point) -> tuple[str, frozenset[str], str]:
 
 
 # ---------------------------------------------------------------- shrinking
-def _candidates(point: Point):
+def _with_faults(point: DeploymentSpec, **changes) -> DeploymentSpec:
+    return replace(point, faults=replace(point.faults, **changes))
+
+
+def _without(entries: tuple, i: int) -> tuple:
+    return entries[:i] + entries[i + 1 :]
+
+
+def _candidates(point: DeploymentSpec):
     """Simpler variants of ``point``, most aggressive first."""
-    if point.campaign:
-        campaign = Campaign.from_json(point.campaign)
-        yield replace(point, campaign="")
-        if campaign.triggers:
-            for i in range(len(campaign.triggers)):
-                trimmed = replace(
-                    campaign,
-                    triggers=campaign.triggers[:i] + campaign.triggers[i + 1 :],
-                )
-                yield replace(point, campaign=trimmed.to_json())
+    plan = point.faults
+    campaign = plan.campaign
+    if campaign is not None:
+        yield _with_faults(point, campaign=None)
+        for i in range(len(campaign.triggers)):
+            yield _with_faults(
+                point,
+                campaign=replace(
+                    campaign, triggers=_without(campaign.triggers, i)
+                ),
+            )
         if len(campaign.phases) > 1:
             for i in range(len(campaign.phases)):
-                trimmed = replace(
-                    campaign,
-                    phases=campaign.phases[:i] + campaign.phases[i + 1 :],
+                yield _with_faults(
+                    point,
+                    campaign=replace(
+                        campaign, phases=_without(campaign.phases, i)
+                    ),
                 )
-                yield replace(point, campaign=trimmed.to_json())
-    for i in range(len(point.executor_faults)):
-        faults = point.executor_faults[:i] + point.executor_faults[i + 1 :]
-        yield replace(point, executor_faults=faults)
-    for i in range(len(point.verifier_faults)):
-        faults = point.verifier_faults[:i] + point.verifier_faults[i + 1 :]
-        yield replace(point, verifier_faults=faults)
+    for i in range(len(plan.executors)):
+        yield _with_faults(point, executors=_without(plan.executors, i))
+    for i in range(len(plan.verifiers)):
+        yield _with_faults(point, verifiers=_without(plan.verifiers, i))
     if point.config:
         yield replace(point, config=())
     # tenancy/sharding shrink before any topology shrink: a violation
@@ -318,30 +319,26 @@ def _candidates(point: Point):
     n_tasks = wp.get("n_tasks")
     if isinstance(n_tasks, int) and n_tasks > 2:
         yield replace(
-            point, workload_params=kv({**wp, "n_tasks": max(2, n_tasks // 2)})
+            point, workload_params={**wp, "n_tasks": max(2, n_tasks // 2)}
         )
     if point.system == "osiris":
         # n/k shrinks are skipped while a campaign remains: its selectors
         # may name specific pids or sub-clusters that a smaller topology
         # no longer has (the drop-campaign candidate unlocks them)
-        floor = 3 * (point.k or 1) + (1 if point.executor_faults else 0)
-        if point.n > floor and not point.campaign:
+        floor = 3 * (point.k or 1) + (1 if plan.executors else 0)
+        if point.n > floor and campaign is None:
             yield replace(point, n=max(floor, point.n // 2))
-        if (
-            (point.k or 1) > 1
-            and not point.verifier_faults
-            and not point.campaign
-        ):
+        if (point.k or 1) > 1 and not plan.verifiers and campaign is None:
             yield replace(point, k=1, n=min(point.n, 5))
     elif point.n > 3:
         yield replace(point, n=3)
 
 
 def shrink_point(
-    point: Point,
+    point: DeploymentSpec,
     invariants: frozenset[str],
     max_runs: int = MAX_SHRINK_RUNS,
-) -> tuple[Point, int]:
+) -> tuple[DeploymentSpec, int]:
     """Greedily minimize a failing point.
 
     A candidate is accepted when it still fails with an overlapping
@@ -369,8 +366,8 @@ def shrink_point(
 class FuzzFailure:
     """One failing point, minimized."""
 
-    point: Point                #: the original failing draw
-    shrunk: Point               #: the minimized reproducer
+    point: DeploymentSpec       #: the original failing draw
+    shrunk: DeploymentSpec      #: the minimized reproducer
     status: str                 #: "violation" or "crash"
     invariants: frozenset[str]  #: invariant names (or exception type)
     detail: str                 #: report summary / traceback head
@@ -378,8 +375,8 @@ class FuzzFailure:
 
     def to_dict(self) -> dict:
         return {
-            "point": self.point.to_dict(),
-            "shrunk": self.shrunk.to_dict(),
+            "point": self.point.descriptor(),
+            "shrunk": self.shrunk.descriptor(),
             "status": self.status,
             "invariants": sorted(self.invariants),
             "detail": self.detail,

@@ -9,7 +9,7 @@ slowness, and plain-channel equivocation.  Verifier- and OP-side faults
 cover the generic protocol failures of Sec 5.2.2.
 
 A strategy is attached to a process at deployment time via
-:func:`repro.core.cluster.build_osiris_cluster`'s ``faults`` mapping; the
+:func:`repro.runtime.deploy.build_osiris_cluster`'s ``faults`` mapping; the
 process then behaves Byzantinely *through its normal code paths* — it
 still cannot forge other processes' signatures or equivocate through the
 non-equivocating primitive, because those powers don't exist in the

@@ -1,12 +1,12 @@
 """Content-addressed result cache for sweep points.
 
 A point's cache key is the SHA-256 of its canonical descriptor (see
-:meth:`repro.exp.spec.Point.descriptor`) combined with the *code
+:meth:`repro.api.DeploymentSpec.descriptor`) combined with the *code
 version* — a digest over every ``.py`` file under ``src/repro``.  Any
 edit to the simulator, protocol, apps, or harness changes the code
 version and invalidates every entry at once; identical points on
-identical code hit.  This is sound because scenario runs are
-deterministic functions of (point, code).
+identical code hit.  This is sound because DES scenario runs are
+deterministic functions of (descriptor, code).
 
 Entries are small JSON files under ``$REPRO_EXP_CACHE_DIR`` (default
 ``~/.cache/repro-exp``), sharded by key prefix, written atomically so a

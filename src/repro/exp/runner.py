@@ -1,18 +1,16 @@
 """Sweep execution: serial, multiprocess, cached — always bit-identical.
 
-Each :class:`~repro.exp.spec.Point` names everything its run depends on,
-and the DES is deterministic, so a point's result is a pure function of
-(point, code version).  That gives three interchangeable execution
-paths — run it here, run it in a pool worker, or read it from the
-content-addressed cache — all yielding the same
-:class:`~repro.bench.scenarios.ScenarioResult` bit for bit.  The serial
-path deliberately round-trips results through the same dict form the
-pool and the cache use, so switching ``--jobs`` or enabling the cache
-can never change a figure.
-
-``live=True`` runs serially without cache or serialization and keeps
-the full result (including the live cluster object in ``extra``) — for
-benchmarks that inspect cluster internals after the run.
+Each sweep point is a declarative :class:`repro.api.DeploymentSpec`
+that names everything its run depends on, and the DES is deterministic,
+so a point's result is a pure function of (descriptor, code version).
+That gives three interchangeable execution paths — run it here, run it
+in a pool worker, or read it from the content-addressed cache — all
+yielding the same :class:`~repro.bench.scenarios.ScenarioResult` bit for
+bit.  The serial path deliberately round-trips results through the same
+dict form the pool and the cache use, so switching ``--jobs`` or
+enabling the cache can never change a figure.  Callers that need the
+in-process result (cluster handle in ``extra``) call
+:func:`repro.api.run` directly.
 """
 
 from __future__ import annotations
@@ -24,109 +22,26 @@ from typing import Callable, Optional
 
 from repro import api
 from repro.bench.scenarios import ScenarioResult
-from repro.bench.workloads import WORKLOADS, BenchWorkload
-from repro.core.faults import EXECUTOR_FAULTS, VERIFIER_FAULTS, make_fault
 from repro.errors import BenchmarkError
 from repro.exp.cache import ResultCache, code_version, point_key
-from repro.exp.spec import Point, SweepSpec
+from repro.exp.spec import SweepSpec
 
 __all__ = [
-    "EXECUTOR_FAULTS",
-    "VERIFIER_FAULTS",
-    "WORKLOADS",
     "PointOutcome",
     "SweepOutcome",
-    "build_workload",
     "execute_point",
-    "point_spec",
-    "run_point",
     "run_sweep",
 ]
 
 
-def build_workload(point: Point) -> BenchWorkload:
-    """Instantiate the point's workload from the factory registry."""
-    factory = WORKLOADS.get(point.workload)
-    if factory is None:
-        raise BenchmarkError(
-            f"unknown workload {point.workload!r}; "
-            f"registered: {sorted(WORKLOADS)}"
-        )
-    return factory(**dict(point.workload_params))
-
-
-def _faults(specs, role: str) -> dict:
-    out = {}
-    for pid, kind, params in specs:
-        try:
-            out[pid] = make_fault(role, kind, dict(params))
-        except ValueError as exc:
-            raise BenchmarkError(str(exc)) from exc
-    return out
-
-
-def point_spec(point: Point, sanitize: bool = False) -> api.DeploymentSpec:
-    """Translate a point into the :class:`repro.api.DeploymentSpec` that
-    runs it — the single construction path shared with the benchmark
-    shims, the fuzz driver and the adversary CLI."""
-    if point.system != "osiris" and (
-        point.executor_faults or point.verifier_faults or point.config
-        or point.campaign
-    ):
-        raise BenchmarkError(
-            f"faults/config overrides are OsirisBFT-only "
-            f"(point targets {point.system!r})"
-        )
-    faults = api.FaultPlan()
-    if point.executor_faults or point.verifier_faults or point.campaign:
-        from repro.adversary.campaign import Campaign
-
-        faults = api.normalize_faults(
-            Campaign.from_json(point.campaign) if point.campaign else None,
-            executors=_faults(point.executor_faults, "executor"),
-            verifiers=_faults(point.verifier_faults, "verifier"),
-        )
-    return api.DeploymentSpec(
-        workload=point.workload,
-        n=point.n,
-        system=point.system,
-        workload_params=point.workload_params,
-        f=point.f,
-        k=point.k,
-        seed=point.seed,
-        deadline=point.deadline,
-        duration=point.duration,
-        bandwidth=point.bandwidth,
-        config=point.config,
-        faults=faults,
-        sanitize=sanitize,
-        shards=point.shards,
-        tenants=point.tenants,
-        label=point.label,
-    )
-
-
-def run_point(point: Point, sanitize: bool = False) -> ScenarioResult:
-    """Run one point on this process's DES; returns the live result.
-
-    ``sanitize=True`` attaches the :mod:`repro.check` substrate sanitizer
-    (observational only — the trace and every measured number stay
-    bit-identical) and reports violations in ``extra``.  It is a
-    per-invocation knob, deliberately NOT part of the point descriptor:
-    cached payloads are the same either way, and the fuzz driver calls
-    this directly, bypassing the cache.
-    """
-    return api.run(point_spec(point, sanitize=sanitize))
-
-
-def execute_point(point: Point) -> dict:
+def execute_point(point: api.DeploymentSpec) -> dict:
     """Run a point and return its serialized payload (pool-safe).
 
     This is the unit of work shipped to pool workers and stored in the
     cache: ``{"result": <ScenarioResult dict>, "wall_seconds": float}``.
     """
     start = time.perf_counter()
-    result = run_point(point)
+    result = api.run(point)
     wall = time.perf_counter() - start
     return {"result": result.to_dict(), "wall_seconds": wall}
 
@@ -135,7 +50,7 @@ def execute_point(point: Point) -> dict:
 class PointOutcome:
     """One executed (or cache-served) point."""
 
-    point: Point
+    point: api.DeploymentSpec
     result: ScenarioResult
     wall_seconds: float  # compute time when the result was produced
     cached: bool
@@ -159,7 +74,7 @@ class SweepOutcome:
     def cache_hits(self) -> int:
         return sum(1 for o in self.outcomes if o.cached)
 
-    def by(self, key: Callable[[Point], object] = None) -> dict:
+    def by(self, key: Callable[[api.DeploymentSpec], object] = None) -> dict:
         """Results keyed by ``key(point)`` (default: ``(system, n)``)."""
         if key is None:
             key = lambda p: (p.system, p.n)  # noqa: E731
@@ -178,7 +93,6 @@ def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    live: bool = False,
 ) -> SweepOutcome:
     """Execute every point of ``spec``; results are independent of
     ``jobs`` and of cache state.
@@ -186,28 +100,18 @@ def run_sweep(
     Points already in ``cache`` (same descriptor, same code version) are
     served from it; the rest run serially (``jobs=1``) or on a
     ``multiprocessing`` pool, in either case producing the same payloads.
-    ``live=True`` skips cache and serialization entirely and keeps live
-    results (cluster handles in ``extra`` survive) — always serial.
+    Every point must target the deterministic DES backend: a live run's
+    result depends on the wall clock, so caching it would be unsound.
     """
     if jobs < 1:
         raise BenchmarkError(f"jobs must be >=1, got {jobs}")
-    start = time.perf_counter()
+    live = [p.label or p.system for p in spec.points if p.backend != "des"]
     if live:
-        outcomes = []
-        for point in spec.points:
-            p0 = time.perf_counter()
-            result = run_point(point)
-            outcomes.append(
-                PointOutcome(point, result, time.perf_counter() - p0, False)
-            )
-        return SweepOutcome(
-            spec=spec,
-            code_version=code_version(),
-            jobs=1,
-            wall_seconds=time.perf_counter() - start,
-            outcomes=outcomes,
+        raise BenchmarkError(
+            f"run_sweep caches deterministic DES runs only; points "
+            f"{live} use backend='live' — run them with repro.api.run"
         )
-
+    start = time.perf_counter()
     version = code_version()
     keys = [point_key(p.descriptor(), version) for p in spec.points]
     payloads: dict[int, tuple[dict, bool]] = {}

@@ -1,177 +1,27 @@
-"""Sweep vocabulary: points and specs.
+"""Sweep vocabulary: a named, ordered tuple of deployment specs.
 
-A :class:`Point` is a *value*: a frozen, hashable, JSON-serializable
-description of one scenario run.  Everything a run depends on is in the
-point — system, workload factory name + parameters, cluster size, fault
-level, seeds, deadline, bandwidth, config overrides, injected faults —
-so two equal points always produce byte-identical results on the
-deterministic DES, which is what makes content-addressed caching and
-multiprocess fan-out safe.
+Each point of a :class:`SweepSpec` is a :class:`repro.api.DeploymentSpec`
+— the same frozen, hashable value every backend runs.  A declarative
+spec (registry-named workload, faults as
+:class:`~repro.adversary.campaign.FaultSpec` entries or a campaign)
+names everything its run depends on, so two specs with equal
+:meth:`~repro.api.DeploymentSpec.descriptor`\\ s produce byte-identical
+results on the deterministic DES, which is what makes content-addressed
+caching and multiprocess fan-out safe.
 
-A :class:`SweepSpec` is a named ordered tuple of points.  The
-:meth:`SweepSpec.grid` constructor reproduces the benchmark harness's
-canonical iteration order (sizes outer, systems inner, RCP skipped below
-n=3 because it needs 2f+1 workers).
+The :meth:`SweepSpec.grid` constructor reproduces the benchmark
+harness's canonical iteration order (sizes outer, systems inner, RCP
+skipped below n=3 because it needs 2f+1 workers).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.errors import BenchmarkError
+from repro.api import SYSTEMS, DeploymentSpec
 
-__all__ = ["Point", "SweepSpec", "SYSTEMS", "kv"]
-
-#: Systems the runner knows how to launch, in canonical sweep order.
-SYSTEMS = ("zft", "osiris", "rcp")
-
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def kv(params: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
-    """Normalize a params mapping to a sorted, hashable kv-tuple.
-
-    Values must be JSON scalars (the point must stay serializable and
-    content-addressable); raises :class:`BenchmarkError` otherwise.
-    """
-    if not params:
-        return ()
-    items = []
-    for key in sorted(params):
-        value = params[key]
-        if not isinstance(value, _SCALARS):
-            raise BenchmarkError(
-                f"sweep param {key!r} must be a JSON scalar, "
-                f"got {type(value).__name__}"
-            )
-        items.append((str(key), value))
-    return tuple(items)
-
-
-@dataclass(frozen=True)
-class Point:
-    """One scenario run, fully described.
-
-    ``workload`` names a factory in the runner's workload registry and
-    ``workload_params`` are its keyword arguments.  ``config`` holds
-    :class:`~repro.core.config.OsirisConfig` overrides (OsirisBFT only).
-    ``executor_faults`` / ``verifier_faults`` are ``(pid, kind, params)``
-    triples resolved against the runner's fault registry.  ``campaign``
-    carries an adversary campaign in its canonical JSON form
-    (:meth:`repro.adversary.Campaign.to_json`; empty = none) and
-    ``duration`` switches the run to fixed-duration streaming — both
-    ride inside the descriptor, so campaign runs sweep and cache like
-    any other point.
-    """
-
-    system: str
-    workload: str
-    n: int
-    workload_params: tuple[tuple[str, Any], ...] = ()
-    f: int = 1
-    k: int | None = None
-    seed: int = 0
-    deadline: float = 600.0
-    duration: float | None = None
-    bandwidth: float | None = None
-    config: tuple[tuple[str, Any], ...] = ()
-    executor_faults: tuple[
-        tuple[str, str, tuple[tuple[str, Any], ...]], ...
-    ] = ()
-    verifier_faults: tuple[
-        tuple[str, str, tuple[tuple[str, Any], ...]], ...
-    ] = ()
-    campaign: str = ""
-    #: independent IP→OP pipelines over the shared verifier fleet
-    #: (OsirisBFT only; 1 = the classic single-pipeline layout)
-    shards: int = 1
-    #: >1 round-robin-tags tasks with tenant keys for per-tenant SLOs
-    tenants: int = 1
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.system not in SYSTEMS:
-            raise BenchmarkError(
-                f"unknown system {self.system!r}; expected one of {SYSTEMS}"
-            )
-        if self.n < 1:
-            raise BenchmarkError(f"cluster size must be >=1, got {self.n}")
-        if self.shards < 1:
-            raise BenchmarkError(f"shards must be >=1, got {self.shards}")
-        if self.tenants < 1:
-            raise BenchmarkError(f"tenants must be >=1, got {self.tenants}")
-
-    # ------------------------------------------------------------- identity
-    def descriptor(self) -> dict[str, Any]:
-        """Canonical JSON-able form — the cache identity of this point.
-
-        ``label`` is presentation-only and deliberately excluded so a
-        relabelled point still hits the cache.
-        """
-        return {
-            "system": self.system,
-            "workload": self.workload,
-            "workload_params": [list(p) for p in self.workload_params],
-            "n": self.n,
-            "f": self.f,
-            "k": self.k,
-            "seed": self.seed,
-            "deadline": self.deadline,
-            "duration": self.duration,
-            "bandwidth": self.bandwidth,
-            "config": [list(p) for p in self.config],
-            "executor_faults": [
-                [pid, kind, [list(p) for p in params]]
-                for pid, kind, params in self.executor_faults
-            ],
-            "verifier_faults": [
-                [pid, kind, [list(p) for p in params]]
-                for pid, kind, params in self.verifier_faults
-            ],
-            "campaign": self.campaign,
-            "shards": self.shards,
-            "tenants": self.tenants,
-        }
-
-    def to_dict(self) -> dict[str, Any]:
-        """Descriptor plus the presentation label (artifact form)."""
-        d = self.descriptor()
-        d["label"] = self.label
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Point":
-        return cls(
-            system=d["system"],
-            workload=d["workload"],
-            workload_params=tuple(
-                (k, v) for k, v in d.get("workload_params", ())
-            ),
-            n=d["n"],
-            f=d.get("f", 1),
-            k=d.get("k"),
-            seed=d.get("seed", 0),
-            deadline=d.get("deadline", 600.0),
-            duration=d.get("duration"),
-            bandwidth=d.get("bandwidth"),
-            config=tuple((k, v) for k, v in d.get("config", ())),
-            executor_faults=tuple(
-                (pid, kind, tuple((k, v) for k, v in params))
-                for pid, kind, params in d.get("executor_faults", ())
-            ),
-            verifier_faults=tuple(
-                (pid, kind, tuple((k, v) for k, v in params))
-                for pid, kind, params in d.get("verifier_faults", ())
-            ),
-            campaign=d.get("campaign", ""),
-            shards=d.get("shards", 1),
-            tenants=d.get("tenants", 1),
-            label=d.get("label", ""),
-        )
-
-    def with_label(self, label: str) -> "Point":
-        return replace(self, label=label)
+__all__ = ["SweepSpec"]
 
 
 @dataclass(frozen=True)
@@ -179,7 +29,7 @@ class SweepSpec:
     """A named, ordered experiment sweep."""
 
     name: str
-    points: tuple[Point, ...] = field(default_factory=tuple)
+    points: tuple[DeploymentSpec, ...] = field(default_factory=tuple)
 
     @classmethod
     def grid(
@@ -196,30 +46,28 @@ class SweepSpec:
     ) -> "SweepSpec":
         """The canonical size × system grid: sizes outer, systems inner
         (in the given order), RCP dropped below n=3 (needs 2f+1 nodes)."""
-        wp = kv(workload_params)
-        cfg = kv(config)
-        points: list[Point] = []
-        for n in sizes:
-            for system in systems:
-                if system == "rcp" and n < 3:
-                    continue
-                points.append(
-                    Point(
-                        system=system,
-                        workload=workload,
-                        workload_params=wp,
-                        n=n,
-                        f=f,
-                        seed=seed,
-                        deadline=deadline,
-                        config=cfg if system == "osiris" else (),
-                        label=f"{system}-n{n}",
-                    )
+        return cls.of(
+            name,
+            (
+                DeploymentSpec(
+                    system=system,
+                    workload=workload,
+                    workload_params=workload_params,
+                    n=n,
+                    f=f,
+                    seed=seed,
+                    deadline=deadline,
+                    config=config if system == "osiris" else (),
+                    label=f"{system}-n{n}",
                 )
-        return cls(name=name, points=tuple(points))
+                for n in sizes
+                for system in systems
+                if not (system == "rcp" and n < 3)
+            ),
+        )
 
     @classmethod
-    def of(cls, name: str, points: Iterable[Point]) -> "SweepSpec":
+    def of(cls, name: str, points: Iterable[DeploymentSpec]) -> "SweepSpec":
         return cls(name=name, points=tuple(points))
 
     def __len__(self) -> int:

@@ -21,7 +21,7 @@ on one of two runtimes (the contract is documented on
   from a bus-captured inbox (post-mortem debugging).
 
 The deployment builder for the full OsirisBFT cluster lives in
-:mod:`repro.runtime.deploy`; ``repro.core.cluster`` forwards to it.
+:mod:`repro.runtime.deploy`.
 """
 
 from repro.runtime.core import ProtocolCore

@@ -244,20 +244,20 @@ class Simulator:
 
         Called from the maintenance pass when cancelled-but-unpopped
         entries dominate the queue, so long runs with heavy timer churn
-        do not accumulate unbounded dead weight.
+        do not accumulate unbounded dead weight.  The heap is rebuilt in
+        place: :meth:`run` holds a reference to it across the pass, and a
+        fresh list would strand the spilled lane entries until the next
+        ``run()`` call fired them with the clock already past them.
         """
-        alive = [
-            e
-            for e in self._queue
-            if e[2] is None or e[2]._alive
-        ]
+        queue = self._queue
+        alive = [e for e in queue if e[2] is None or e[2]._alive]
         lane = self._lane
         for i in range(self._lane_pos, len(lane)):
             e = lane[i]
             if e[2] is None or e[2]._alive:
                 alive.append(e)
         heapq.heapify(alive)
-        self._queue = alive
+        queue[:] = alive
         lane.clear()
         self._lane_pos = 0
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import api
-from repro.adversary import Campaign
+from repro.adversary import FaultSpec
 from repro.adversary.library import silent_minority
 from repro.bench.workloads import synthetic_bench
 from repro.core.config import OsirisConfig
@@ -26,13 +26,24 @@ class TestNormalizeFaults:
             {
                 "e0": SlowFault(delay=1.0),
                 "e1": CorruptRecordFault(),
+                "e2": FaultSpec("executor", "silent"),
                 "v0": NegligentLeaderFault(),
+                "v4": FaultSpec("verifier", "bogus-digest"),
+                "op0": FaultSpec("output", "spurious-reports"),
             }
         )
-        assert [pid for pid, _ in plan.executors] == ["e0", "e1"]
-        assert [pid for pid, _ in plan.verifiers] == ["v0"]
-        assert not plan.outputs
+        assert [pid for pid, _ in plan.executors] == ["e0", "e1", "e2"]
+        assert [pid for pid, _ in plan.verifiers] == ["v0", "v4"]
+        assert [pid for pid, _ in plan.outputs] == ["op0"]
         assert plan.campaign is None
+
+    def test_declarative_faults_build_fresh_strategies(self):
+        plan = api.normalize_faults(
+            {"e0": FaultSpec("executor", "slow", {"delay": 2.0})}
+        )
+        first, second = plan.executor_map()["e0"], plan.executor_map()["e0"]
+        assert isinstance(first, SlowFault) and first.delay == 2.0
+        assert first is not second
 
     def test_campaign_and_campaign_json(self):
         campaign = silent_minority()
@@ -148,15 +159,24 @@ class TestSerialization:
             seed=3,
             duration=10.0,
             config=(("suspect_timeout", 2.0),),
-            faults=silent_minority(at=1.0),
+            faults=api.normalize_faults(
+                silent_minority(at=1.0),
+                executors={
+                    "e0": FaultSpec("executor", "slow", {"activate_at": 0.5})
+                },
+                verifiers={"v3": FaultSpec("verifier", "negligent-leader")},
+            ),
             sanitize=True,
         )
 
     def test_descriptor_roundtrip(self):
         spec = self.spec()
         clone = api.DeploymentSpec.from_dict(spec.descriptor())
+        assert clone == spec
         assert clone.descriptor() == spec.descriptor()
         assert clone.campaign == spec.campaign
+        assert clone.faults.executors == spec.faults.executors
+        assert clone.faults.verifiers == spec.faults.verifiers
         assert clone.duration == spec.duration
 
     def test_descriptor_is_json_safe(self):

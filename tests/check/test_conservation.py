@@ -9,7 +9,7 @@ from repro.bench.workloads import synthetic_bench
 from repro.check.conservation import ConservationSink
 from repro.check.report import SanitizerReport
 from repro.core.config import OsirisConfig
-from repro.core.cluster import build_osiris_cluster
+from repro.runtime.deploy import build_osiris_cluster
 from repro.obs.events import ChunkAccepted, TaskCompleted
 
 

@@ -1,10 +1,13 @@
 """Fuzz driver: deterministic generation, clean sweeps, greedy shrinking."""
 
+import json
 import random
 
 import repro.check.fuzz as fuzz_mod
+from repro.adversary import FaultSpec
+from repro.adversary.library import silent_minority
+from repro.api import DeploymentSpec, normalize_faults
 from repro.check.fuzz import generate_point, run_fuzz, shrink_point
-from repro.exp.spec import Point, kv
 
 
 class TestGeneration:
@@ -19,22 +22,25 @@ class TestGeneration:
         for _ in range(60):
             p = generate_point(rng)
             if p.system != "osiris":
-                assert not p.executor_faults and not p.verifier_faults
+                assert p.faults.empty
                 continue
             n_exec = p.n - 3 * (p.k or 1)
             assert n_exec >= 0
-            for pid, kind, _params in p.executor_faults:
-                assert int(pid[1:]) < n_exec
-            for pid, _kind, _params in p.verifier_faults:
+            for pid, fault in p.faults.executors:
+                assert fault.role == "executor" and int(pid[1:]) < n_exec
+            for pid, fault in p.faults.verifiers:
                 # only non-coordinator verifiers may be faulty, which
                 # requires a second sub-cluster
+                assert fault.role == "verifier"
                 assert (p.k or 1) >= 2 and int(pid[1:]) >= 3
+            # every draw is declarative: it serializes and replays
+            assert DeploymentSpec.from_dict(p.to_dict()) == p
 
     def test_space_includes_faulty_and_clean_points(self):
         rng = random.Random(1)
         pts = [generate_point(rng) for _ in range(60)]
-        assert any(p.executor_faults for p in pts)
-        assert any(not p.executor_faults for p in pts)
+        assert any(p.faults.executors for p in pts)
+        assert any(not p.faults.executors for p in pts)
         assert any(p.system != "osiris" for p in pts)
 
 
@@ -53,26 +59,25 @@ class TestSweep:
 class TestShrink:
     def test_greedy_shrink_minimizes_a_failing_point(self, monkeypatch):
         def fake_check(point):
-            if point.executor_faults:
+            if point.faults.executors:
                 return ("violation", frozenset({"x"}), "detail")
             return ("ok", frozenset(), "")
 
         monkeypatch.setattr(fuzz_mod, "_check", fake_check)
-        point = Point(
-            system="osiris",
+        point = DeploymentSpec(
             workload="synthetic",
-            workload_params=kv({"n_tasks": 12}),
+            workload_params={"n_tasks": 12},
             n=8,
             k=1,
             seed=3,
-            config=kv({"suspect_timeout": 2.0}),
-            executor_faults=(
-                ("e0", "silent", kv({"activate_at": 0.0})),
-                ("e1", "slow", kv({"activate_at": 0.0})),
-            ),
+            config={"suspect_timeout": 2.0},
+            faults={
+                "e0": FaultSpec("executor", "silent", {"activate_at": 0.0}),
+                "e1": FaultSpec("executor", "slow", {"activate_at": 0.0}),
+            },
         )
         shrunk, runs = shrink_point(point, frozenset({"x"}))
-        assert len(shrunk.executor_faults) == 1
+        assert len(shrunk.faults.executors) == 1
         assert shrunk.config == ()
         assert dict(shrunk.workload_params)["n_tasks"] == 2
         assert shrunk.n == 4
@@ -88,16 +93,29 @@ class TestCli:
         assert "2 points" in out
 
     def test_point_subcommand_replays_a_descriptor(self, capsys):
-        import json
-
         from repro.check.__main__ import main
 
-        point = Point(
-            system="osiris",
+        point = DeploymentSpec(
             workload="synthetic",
-            workload_params=kv({"n_tasks": 3}),
+            workload_params={"n_tasks": 3},
             n=4,
             seed=1,
         )
-        assert main(["point", json.dumps(point.to_dict())]) == 0
+        assert main(["point", json.dumps(point.descriptor())]) == 0
+        assert "0 violation(s)" in capsys.readouterr().out
+        # static executor and verifier faults plus a campaign replay too
+        faulty = DeploymentSpec(
+            workload="synthetic",
+            workload_params={"n_tasks": 4, "records_per_task": 3},
+            n=8,
+            k=2,
+            seed=1,
+            config={"suspect_timeout": 2.0},
+            faults=normalize_faults(
+                silent_minority(at=1.0, count=1),
+                executors={"e0": FaultSpec("executor", "slow", {"delay": 0.5})},
+                verifiers={"v3": FaultSpec("verifier", "bogus-digest")},
+            ),
+        )
+        assert main(["point", json.dumps(faulty.descriptor())]) == 0
         assert "0 violation(s)" in capsys.readouterr().out

@@ -2,10 +2,8 @@
 
 import random
 
-from dataclasses import replace
-
+from repro.api import DeploymentSpec
 from repro.check.fuzz import _candidates, _check, generate_point
-from repro.exp.spec import Point, kv
 
 
 class TestGeneration:
@@ -33,18 +31,17 @@ class TestGeneration:
 
 
 class TestShrinkOrder:
-    def _point(self, **overrides) -> Point:
+    def _point(self, **overrides) -> DeploymentSpec:
         kw = dict(
-            system="osiris",
             workload="open_loop",
-            workload_params=kv({"n_tasks": 8, "rate": 50.0}),
+            workload_params={"n_tasks": 8, "rate": 50.0},
             n=8,
             k=1,
             shards=2,
             tenants=3,
         )
         kw.update(overrides)
-        return Point(**kw)
+        return DeploymentSpec(**kw)
 
     def test_tenants_and_shards_shrink_before_topology(self):
         cands = list(_candidates(self._point()))

@@ -1,24 +1,32 @@
-"""Sweep runner: dispatch, caching, fan-out determinism, live mode."""
+"""Sweep runner: dispatch, caching, fan-out determinism, DES only."""
 
 import pytest
 
-from repro.errors import BenchmarkError
-from repro.exp import Point, ResultCache, SweepSpec, run_sweep
-from repro.exp.runner import build_workload, execute_point, run_point
-from repro.exp.spec import kv
+from repro.adversary import FaultSpec
+from repro.api import DeploymentSpec
+from repro.errors import AdversaryError, BenchmarkError
+from repro.exp import ResultCache, SweepSpec, run_sweep
+from repro.exp.runner import execute_point
 
 
 def _synthetic_point(**over):
     base = dict(
         system="osiris",
         workload="synthetic",
-        workload_params=kv({"n_tasks": 6, "records_per_task": 4}),
+        workload_params={"n_tasks": 6, "records_per_task": 4},
         n=4,
         seed=1,
         deadline=600.0,
     )
     base.update(over)
-    return Point(**base)
+    return DeploymentSpec(**base)
+
+
+def _run(point):
+    return run_sweep(SweepSpec.of("one", [point])).results[0]
+
+
+_SILENT_E0 = {"e0": FaultSpec("executor", "silent")}
 
 
 def _tiny_spec(name="tiny"):
@@ -35,42 +43,36 @@ class TestDispatch:
     def test_unknown_workload_rejected(self):
         p = _synthetic_point(workload="nope", workload_params=())
         with pytest.raises(BenchmarkError, match="unknown workload"):
-            build_workload(p)
+            execute_point(p)
 
     def test_unknown_fault_rejected(self):
-        p = _synthetic_point(executor_faults=(("e0", "nope", ()),))
-        with pytest.raises(BenchmarkError, match="unknown executor fault"):
-            run_point(p)
+        with pytest.raises(AdversaryError, match="unknown executor fault"):
+            _synthetic_point(faults={"e0": FaultSpec("executor", "nope")})
 
     def test_faults_rejected_for_baselines(self):
-        p = _synthetic_point(
-            system="zft", executor_faults=(("e0", "silent", ()),)
-        )
         with pytest.raises(BenchmarkError, match="OsirisBFT-only"):
-            run_point(p)
+            _synthetic_point(system="zft", faults=_SILENT_E0)
 
     def test_each_system_runs(self):
         for system, expect in (
             ("zft", "ZFT"), ("osiris", "OsirisBFT"), ("rcp", "RCP")
         ):
-            res = run_point(_synthetic_point(system=system))
+            res = _run(_synthetic_point(system=system))
             assert res.system == expect
             assert res.tasks_completed == 6
 
     def test_config_overrides_apply(self):
-        res = run_point(
-            _synthetic_point(config=kv({"non_equivocation": False}))
-        )
+        res = _run(_synthetic_point(config={"non_equivocation": False}))
         assert res.tasks_completed == 6
 
     def test_executor_fault_materialized(self):
-        res = run_point(
+        res = _run(
             _synthetic_point(
                 n=10,
                 k=2,
-                workload_params=kv({"n_tasks": 20, "records_per_task": 4}),
-                config=kv({"suspect_timeout": 0.5}),
-                executor_faults=(("e0", "silent", ()),),
+                workload_params={"n_tasks": 20, "records_per_task": 4},
+                config={"suspect_timeout": 0.5},
+                faults=_SILENT_E0,
             )
         )
         assert res.extra["reassignments"] >= 1
@@ -128,9 +130,11 @@ class TestRunSweep:
         out = run_sweep(changed, cache=cache)
         assert out.cache_hits == 0
 
-    def test_live_mode_keeps_cluster_handle(self):
-        out = run_sweep(SweepSpec.of("live", [_synthetic_point()]), live=True)
-        assert out.outcomes[0].result.extra["cluster"] is not None
+    def test_rejects_live_backend_points(self):
+        live = _synthetic_point(backend="live", label="on-processes")
+        spec = SweepSpec.of("mixed", [_synthetic_point(), live])
+        with pytest.raises(BenchmarkError, match="on-processes"):
+            run_sweep(spec)
 
     def test_cached_mode_drops_cluster_handle(self):
         out = run_sweep(SweepSpec.of("dry", [_synthetic_point()]))

@@ -1,22 +1,19 @@
 """Offered-load × shard-count sweeps: point identity, caching, results."""
 
-from repro.exp import Point, ResultCache, SweepSpec, run_sweep
-from repro.exp.spec import kv
+from repro.api import DeploymentSpec
+from repro.exp import ResultCache, SweepSpec, run_sweep
 
 
 def slo_grid(seed: int = 1) -> SweepSpec:
     points = [
-        Point(
-            system="osiris",
+        DeploymentSpec(
             workload="open_loop",
-            workload_params=kv(
-                {
-                    "n_tasks": 12,
-                    "rate": rate,
-                    "process": "poisson",
-                    "seed": seed,
-                }
-            ),
+            workload_params={
+                "n_tasks": 12,
+                "rate": rate,
+                "process": "poisson",
+                "seed": seed,
+            },
             n=8,
             seed=seed,
             shards=shards,
@@ -32,7 +29,7 @@ def slo_grid(seed: int = 1) -> SweepSpec:
 class TestPointIdentity:
     def test_round_trip(self):
         for point in slo_grid().points:
-            assert Point.from_dict(point.to_dict()) == point
+            assert DeploymentSpec.from_dict(point.to_dict()) == point
 
     def test_shards_in_descriptor(self):
         p1, p2 = slo_grid().points[0], slo_grid().points[2]
@@ -42,7 +39,7 @@ class TestPointIdentity:
     def test_legacy_descriptor_defaults(self):
         d = slo_grid().points[0].to_dict()
         del d["shards"], d["tenants"]
-        p = Point.from_dict(d)
+        p = DeploymentSpec.from_dict(d)
         assert p.shards == 1 and p.tenants == 1
 
 

@@ -1,23 +1,14 @@
-"""Point/SweepSpec vocabulary: identity, serialization, grid order."""
+"""Sweep vocabulary: a sweep point is a DeploymentSpec value — identity,
+serialization, grid order."""
+
+import json
 
 import pytest
 
+from repro.adversary import FaultSpec
+from repro.api import DeploymentSpec
 from repro.errors import BenchmarkError
-from repro.exp import Point, SweepSpec
-from repro.exp.spec import kv
-
-
-class TestKv:
-    def test_sorts_and_freezes(self):
-        assert kv({"b": 2, "a": 1}) == (("a", 1), ("b", 2))
-
-    def test_empty_and_none(self):
-        assert kv(None) == ()
-        assert kv({}) == ()
-
-    def test_rejects_non_scalars(self):
-        with pytest.raises(BenchmarkError):
-            kv({"bad": [1, 2]})
+from repro.exp import SweepSpec
 
 
 class TestPoint:
@@ -25,12 +16,12 @@ class TestPoint:
         base = dict(
             system="osiris",
             workload="anomaly",
-            workload_params=kv({"profile": "MM", "n_tasks": 10}),
+            workload_params={"profile": "MM", "n_tasks": 10},
             n=8,
             seed=3,
         )
         base.update(over)
-        return Point(**base)
+        return DeploymentSpec(**base)
 
     def test_rejects_unknown_system(self):
         with pytest.raises(BenchmarkError):
@@ -44,6 +35,8 @@ class TestPoint:
         assert self._point() == self._point()
         assert len({self._point(), self._point()}) == 1
         assert self._point(seed=4) != self._point()
+        silent = {"e0": FaultSpec("executor", "silent")}
+        assert len({self._point(faults=silent), self._point(faults=silent)}) == 1
 
     def test_descriptor_excludes_label(self):
         a = self._point(label="x")
@@ -56,16 +49,14 @@ class TestPoint:
             f=2,
             k=3,
             bandwidth=1e9,
-            config=kv({"suspect_timeout": 0.5}),
-            executor_faults=(("e0", "silent", kv({"activate_at": 5.0})),),
+            config={"suspect_timeout": 0.5},
+            faults={"e0": FaultSpec("executor", "silent", {"activate_at": 5.0})},
             label="fault-run",
         )
-        assert Point.from_dict(p.to_dict()) == p
+        assert DeploymentSpec.from_dict(p.to_dict()) == p
 
     def test_descriptor_is_json_safe(self):
-        import json
-
-        p = self._point(executor_faults=(("e0", "silent", ()),))
+        p = self._point(faults={"e0": FaultSpec("executor", "silent")})
         json.dumps(p.descriptor())  # must not raise
 
 
@@ -92,6 +83,7 @@ class TestSweepSpecGrid:
             config={"suspect_timeout": 1.0},
         )
         by_system = {p.system: p for p in spec.points}
+        assert isinstance(by_system["osiris"], DeploymentSpec)
         assert by_system["osiris"].config == (("suspect_timeout", 1.0),)
         assert by_system["zft"].config == ()
         assert by_system["rcp"].config == ()

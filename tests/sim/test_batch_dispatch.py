@@ -188,3 +188,28 @@ class TestBatchEdgeCases:
         sim.run()
         assert calls  # invoked at least once, amortized by stride
         assert sim.pending_events == 0
+
+    def test_compaction_mid_run_keeps_time_order_and_fires_once(self):
+        # A lane stream of distinct timestamps (so maintenance passes run
+        # mid-dispatch), a dead-handle pile in the heap that makes one of
+        # those passes compact, and one uncancellable heap event inside
+        # the stream.  Compaction must not strand the lane's unfired
+        # suffix (which would fire later with the clock already past it)
+        # nor leave the heap event queued twice.
+        sim = Simulator()
+        fired = []
+        for i in range(1, 201):
+            sim.schedule_at(float(i), lambda t=float(i): fired.append(t))
+        sim.schedule_at(1000.0, lambda: fired.append(1000.0))
+        dead = [sim.schedule_at(500.0, lambda: None) for _ in range(2000)]
+        for h in dead:
+            h.cancel()
+        sim.post_at(150.5, lambda: fired.append(150.5))
+        expected = sorted([float(i) for i in range(1, 201)] + [150.5, 1000.0])
+
+        sim.run(until=160.0)
+        assert fired == [t for t in expected if t <= 160.0]
+        assert sim.now == 160.0
+        sim.run()
+        assert fired == expected
+        assert sim.pending_events == 0 and sim.drained()
