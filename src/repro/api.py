@@ -677,7 +677,7 @@ def _run_live(spec: DeploymentSpec, time_scale: float = 0.25) -> ScenarioResult:
     Timing-derived numbers (throughput, latency, utilization) come from
     the forwarded event stream and the emulated CPU banks — comparable
     in shape, not in value, to DES results.  ``op_bandwidth`` is zero:
-    there is no modelled NIC on real queues.
+    there is no modelled NIC on real pipes.
     """
     if spec.shards > 1:
         raise BenchmarkError(

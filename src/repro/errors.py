@@ -69,10 +69,11 @@ class ReplayError(ReproError):
 
 
 class LiveError(ReproError):
-    """Live OS-process backend failure: a child died or failed its
-    ready/start handshake, a queue hop carried an undecodable payload,
-    or the deployment requests a feature the live backend cannot host
-    (trigger campaigns, replay capture)."""
+    """Live OS-process backend failure: a child died, failed its
+    ready/start handshake or stopped reading its control pipe, a pipe
+    hop carried an undecodable payload, or the deployment requests a
+    feature the live backend cannot host (trigger campaigns, replay
+    capture)."""
 
 
 class ServeError(ReproError):

@@ -7,14 +7,15 @@
 runs one live burst (:func:`burst_spec`) with thread-CPU timers around four things
 every child's main thread does per message — ``encode_json`` and
 ``decode_json`` as :mod:`repro.live.host` calls them, ``deliver`` (the
-protocol handler and the effects it performs) and ``_recv`` (the queue
-read and its unpickle) — and prints, per node, milliseconds per
-committed task.  Timers nest exclusively: an encode inside a handler
-counts as encode, not as deliver.  ``other`` is the rest of the main
-thread (timers, jobs, flushes, the loop); ``process`` also counts the
-queues' feeder threads, which pickle and write what the main thread
-put.  Each timer costs two ``thread_time`` reads, a few microseconds
-per message, charged to the category it wraps.
+protocol handler and the effects it performs) and ``_recv`` (the wait,
+the pipe reads and the frame parse) — and prints, per node,
+milliseconds per committed task.  Timers nest exclusively: an encode
+inside a handler counts as encode, not as deliver.  ``other`` is the
+rest of the main thread (timers, jobs, the flushes' pipe writes, the
+loop); ``process`` also counts the up queue's feeder thread, which
+pickles and writes the events and reports the main thread put.  Each
+timer costs two ``thread_time`` reads, a few microseconds per message,
+charged to the category it wraps.
 """
 
 from __future__ import annotations

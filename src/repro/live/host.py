@@ -5,17 +5,23 @@ A :class:`LiveHost` is the live substrate of the one host,
 effect rule (timers, crash and guarded-job rules, CPU lanes, capture).
 This module supplies what those rules run on in a real process —
 
-* **transport**: ``Send``/``Multicast``/``NeqMulticast`` encode their
-  message once (codec JSON, content form) and append it to a
-  per-destination outbox; the end of every loop turn flushes each outbox
-  as one *net frame* (see :mod:`repro.live.wire`) on the destination
-  child's ``multiprocessing`` inbox queue (per-(src,dst) FIFO order is
-  append order plus the queue's own FIFO guarantee, and ``sender``/``_neq``
-  are stamped at delivery as the DES network stamps them).  A send to the
-  node itself skips the codec and the queue: the message object waits in
-  a loopback list that the next turn takes as its first frame, so
-  self-sends batch per turn as frames do, and it is delivered as the
-  object every DES receiver shares, stamped the same way;
+* **transport**: a mesh of OS pipes, one per ordered (src, dst) node
+  pair plus one parent→node control pipe per node (:class:`Ends` is one
+  node's share of it).  ``Send``/``Multicast``/``NeqMulticast`` encode
+  their message once (codec JSON, content form) and append the same
+  header and payload bytes to the pending deque of every destination;
+  the end of every loop turn writes each deque with non-blocking
+  ``writev`` until it is empty or the pipe is full, and a full pipe's
+  remainder waits, as views of the same bytes, until the pipe turns
+  writable.  A frame on a pipe is ``(kind, length, payload)``
+  (:data:`PLAIN`, :data:`NEQ` or :data:`CTRL`, see :func:`frame`); the
+  source is the pipe, so per-(src,dst) FIFO order is the pipe's byte
+  order, and ``sender``/``_neq`` are stamped at delivery as the DES
+  network stamps them.  A send to the node itself skips the codec and
+  the pipes: the message object waits in a loopback list that the next
+  turn takes as its first frame, so self-sends batch per turn as frames
+  do, and it is delivered as the object every DES receiver shares,
+  stamped the same way;
 * **clock**: simulated time is ``(monotonic() - t0) / time_scale`` with
   ``t0`` shared by all processes via :class:`~repro.live.wire.CtrlStart`;
   timers, schedules, job completions and milestones wait on one heap
@@ -34,20 +40,27 @@ timing-independent by protocol design, which is what
 :meth:`~repro.core.input_output.OutputProcess.commit_record` builds.
 
 The loop is single-threaded on purpose: the last turn's self-sends or
-one blocking queue read, all due timer/job continuations, whatever else
-already sits in the inbox (bounded, see :data:`_DRAIN_MSGS`), one
-flush — the same run-to-completion handler atomicity cores enjoy under
-the DES.  An idle
-node therefore flushes after every message (low-load latency is one
-hop, as before) and a saturated one amortises its queue puts.
+one ``selectors`` wait over the node's read ends (and every write end
+with bytes pending), all due timer/job continuations, whatever else has
+already arrived (bounded, see :data:`_DRAIN_MSGS`), one flush — the
+same run-to-completion handler atomicity cores enjoy under the DES.  An
+idle node therefore flushes after every message (low-load latency is
+one hop) and a saturated one amortises its writes.  No write ever
+blocks: a node whose peer stops reading keeps serving everyone else.
 """
 
 from __future__ import annotations
 
 import heapq
-import queue
+import os
+import selectors
+import struct
 import time
-from typing import Any, Optional
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from typing import Any, Iterable, Optional
 
 from repro.adversary.campaign import Action
 from repro.adversary.engine import apply_action_to_core
@@ -70,18 +83,42 @@ from repro.runtime.interpreter import EffectInterpreter
 from repro.sim.cpu import CpuBank
 from repro.sim.kernel import EventHandle
 
-__all__ = ["LiveHost", "child_main"]
+__all__ = ["CTRL", "Ends", "LiveHost", "NEQ", "PLAIN", "child_main", "frame"]
 
-#: maximum blocking wait on the inbox, so the loop periodically re-derives
-#: ``now`` even when neither timers nor messages are pending
+#: maximum wait for input, so the loop periodically re-derives ``now``
+#: even when neither timers nor messages are pending
 _POLL_S = 0.25
-#: messages one turn may take from the inbox before it flushes and looks
-#: at the heap again: a busy inbox must not starve jobs and view timers
+#: messages one turn may take from its pipes before it flushes and looks
+#: at the heap again: a busy node must not starve jobs and view timers
 _DRAIN_MSGS = 64
-#: payload size (JSON is ASCII) above which a message is flushed at once,
-#: alone in its frame: batching bulk chunks only stacks megabytes in both
-#: processes' pickle buffers (peak RSS) for no saving in puts per byte
-_SOLO_BYTES = 64 * 1024
+#: frame kinds: a protocol message sent plainly or by ``NeqMulticast``,
+#: and a codec-JSON control envelope from the parent
+PLAIN, NEQ, CTRL = 0, 1, 2
+#: frame header: kind, payload length
+_HEAD = struct.Struct("<BI")
+#: bytes one ``readv`` may take, into a buffer allocated once per host
+#: (``os.read`` of this size would allocate it per call)
+_READ_BYTES = 1 << 18
+#: buffers one ``writev`` may carry
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def frame(kind: int, payload: bytes) -> bytes:
+    """One message as it crosses a pipe: header, then payload."""
+    return _HEAD.pack(kind, len(payload)) + payload
+
+
+@dataclass
+class Ends:
+    """One node's ends of the pipe mesh: the read end of its control
+    pipe, a read end per source node and a write end per destination."""
+
+    ctrl: int
+    rx: dict[str, int]
+    tx: dict[str, int]
+
+    def fds(self) -> set[int]:
+        return {self.ctrl, *self.rx.values(), *self.tx.values()}
 
 
 class _WallClock:
@@ -128,20 +165,35 @@ class LiveHost(EffectInterpreter):
         self,
         core: ProtocolCore,
         cores: int,
-        inboxes: dict[str, Any],
+        ends: Ends,
         up: Any,
         wanted: frozenset[str],
     ) -> None:
         pid = core.pid
-        self._inboxes = inboxes
-        self._inbox = inboxes[pid]
         self._up = up
         self.wants = wanted.__contains__
         self._stop = False
-        self._outbox: dict[str, list[tuple[bool, str]]] = {}
+        self._tx = dict(ends.tx)
+        #: per destination, the buffers not yet written to its pipe
+        self._out: dict[str, deque] = {dst: deque() for dst in ends.tx}
+        self._dirty: set[str] = set()  # destinations posted to this turn
+        self._waiting: set[str] = set()  # registered for writability
         #: this turn's sends to ``pid`` itself, as ``(neq, msg)``
         self._loopback: list[tuple[bool, Any]] = []
+        #: parsed input not yet handled: one ``(src, [(neq, payload)])``
+        #: frame per message (the due rule is checked between messages),
+        #: and control envelopes
+        self._ready: deque = deque()
         self._events: list[ChildEvent] = []  # emitted this turn
+        self._scratch = memoryview(bytearray(_READ_BYTES))
+        self._sel = selectors.DefaultSelector()
+        for fd in ends.tx.values():
+            os.set_blocking(fd, False)
+        for src, fd in (*ends.rx.items(), (None, ends.ctrl)):
+            os.set_blocking(fd, False)
+            self._sel.register(
+                fd, selectors.EVENT_READ, partial(self._read, fd, src, bytearray())
+            )
         clock = _WallClock()
         self._attach(
             core,
@@ -153,25 +205,20 @@ class LiveHost(EffectInterpreter):
     # ----------------------------------------------------------- transport
     def _post(self, dsts, msg: Any, neq: bool) -> None:
         pid = self.pid
-        item = None
+        head = None
         for dst in dsts:
             if dst == pid:  # the object itself, as the DES delivers it
                 self._loopback.append((neq, msg))
                 continue
-            box = self._inboxes.get(dst)
-            if box is None:
+            out = self._out.get(dst)
+            if out is None:
                 raise LiveError(f"{pid}: send to unknown node {dst!r}")
-            if item is None:  # encoded once, for the first remote dst
-                payload = encode_json(msg, with_sender=False)
-                item = (neq, payload)
-                solo = len(payload) > _SOLO_BYTES
-            if solo:
-                queued = self._outbox.pop(dst, None)
-                if queued:  # per-(src,dst) FIFO: earlier sends go first
-                    box.put((pid, queued))
-                box.put((pid, [item]))
-            else:
-                self._outbox.setdefault(dst, []).append(item)
+            if head is None:  # encoded once, for the first remote dst
+                payload = encode_json(msg, with_sender=False).encode()
+                head = _HEAD.pack(NEQ if neq else PLAIN, len(payload))
+            out.append(head)
+            out.append(payload)
+            self._dirty.add(dst)
 
     def _send(self, dst: str, msg: Any) -> None:
         self._post((dst,), msg, False)
@@ -189,17 +236,85 @@ class LiveHost(EffectInterpreter):
         self._events.append(ChildEvent(pid=self.pid, event=event))
 
     def _flush(self) -> None:
-        """End of a turn: one put per destination, one for the events."""
-        for dst, batch in self._outbox.items():
-            self._inboxes[dst].put((self.pid, batch))
-        self._outbox.clear()
+        """End of a turn: write what each destination got, put the events."""
+        for dst in self._dirty:
+            self._write(dst)
+        self._dirty.clear()
         if self._events:
             self._up.put(encode_json(self._events))
             self._events.clear()
 
+    def _write(self, dst: str) -> None:
+        """Write ``dst``'s pending buffers until none is left or its pipe
+        is full; a full pipe is watched for writability.  A reader that
+        is gone (EPIPE) costs its pending bytes, not the node."""
+        out = self._out[dst]
+        fd = self._tx[dst]
+        try:
+            while out:
+                n = os.writev(
+                    fd, out if len(out) <= _IOV_MAX else list(islice(out, _IOV_MAX))
+                )
+                while n:  # drop what went out; a partial one stays a view
+                    size = len(out[0])
+                    if n < size:
+                        out[0] = memoryview(out[0])[n:]
+                        break
+                    out.popleft()
+                    n -= size
+        except BlockingIOError:
+            if dst not in self._waiting:
+                self._waiting.add(dst)
+                self._sel.register(
+                    fd, selectors.EVENT_WRITE, partial(self._write, dst)
+                )
+            return
+        except BrokenPipeError:
+            out.clear()
+        if dst in self._waiting:
+            self._waiting.discard(dst)
+            self._sel.unregister(fd)
+
+    def _read(self, fd: int, src: Optional[str], buf: bytearray) -> None:
+        """Read a ready end until it is empty, then queue every whole
+        message in ``buf`` on :attr:`_ready` (``src`` is ``None`` on the
+        control pipe)."""
+        scratch = self._scratch
+        while True:
+            try:
+                n = os.readv(fd, (scratch,))
+            except BlockingIOError:
+                break
+            if not n:  # every writer is gone: stop watching this end
+                self._sel.unregister(fd)
+                if src is None:  # and with the parent gone, stop serving
+                    self._stop = True
+                break
+            buf += scratch[:n]
+            if n < _READ_BYTES:  # a short read emptied the pipe
+                break
+        ready = self._ready
+        unpack = _HEAD.unpack_from
+        head = _HEAD.size
+        end = len(buf)
+        pos = 0
+        while end - pos >= head:
+            kind, size = unpack(buf, pos)
+            stop = pos + head + size
+            if stop > end:
+                break
+            # str, not bytes: json.loads detects the encoding of bytes
+            payload = buf[pos + head : stop].decode()
+            pos = stop
+            if kind == CTRL:
+                ready.append(decode_json(payload))
+            else:
+                ready.append((src, [(kind == NEQ, payload)]))
+        del buf[:pos]
+
     # ------------------------------------------------------------ the loop
     def run(self) -> None:
-        """Serve the inbox until the parent shuts us down."""
+        """Serve the pipes until the parent shuts us down."""
         self._up.put(encode_json(ChildReady(pid=self.pid)))
         clock = self.clock
         heap = clock.heap
@@ -220,6 +335,7 @@ class LiveHost(EffectInterpreter):
                     break
                 item = self._recv(0.0)
             self._flush()
+        self._sel.close()
 
     def _next(self, timeout: float) -> Any:
         """A turn's first item: the last turn's sends to this node as one
@@ -230,21 +346,30 @@ class LiveHost(EffectInterpreter):
         return self._recv(timeout)
 
     def _recv(self, timeout: float) -> Any:
-        """Next inbox item — a net frame as is, a control string decoded —
-        or ``None`` after ``timeout`` wall seconds."""
-        try:
-            raw = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        return raw if type(raw) is tuple else decode_json(raw)
+        """Next parsed item — one message as a frame, or a control
+        envelope — or ``None`` after ``timeout`` wall seconds.  Waiting
+        also writes whatever a full pipe left pending."""
+        ready = self._ready
+        if ready:
+            return ready.popleft()
+        end = time.monotonic() + timeout
+        while True:
+            for key, _ in self._sel.select(timeout):
+                key.data()
+            if ready:
+                return ready.popleft()
+            timeout = end - time.monotonic()
+            if timeout <= 0 or self._stop:
+                return None
 
     def _handle(self, item: Any) -> int:
-        """One item: a net frame or a control envelope.  Returns how many
-        messages it carried (the unit of the drain budget)."""
+        """One item: a frame of messages or a control envelope.  Returns
+        how many messages it carried (the unit of the drain budget)."""
         if type(item) is tuple:
             src, batch = item
+            remote = src != self.pid  # a loopback frame holds the objects
             for neq, msg in batch:
-                if type(msg) is str:  # a loopback frame holds the objects
+                if remote:
                     msg = decode_json(msg)
                 # delivery stamps, as Network._fanout/_deliver set them on
                 # the one object every DES receiver shares
@@ -332,11 +457,15 @@ def child_main(
     spec,
     app,
     workload,
-    inboxes: dict[str, Any],
+    ends: Ends,
+    foreign: Iterable[int],
     up: Any,
     wanted: frozenset[str],
 ) -> None:
-    """Entry point of one forked child: build the core, serve the loop."""
+    """Entry point of one forked child: close the mesh ends this node does
+    not own (``foreign``), build the core, serve the loop."""
+    for fd in foreign:  # else a dead peer's pipe stays open in this process
+        os.close(fd)
     register_wire()
     _reseed(plan.seed, spec.pid)
     from repro.crypto.signatures import KeyRegistry
@@ -346,15 +475,9 @@ def child_main(
         if other.pid != spec.pid:
             registry.provision(other.pid)
     core = plan.make_core(spec, app, registry, workload=workload)
-    host = LiveHost(core, spec.cores, inboxes, up, wanted)
+    host = LiveHost(core, spec.cores, ends, up, wanted)
     try:
         host.run()
     finally:
-        # undelivered messages to peers must not wedge this process's
-        # exit (their feeder threads would otherwise block on full
-        # pipes); the up-queue is joined so the exit report flushes
-        for box in inboxes.values():
-            box.close()
-            box.cancel_join_thread()
-        up.close()
+        up.close()  # joined, so the exit report reaches the parent
         up.join_thread()

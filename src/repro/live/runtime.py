@@ -3,8 +3,18 @@
 :class:`LiveRuntime` instantiates a backend-agnostic
 :class:`~repro.runtime.plan.ClusterPlan` as one forked OS process per
 node (``multiprocessing`` fork context: children inherit the plan, the
-application and the queue handles without any pickling) and then acts
-as the deployment's *substrate services* for the duration of the run:
+application and the pipe mesh without any pickling) and then acts as
+the deployment's *substrate services* for the duration of the run:
+
+* **pipe mesh** — before the first fork, one pipe per ordered (src, dst)
+  node pair and one control pipe per node, each grown toward
+  ``fs.pipe-max-size``; every child closes the ends it does not own and
+  the parent keeps only the control pipes' write ends, so a dead node's
+  pipes are closed everywhere (writers see EPIPE, readers EOF).
+  Control envelopes are codec JSON framed as
+  :data:`~repro.live.host.CTRL`, written under one lock because the
+  gateway's threads call :meth:`LiveRuntime.submit`; a write to a dead
+  child raises :class:`~repro.errors.LiveError`;
 
 * **observability pump** — children forward every emitted trace event
   over a shared up-queue; the parent decodes and re-emits them on a
@@ -29,15 +39,19 @@ as the deployment's *substrate services* for the duration of the run:
 
 from __future__ import annotations
 
+import fcntl
 import multiprocessing as mp
+import os
 import queue
+import selectors
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.adversary.campaign import Phase, resolve_selector
 from repro.errors import BenchmarkError, LiveError
-from repro.live.host import child_main
+from repro.live.host import CTRL, Ends, child_main, frame
 from repro.live.wire import (
     ChildEvent,
     ChildExit,
@@ -67,12 +81,74 @@ _READY_TIMEOUT_S = 30.0
 _JOIN_TIMEOUT_S = 10.0
 #: wall-clock lead given to CtrlStart so every child sees t0 in its future
 _START_LEAD_S = 0.05
+#: capacity asked for every mesh pipe: one bulk chunk is one write
+_PIPE_BYTES = 1 << 20
 
 _ALL_CATEGORIES = frozenset(
     getattr(_events, name)
     for name in _events.__all__
     if name.startswith("CATEGORY_")
 )
+
+
+def _grow(fds: list[int]) -> None:
+    """Ask :data:`_PIPE_BYTES` (capped at ``fs.pipe-max-size``) of each
+    pipe; one the kernel refuses keeps its default size."""
+    try:
+        with open("/proc/sys/fs/pipe-max-size") as fh:
+            size = min(_PIPE_BYTES, int(fh.read()))
+    except (OSError, ValueError):  # no Linux pipe sizing here
+        return
+    for fd in fds:
+        try:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, size)
+        except OSError:
+            pass
+
+
+def open_mesh(pids: list[str]) -> tuple[dict[str, Ends], dict[str, int]]:
+    """Every node's :class:`~repro.live.host.Ends`, and the parent's write
+    end of each node's control pipe.
+
+    All pipes are made before any is grown: past
+    ``fs.pipe-user-pages-soft`` the kernel refuses ``F_SETPIPE_SZ``
+    (EPERM) *and* gives new pipes two pages, so growing first could
+    leave the last pipes smaller than the default.  A refused pipe keeps
+    the default size — speed may depend on the larger pipe, correctness
+    does not.
+    """
+    made: list[int] = []
+
+    def pipe() -> tuple[int, int]:
+        r, w = os.pipe()
+        made.extend((r, w))
+        return r, w
+
+    rx: dict[str, dict[str, int]] = {pid: {} for pid in pids}
+    tx: dict[str, dict[str, int]] = {pid: {} for pid in pids}
+    ctrl_rx, ctrl = {}, {}
+    try:
+        for src in pids:
+            for dst in pids:
+                if src != dst:
+                    rx[dst][src], tx[src][dst] = pipe()
+        for pid in pids:
+            ctrl_rx[pid], ctrl[pid] = pipe()
+    except BaseException:
+        for fd in made:
+            os.close(fd)
+        raise
+    _grow(made[1::2])
+    for fd in ctrl.values():  # a stalled child must not hang the parent
+        os.set_blocking(fd, False)
+    ends = {pid: Ends(ctrl=ctrl_rx[pid], rx=rx[pid], tx=tx[pid]) for pid in pids}
+    return ends, ctrl
+
+
+def _writable(fd: int, timeout: float) -> bool:
+    with selectors.DefaultSelector() as sel:
+        sel.register(fd, selectors.EVENT_WRITE)
+        return bool(sel.select(timeout))
 
 
 @dataclass
@@ -147,6 +223,10 @@ class LiveRuntime:
         for sink in sinks:
             self.bus.attach(sink)
         self._ran = False
+        #: mesh ends the parent holds open (after the forks: ``_ctrl``'s)
+        self._held: list[int] = []
+        self._ctrl: dict[str, int] = {}
+        self._ctrl_lock = threading.Lock()
 
     # ------------------------------------------------------------- plumbing
     def _wanted(self) -> frozenset[str]:
@@ -157,9 +237,32 @@ class LiveRuntime:
             c for c in _ALL_CATEGORIES if self.bus.wants(c)
         )
 
-    def _broadcast(self, payload: str) -> None:
-        for box in self._inboxes.values():
-            box.put(payload)
+    def _broadcast(self, envelope) -> None:
+        self._send_ctrl(self._ctrl, envelope)
+
+    def _send_ctrl(self, pids: Iterable[str], envelope) -> None:
+        """Encode ``envelope`` once and write it to each of ``pids``'
+        control pipes, whole, under the one lock."""
+        data = frame(CTRL, encode_json(envelope).encode())
+        with self._ctrl_lock:
+            for pid in pids:
+                fd = self._ctrl.get(pid)
+                if fd is None:  # before start() or after cleanup
+                    raise LiveError(f"node {pid!r} is not running")
+                view = memoryview(data)
+                while view:
+                    try:
+                        view = view[os.write(fd, view) :]
+                    except BlockingIOError:
+                        if not _writable(fd, _JOIN_TIMEOUT_S):
+                            raise LiveError(
+                                f"child {pid} stopped reading its control "
+                                f"pipe for {_JOIN_TIMEOUT_S:g} s"
+                            ) from None
+                    except BrokenPipeError:
+                        raise LiveError(
+                            f"child {pid} died (its control pipe is closed)"
+                        ) from None
 
     # ------------------------------------------------------------ lifecycle
     def run(
@@ -208,7 +311,9 @@ class LiveRuntime:
         self._ran = True
         ctx = mp.get_context("fork")
         self._up = ctx.Queue()
-        self._inboxes = {spec.pid: ctx.Queue() for spec in self.plan.nodes}
+        ends, self._ctrl = open_mesh([spec.pid for spec in self.plan.nodes])
+        node_side = set().union(*(e.fds() for e in ends.values()))
+        self._held = [*node_side, *self._ctrl.values()]
         wanted = self._wanted()
         primary_ip = (
             self.plan.topo.input_pids[0] if self.plan.topo.input_pids else None
@@ -230,7 +335,8 @@ class LiveRuntime:
                         spec,
                         self.app,
                         stream,
-                        self._inboxes,
+                        ends[spec.pid],
+                        sorted(set(self._held) - ends[spec.pid].fds()),
                         self._up,
                         wanted,
                     ),
@@ -239,11 +345,12 @@ class LiveRuntime:
                 )
                 p.start()
                 procs[spec.pid] = p
+            for fd in node_side:  # the children own these now
+                os.close(fd)
+            self._held = list(self._ctrl.values())
             self._await_ready(procs)
             self._t0 = time.monotonic() + _START_LEAD_S
-            self._broadcast(
-                encode_json(CtrlStart(t0=self._t0, time_scale=self.time_scale))
-            )
+            self._broadcast(CtrlStart(t0=self._t0, time_scale=self.time_scale))
             campaign = self.plan.campaign
             self._pending = (
                 sorted(campaign.phases, key=lambda ph: ph.at)
@@ -266,12 +373,13 @@ class LiveRuntime:
         """Inject one externally-submitted task; returns the input pid
         it routed to.  Tenant-keyed over the plan's input pipelines
         (single-pipeline plans always route to ``ip0``).  Thread-safe:
-        ``multiprocessing`` queue puts may race the pump thread."""
+        control-pipe writes take one lock, so they may race the pump
+        thread's."""
         ips = self.plan.topo.input_pids
         if not ips:
             raise LiveError("plan has no input process to submit to")
         pid = ips[shard_of_tenant(task.tenant, len(ips))]
-        self._inboxes[pid].put(encode_json(CtrlSubmit(pid=pid, task=task)))
+        self._send_ctrl((pid,), CtrlSubmit(pid=pid, task=task))
         return pid
 
     def poll(self, timeout: float = 0.05) -> None:
@@ -384,8 +492,8 @@ class LiveRuntime:
             )
         for action in phase.actions:
             for pid in resolve_selector(action.select, self.plan.topo):
-                self._inboxes[pid].put(
-                    encode_json(CtrlAction(pid=pid, action=action.to_dict()))
+                self._send_ctrl(
+                    (pid,), CtrlAction(pid=pid, action=action.to_dict())
                 )
                 kind = action.fault.kind if action.fault is not None else ""
                 role = action.fault.role if action.fault is not None else ""
@@ -416,7 +524,7 @@ class LiveRuntime:
 
     def _shutdown(self, t0: float, procs: dict, report: LiveReport) -> None:
         """Drain, collect exit reports, join with deadline, kill stragglers."""
-        self._broadcast(encode_json(CtrlShutdown(grace=0.2)))
+        self._broadcast(CtrlShutdown(grace=0.2))
         deadline = time.monotonic() + _JOIN_TIMEOUT_S
         while (
             len(self._exited) < len(procs) and time.monotonic() < deadline
@@ -444,7 +552,10 @@ class LiveRuntime:
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=1.0)
-        for q in list(self._inboxes.values()) + [self._up]:
-            q.close()
-            q.cancel_join_thread()
+        with self._ctrl_lock:  # a late submit must not write a reused fd
+            for fd in self._held:
+                os.close(fd)
+            self._held, self._ctrl = [], {}
+        self._up.close()
+        self._up.cancel_join_thread()
         self.bus.close()

@@ -2,19 +2,21 @@
 
 Exactly two payload shapes cross a process boundary:
 
-* a **codec-JSON string** (:mod:`repro.runtime.codec`) — the parent
-  drives children with the ``Ctrl*`` types, children answer with
-  :class:`ChildReady` / :class:`ChildExit`, and the trace events one
-  child emitted in one loop turn ride up as the JSON of a *list* of
-  :class:`ChildEvent`;
-* a **net frame** between children — the plain tuple
-  ``(src, [(neq, payload), ...])``: everything ``src`` sent to this
-  inbox in one loop turn, in send order.  Each ``payload`` is the codec
-  JSON of one protocol message in content form, encoded once per effect
-  and shared by every destination's frame; ``src`` and ``neq`` are the
-  transport stamps, carried as plain fields beside the payload.  The
-  receiving :class:`~repro.live.host.LiveHost` sets them as
-  ``sender``/``_neq`` (as the DES network does) before the shared
+* a **codec-JSON envelope** (:mod:`repro.runtime.codec`) — the parent
+  drives children with the ``Ctrl*`` types, framed as
+  :data:`~repro.live.host.CTRL` on each child's control pipe; children
+  answer on the up queue with :class:`ChildReady` / :class:`ChildExit`,
+  and the trace events one child emitted in one loop turn ride up as
+  the JSON of a *list* of :class:`ChildEvent`;
+* a **net frame** between children — ``(kind, length, payload)`` on the
+  pipe from ``src`` to ``dst`` (:func:`repro.live.host.frame`).  Each
+  ``payload`` is the codec JSON of one protocol message in content
+  form, encoded once per effect and written to every destination; the
+  transport stamps ride outside it — ``src`` is the pipe, ``neq`` the
+  frame kind (:data:`~repro.live.host.PLAIN` or
+  :data:`~repro.live.host.NEQ`).  The receiving
+  :class:`~repro.live.host.LiveHost` sets them as ``sender``/``_neq``
+  (as the DES network does) before the shared
   :class:`~repro.runtime.interpreter.EffectInterpreter` delivers.
 
 :func:`register_wire` installs every envelope *and* the full

@@ -2,7 +2,7 @@
 
 Anything that crosses a process boundary goes through this module: the
 replay capture logs (a captured inbox must survive a JSONL file → later
-debugging session), every queue hop of the live OS-process backend
+debugging session), every pipe hop of the live OS-process backend
 (:mod:`repro.live`) and every served frame (:mod:`repro.serve.frames`).
 A live node's sends to *itself* never get here: they are handed over as
 objects, as the DES hands every delivery over (DESIGN.md §13).  Values

@@ -17,7 +17,7 @@ event sink  ``wants(category)`` and ``_emit(event)``
 ==========  ==========================================================
 
 :class:`~repro.runtime.des.DesHost` is the DES substrate (Simulator,
-Network); :class:`~repro.live.host.LiveHost` is the live one (queues, a
+Network); :class:`~repro.live.host.LiveHost` is the live one (pipes, a
 wall-clock heap).  ``tests/runtime/test_host_contract.py`` checks the
 rules below on both.
 

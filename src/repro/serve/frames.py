@@ -4,7 +4,7 @@ One frame is a 4-byte big-endian payload length followed by that many
 bytes of UTF-8 codec JSON (:mod:`repro.runtime.codec` — the same tagged
 encoding every other process boundary in the system uses, so a
 :class:`~repro.core.tasks.Task` crosses the client socket in exactly
-the form it later crosses the parent→child queues).  Frames are bounded
+the form it later crosses the parent→child control pipes).  Frames are bounded
 by :data:`MAX_FRAME`; a peer announcing a larger payload is cut off
 before a byte of it is read, and a connection that dies mid-frame
 raises :class:`~repro.errors.ServeError` rather than yielding a

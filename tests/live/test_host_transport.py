@@ -1,22 +1,30 @@
 """The live transport's hot path, driven in-process (no fork, tier-1).
 
-A :class:`~repro.live.host.LiveHost` only needs ``get``/``put`` of its
-queues, so ``queue.Queue`` stand-ins let these tests fill an inbox, call
-``run()`` (it returns on the trailing ``CtrlShutdown``) and read what
-came out of the other end: how often the codec ran, how sends were
-framed, and what a receiver saw.  Fork-level behaviour is covered by
-``test_crossval.py`` and ``tests/serve`` under the ``live`` marker.
+A :class:`~repro.live.host.LiveHost` talks to its peers and its parent
+over OS pipes, so these tests hand it ``os.pipe()`` pairs of their own
+(:class:`Wires`): they write what peers and the parent send into its
+read ends, call ``run()`` (it returns on the trailing ``CtrlShutdown``)
+and read what came out of its write ends — how often the codec ran, how
+sends were framed and written, and what a receiver saw.  Cases that need
+a concurrent reader run the host in a thread.  Fork-level behaviour is
+covered by ``test_crossval.py``, ``test_process_faults.py`` and
+``tests/serve`` under the ``live`` marker.
 """
 
+import os
 import queue
+import selectors
+import threading
 import time
 
 import pytest
 
 from repro.api import DeploymentSpec, build
 from repro.consensus.messages import CsRequest
+from repro.errors import LiveError
 from repro.live import host as host_mod
-from repro.live.host import LiveHost
+from repro.live import runtime as runtime_mod
+from repro.live.host import CTRL, NEQ, PLAIN, Ends, LiveHost, frame
 from repro.live.runtime import LiveReport
 from repro.live.wire import (
     ChildExit,
@@ -29,7 +37,10 @@ from repro.obs.events import CATEGORY_TASK, TaskCompleted
 from repro.runtime.codec import decode_json, encode_json
 from repro.runtime.core import ProtocolCore
 
-_BIG = "x" * (host_mod._SOLO_BYTES + 1)
+#: fits a default 64 KiB pipe, so it is written in one go
+_BIG = "x" * (48 * 1024)
+#: more than a default pipe holds: written in parts
+_HUGE = "z" * (200 * 1024)
 
 
 def setup_module():
@@ -37,12 +48,92 @@ def setup_module():
 
 
 class _Queue(queue.Queue):
-    """``mp.Queue`` surface the parent's cleanup also touches."""
+    """``mp.Queue`` surface of the up channel that the parent's cleanup
+    also touches."""
 
     def close(self):
         pass
 
     cancel_join_thread = close
+
+
+class Wires:
+    """A host's share of the pipe mesh, made in this process: the test
+    writes what peers (``into``) and the parent (``ctrl``) send and reads
+    what the host wrote for each peer (``outof``)."""
+
+    live: list = []  # every Wires not yet closed
+
+    def __init__(self, peers):
+        self.fds = []
+        rx, tx, self.into, self.outof = {}, {}, {}, {}
+        for peer in peers:
+            rx[peer], self.into[peer] = self._pipe()
+            self.outof[peer], tx[peer] = self._pipe()
+        ctrl, self.ctrl = self._pipe()
+        self.ends = Ends(ctrl=ctrl, rx=rx, tx=tx)
+        Wires.live.append(self)
+
+    def _pipe(self):
+        r, w = os.pipe()
+        self.fds += (r, w)
+        return r, w
+
+    def send(self, src, data):
+        """Write ``data`` as peer ``src`` sends it (``None``: the parent)."""
+        fd = self.ctrl if src is None else self.into[src]
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+
+    def raw(self, dst, wait=0.0):
+        """Every byte the host wrote for ``dst`` so far, waiting up to
+        ``wait`` seconds for the first."""
+        fd = self.outof[dst]
+        os.set_blocking(fd, False)
+        with selectors.DefaultSelector() as sel:
+            sel.register(fd, selectors.EVENT_READ)
+            sel.select(wait)
+        out = bytearray()
+        while True:
+            try:
+                data = os.read(fd, 1 << 16)
+            except BlockingIOError:
+                break
+            if not data:
+                break
+            out += data
+        return bytes(out)
+
+    def read(self, dst):
+        """What the host wrote for ``dst``, as ``(kind, payload)``."""
+        return _parse(self.raw(dst))
+
+    def close(self):
+        for fd in self.fds:
+            os.close(fd)
+        self.fds = []
+
+
+@pytest.fixture(autouse=True)
+def _close_wires():
+    yield
+    while Wires.live:
+        Wires.live.pop().close()
+
+
+def _parse(data, complete=True):
+    """A frame reader: ``(kind, payload)`` of every whole frame; unless
+    ``complete`` is false (a reader mid-stream), nothing may be left."""
+    out, pos, head = [], 0, host_mod._HEAD.size
+    while len(data) - pos >= head:
+        kind, size = host_mod._HEAD.unpack_from(data, pos)
+        if pos + head + size > len(data):
+            break
+        out.append((kind, data[pos + head : pos + head + size].decode()))
+        pos += head + size
+    assert pos == len(data) or not complete, "a frame was cut short"
+    return out
 
 
 class _Probe(ProtocolCore):
@@ -65,21 +156,35 @@ def _req(tag, payload=None):
     return CsRequest(request_id=tag, payload=payload)
 
 
-def _frame(src, *tags, neq=False):
-    return (src, [(neq, encode_json(_req(t), with_sender=False)) for t in tags])
+def _msgs(*tags, neq=False):
+    """A frame writer: the bytes a peer writes to send ``tags``."""
+    kind = NEQ if neq else PLAIN
+    return b"".join(
+        frame(kind, encode_json(_req(t), with_sender=False).encode())
+        for t in tags
+    )
+
+
+def _ctrl(envelope):
+    return frame(CTRL, encode_json(envelope).encode())
 
 
 def _host(script=None, pid="a", peers=("b", "c", "d"), up=None, wanted=()):
-    inboxes = {p: _Queue() for p in (pid, *peers)}
+    wires = Wires(peers)
     core = _Probe(pid, script)
-    return LiveHost(core, 1, inboxes, up or _Queue(), frozenset(wanted)), core
+    host = LiveHost(core, 1, wires.ends, up or _Queue(), frozenset(wanted))
+    host.wires = wires
+    return host, core
 
 
 def _run(host, *items, grace=0.0):
-    """Serve ``items`` then shut down; returns what went up, decoded."""
-    for item in items:
-        host._inbox.put(item)
-    host._inbox.put(encode_json(CtrlShutdown(grace=grace)))
+    """Serve ``items`` — ``(src, bytes)``, ``src`` ``None`` for the
+    parent — then shut down; returns what went up, decoded.  The host's
+    one wait reports its pipes in the order they turned readable, so
+    the trailing shutdown is read after the peers' messages."""
+    for src, data in items:
+        host.wires.send(src, data)
+    host.wires.send(None, _ctrl(CtrlShutdown(grace=grace)))
     host.run()
     return [decode_json(raw) for raw in _drain(host._up)]
 
@@ -92,15 +197,38 @@ def _drain(q):
 
 
 def _tags(frames):
-    return [
-        decode_json(payload).request_id
-        for _, batch in frames
-        for _, payload in batch
-    ]
+    return [decode_json(payload).request_id for _, payload in frames]
 
 
 def _start():
-    return encode_json(CtrlStart(t0=time.monotonic(), time_scale=1.0))
+    return _ctrl(CtrlStart(t0=time.monotonic(), time_scale=1.0))
+
+
+class _Writes:
+    """Every ``writev`` a host makes: per write end, the buffers it was
+    handed and how many bytes went out."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = os.writev
+
+        def writev(fd, bufs):
+            bufs = list(bufs)
+            n = real(fd, bufs)
+            self.calls.append((fd, bufs, n))
+            return n
+
+        monkeypatch.setattr(host_mod.os, "writev", writev)
+
+    def to(self, host, dst):
+        fd = host.wires.ends.tx[dst]
+        return [(bufs, n) for f, bufs, n in self.calls if f == fd]
+
+    def flushes(self, host, dst):
+        """The tags each write to ``dst`` carried."""
+        return [
+            _tags(_parse(b"".join(bufs)[:n])) for bufs, n in self.to(host, dst)
+        ]
 
 
 class TestEncodeOnce:
@@ -111,14 +239,16 @@ class TestEncodeOnce:
             calls.append(type(value).__name__)
             return encode_json(value, with_sender)
 
+        writes = _Writes(monkeypatch)
         host, _ = _host({"go": lambda c, m: c.multicast("bcd", _req("out"))})
         monkeypatch.setattr(host_mod, "encode_json", counting)
-        _run(host, _frame("b", "go"))
+        _run(host, ("b", _msgs("go")))
         assert calls.count("CsRequest") == 1
-        frames = [_drain(host._inboxes[p]) for p in "bcd"]
-        assert all(f == [("a", [(False, frames[0][0][1][0][1])])] for f in frames)
-        # one string object shared by every destination's frame
-        assert len({id(f[0][1][0][1]) for f in frames}) == 1
+        frames = [host.wires.read(p) for p in "bcd"]
+        assert all(f == [(PLAIN, frames[0][0][1])] for f in frames)
+        # one bytes object handed to every destination's write
+        payloads = {id(writes.to(host, p)[0][0][1]) for p in "bcd"}
+        assert len(payloads) == 1
 
     def test_send_and_neq_multicast_encode_once_each(self, monkeypatch):
         calls = []
@@ -134,84 +264,178 @@ class TestEncodeOnce:
             core.neq_multicast("cd", _req("n"))
 
         host, _ = _host({"go": go})
-        _run(host, _frame("b", "go"))
+        _run(host, ("b", _msgs("go")))
         assert [m.request_id for m in calls if isinstance(m, CsRequest)] == [
             "s",
             "n",
         ]
-        to_c = _drain(host._inboxes["c"])
-        assert [neq for _, batch in to_c for neq, _ in batch] == [True]
+        assert [kind for kind, _ in host.wires.read("c")] == [NEQ]
 
     def test_unknown_destination_is_loud(self):
         host, _ = _host({"go": lambda c, m: c.send("nobody", _req("x"))})
-        with pytest.raises(host_mod.LiveError, match="unknown node 'nobody'"):
-            _run(host, _frame("b", "go"))
+        with pytest.raises(LiveError, match="unknown node 'nobody'"):
+            _run(host, ("b", _msgs("go")))
 
 
 class TestFraming:
-    def test_one_put_per_destination_per_turn(self):
+    def test_one_put_per_destination_per_turn(self, monkeypatch):
+        """A turn's sends to one destination leave in one ``writev``."""
+
         def go(core, msg):
             for i in range(3):
                 core.multicast("bc", _req(f"m{i}"))
             core.send("b", _req("m3"))
 
+        writes = _Writes(monkeypatch)
         host, _ = _host({"go": go})
-        _run(host, _frame("d", "go"))
-        to_b, to_c = _drain(host._inboxes["b"]), _drain(host._inboxes["c"])
-        assert len(to_b) == len(to_c) == 1
-        assert _tags(to_b) == ["m0", "m1", "m2", "m3"]
-        assert _tags(to_c) == ["m0", "m1", "m2"]
+        _run(host, ("d", _msgs("go")))
+        assert writes.flushes(host, "b") == [["m0", "m1", "m2", "m3"]]
+        assert writes.flushes(host, "c") == [["m0", "m1", "m2"]]
 
-    def test_order_holds_across_a_solo_frame(self):
+    @pytest.mark.parametrize("big", [_BIG, _HUGE], ids=["whole", "partial"])
+    def test_order_holds_across_a_partial_write(self, monkeypatch, big):
+        """Per-(src,dst) FIFO is the pipe's byte order, also when a pipe
+        too small for a payload takes it in parts while the sender goes
+        on posting behind it."""
+
         def go(core, msg):
             core.send("b", _req("before"))
-            core.send("b", _req("big", _BIG))
+            core.send("b", _req("big", big))
             core.send("b", _req("after"))
 
-        # the second inbox item is handled in the same turn as the first
+        writes = _Writes(monkeypatch)
         host, _ = _host({"go": go, "more": lambda c, m: c.send("b", _req("last"))})
-        _run(host, _frame("d", "go"), _frame("d", "more"))
-        frames = _drain(host._inboxes["b"])
-        assert [_tags([f]) for f in frames] == [
-            ["before"],
-            ["big"],
-            ["after", "last"],
-        ]
+        host.wires.send("d", _msgs("go"))
+        host.wires.send("d", _msgs("more"))
+        runner = threading.Thread(target=host.run, daemon=True)
+        runner.start()
+        got, deadline = b"", time.monotonic() + 10
+        while len(_parse(got, complete=False)) < 4 and time.monotonic() < deadline:
+            got += host.wires.raw("b", wait=0.1)
+        host.wires.send(None, _ctrl(CtrlShutdown()))
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        frames = _parse(got)
+        assert _tags(frames) == ["before", "big", "after", "last"]
+        assert decode_json(frames[1][1]).payload == big
+        partial = any(n < sum(map(len, bufs)) for bufs, n in writes.to(host, "b"))
+        assert partial is (big is _HUGE)
 
-    def test_big_multicast_payload_arrives_alone_everywhere(self):
+    def test_big_multicast_payload_arrives_whole_everywhere(self, monkeypatch):
         def go(core, msg):
             core.send("c", _req("small"))
             core.multicast("bc", _req("big", _BIG))
 
+        writes = _Writes(monkeypatch)
         host, _ = _host({"go": go})
-        _run(host, _frame("d", "go"))
-        assert [_tags([f]) for f in _drain(host._inboxes["b"])] == [["big"]]
-        assert [_tags([f]) for f in _drain(host._inboxes["c"])] == [
-            ["small"],
-            ["big"],
+        _run(host, ("d", _msgs("go")))
+        to_b, to_c = host.wires.read("b"), host.wires.read("c")
+        assert _tags(to_b) == ["big"]
+        assert _tags(to_c) == ["small", "big"]
+        assert to_b[0] == to_c[1]
+        assert decode_json(to_b[0][1]).payload == _BIG
+        # encoded once: the same bytes went to both pipes
+        ((b_bufs, _),), ((c_bufs, _),) = writes.to(host, "b"), writes.to(host, "c")
+        assert b_bufs[-1] is c_bufs[-1]
+
+
+class TestReceive:
+    def test_a_message_split_across_two_reads_is_delivered_once(self):
+        host, core = _host()
+        data = _msgs("split") + _msgs("whole")
+        cut = len(data) - len(_msgs("whole")) - 7  # inside the first payload
+        host.wires.send("b", data[:cut])
+        assert host._recv(0.0) is None  # half a frame is not a message
+        host.wires.send("b", data[cut:])
+        while (item := host._recv(0.0)) is not None:
+            host._handle(item)
+        assert [m.request_id for m in core.seen] == ["split", "whole"]
+        payload = encode_json(core.seen[0], with_sender=False).encode()
+        assert frame(PLAIN, payload) == data[: len(_msgs("split"))]
+
+    def test_control_and_peer_pipes_are_served_by_one_wait(self):
+        host, core = _host()
+        host.wires.send("c", _msgs("from-c"))
+        host.wires.send(None, _start())
+        items = [host._recv(0.0), host._recv(0.0)]
+        assert host._recv(0.0) is None
+        assert sum(isinstance(i, CtrlStart) for i in items) == 1
+        assert [i for i in items if type(i) is tuple][0][0] == "c"
+
+    def test_a_closed_peer_is_unwatched_and_a_dead_reader_costs_only_its_bytes(
+        self,
+    ):
+        host, core = _host({"go": lambda c, m: c.multicast("bc", _req("out"))})
+        wires = host.wires
+        for fd in (wires.into["c"], wires.outof["b"]):
+            os.close(fd)  # c will never write again, b never read again
+            wires.fds.remove(fd)
+        assert host._recv(0.0) is None
+        assert wires.ends.rx["c"] not in host._sel.get_map()  # EOF: unwatched
+        _run(host, ("d", _msgs("go")))
+        assert [m.request_id for m in core.seen] == ["go"]
+        assert _tags(wires.read("c")) == ["out"]  # the others still hear
+        assert not host._out["b"]  # EPIPE dropped what b was owed
+
+    def test_a_closed_control_pipe_stops_the_node(self):
+        """EOF on the control pipe: the parent is gone, so is the node."""
+        host, _ = _host()
+        os.close(host.wires.ctrl)
+        host.wires.fds.remove(host.wires.ctrl)
+        runner = threading.Thread(target=host.run, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+
+    def test_two_hosts_posting_megabytes_to_each_other_never_block(self):
+        """Each host posts 4 MiB to the other before either reads: with a
+        blocking write both would wait on a full 64 KiB pipe forever."""
+        big = "m" * (4 << 20)
+        a_rx_b, b_tx_a = os.pipe()
+        b_rx_a, a_tx_b = os.pipe()
+        hosts, cores = {}, {}
+        for pid, peer, rx, tx in (
+            ("a", "b", a_rx_b, a_tx_b),
+            ("b", "a", b_rx_a, b_tx_a),
+        ):
+            wires = Wires(("p",))
+            wires.fds += (rx, tx)
+            ends = Ends(
+                ctrl=wires.ends.ctrl,
+                rx={**wires.ends.rx, peer: rx},
+                tx={**wires.ends.tx, peer: tx},
+            )
+            core = _Probe(
+                pid, {"go": lambda c, m, peer=peer: c.send(peer, _req("bulk", big))}
+            )
+            hosts[pid] = LiveHost(core, 1, ends, _Queue(), frozenset())
+            hosts[pid].wires, cores[pid] = wires, core
+        for host in hosts.values():
+            host.wires.send("p", _msgs("go"))
+        runners = [
+            threading.Thread(target=h.run, daemon=True) for h in hosts.values()
         ]
-
-    def test_payload_at_the_threshold_is_batched(self):
-        at = _req("edge", "")
-        pad = host_mod._SOLO_BYTES - len(encode_json(at, with_sender=False))
-        at = _req("edge", "y" * pad)
-        assert len(encode_json(at, with_sender=False)) == host_mod._SOLO_BYTES
-
-        def go(core, msg):
-            core.send("b", _req("before"))
-            core.send("b", at)
-
-        host, _ = _host({"go": go})
-        _run(host, _frame("d", "go"))
-        assert [_tags([f]) for f in _drain(host._inboxes["b"])] == [
-            ["before", "edge"]
-        ]
+        for r in runners:
+            r.start()
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline and not all(
+            len(c.seen) == 2 for c in cores.values()
+        ):
+            time.sleep(0.01)
+        for host in hosts.values():
+            host.wires.send(None, _ctrl(CtrlShutdown()))
+        for r in runners:
+            r.join(timeout=10)
+        assert not any(r.is_alive() for r in runners)
+        for core in cores.values():
+            assert [m.request_id for m in core.seen] == ["go", "bulk"]
+            assert core.seen[1].payload == big
 
 
 class TestDelivery:
     def test_sender_and_neq_stamps(self):
         host, core = _host()
-        _run(host, ("b", _frame("b", "q", neq=True)[1] + _frame("b", "p")[1]))
+        _run(host, ("b", _msgs("q", neq=True) + _msgs("p")))
         first, second = core.seen
         assert (first.sender, first._neq) == ("b", True)
         assert (second.sender, second._neq) == ("b", False)
@@ -219,9 +443,9 @@ class TestDelivery:
 
     def test_stamps_survive_a_host_to_host_hop(self):
         sender, _ = _host({"go": lambda c, m: c.neq_multicast("b", _req("n"))})
-        _run(sender, _frame("d", "go"))
+        _run(sender, ("d", _msgs("go")))
         receiver, core = _host(pid="b", peers=("a",))
-        _run(receiver, *_drain(sender._inboxes["b"]))
+        _run(receiver, ("a", sender.wires.raw("b")))
         (msg,) = core.seen
         assert (msg.request_id, msg.sender, msg._neq) == ("n", "a", True)
 
@@ -231,15 +455,15 @@ class TestDelivery:
             core.crash()
 
         host, core = _host({"die": die})
-        up = _run(host, _frame("b", "one", "die", "three"), _frame("c", "four"))
+        up = _run(host, ("b", _msgs("one", "die", "three")), ("b", _msgs("four")))
         assert [m.request_id for m in core.seen] == ["one", "die"]
         # what it sent before halting still goes out, as under the DES
-        assert _tags(_drain(host._inboxes["b"])) == ["last-words"]
+        assert _tags(host.wires.read("b")) == ["last-words"]
         assert up[-1].crashed is True
 
 
 class TestLoopback:
-    """A send to the node itself skips the codec and the queue: the
+    """A send to the node itself skips the codec and the pipes: the
     objects a turn sent to self are the next turn's first frame, stamped
     as the DES stamps the one object all its receivers share."""
 
@@ -257,6 +481,7 @@ class TestLoopback:
         self, monkeypatch
     ):
         calls = self._counting(monkeypatch)
+        writes = _Writes(monkeypatch)
         out = _req("out")
         log = []
 
@@ -265,10 +490,12 @@ class TestLoopback:
             log.append(("returned", len(core.seen)))
 
         host, core = _host({"go": go, "out": lambda c, m: log.append("self")})
-        _run(host, _frame("d", "go"), grace=0.05)
+        _run(host, ("d", _msgs("go")), grace=0.05)
         assert [m for m in calls if isinstance(m, CsRequest)] == [out]
-        assert _drain(host._inbox) == []  # nothing went through a queue
-        assert _tags(_drain(host._inboxes["b"])) == ["out"]
+        # nothing went through a pipe but the two remote copies
+        tx = host.wires.ends.tx
+        assert sorted(fd for fd, _, _ in writes.calls) == sorted((tx["b"], tx["c"]))
+        assert _tags(host.wires.read("b")) == ["out"]
         _, self_copy = core.seen
         assert self_copy is out  # the object itself, not a decoded copy
         assert (self_copy.sender, self_copy._neq) == ("a", True)
@@ -277,7 +504,7 @@ class TestLoopback:
     def test_send_only_to_self_never_encodes(self, monkeypatch):
         calls = self._counting(monkeypatch)
         host, core = _host({"go": lambda c, m: c.send("a", _req("me"))})
-        _run(host, _frame("b", "go"), grace=0.05)
+        _run(host, ("b", _msgs("go")), grace=0.05)
         assert [m.request_id for m in core.seen] == ["go", "me"]
         assert not [m for m in calls if isinstance(m, CsRequest)]
         me = core.seen[1]
@@ -294,10 +521,10 @@ class TestLoopback:
         host, core = _host(
             {"go": go, "twice": lambda c, m: stamps.append((m.sender, m._neq))}
         )
-        _run(host, _frame("b", "go"), grace=0.05)
+        _run(host, ("b", _msgs("go")), grace=0.05)
         assert stamps == [("a", True), ("a", False)]
 
-    def test_self_sends_keep_fifo_and_spend_the_drain_budget(self):
+    def test_self_sends_keep_fifo_and_spend_the_drain_budget(self, monkeypatch):
         n = host_mod._DRAIN_MSGS + 6
 
         def go(core, msg):
@@ -305,25 +532,26 @@ class TestLoopback:
                 core.send("a", _req(f"s{i}"))
 
         echo = lambda c, m: c.send("b", _req("echo-" + m.request_id))  # noqa: E731
+        writes = _Writes(monkeypatch)
         host, core = _host({"go": go, "*": echo})
-        host._handle(_frame("d", "go"))  # a turn that leaves n self-sends
-        _run(host, _frame("c", "tail"), grace=0.05)
+        host._handle(("d", [(False, encode_json(_req("go"), False))]))
+        _run(host, ("c", _msgs("tail")), grace=0.05)
         selfs = [f"s{i}" for i in range(n)]
         assert [m.request_id for m in core.seen] == ["go", *selfs, "tail"]
-        frames = _drain(host._inboxes["b"])
-        assert _tags(frames) == [f"echo-{t}" for t in (*selfs, "tail")]
+        flushes = writes.flushes(host, "b")
+        assert sum(flushes, []) == [f"echo-{t}" for t in (*selfs, "tail")]
         # the self-sends used up the next turn's budget: "tail" waited
         # for the turn after, so the echoes left in two flushes
-        assert [len(batch) for _, batch in frames] == [n, 1]
+        assert [len(f) for f in flushes] == [n, 1]
 
     def test_self_send_queued_at_shutdown_is_delivered_in_the_grace_drain(self):
         host, core = _host({"go": lambda c, m: c.send("a", _req("late"))})
-        _run(host, _frame("b", "go"), grace=0.05)
+        _run(host, ("b", _msgs("go")), grace=0.05)
         assert [m.request_id for m in core.seen] == ["go", "late"]
 
     def test_without_grace_pending_self_sends_are_dropped(self):
         host, core = _host({"go": lambda c, m: c.send("a", _req("late"))})
-        _run(host, _frame("b", "go"))
+        _run(host, ("b", _msgs("go")))
         assert [m.request_id for m in core.seen] == ["go"]
 
 
@@ -335,27 +563,42 @@ class TestBoundedDrain:
             core.run_job(0.0, lambda: fired_after.append(len(core.seen)))
 
         host, core = _host({"arm": arm})
-        frames = [_frame("b", "arm")] + [_frame("b", f"m{i}") for i in range(300)]
-        _run(host, _start(), *frames)
+        host._handle(CtrlStart(t0=time.monotonic(), time_scale=1.0))
+        tags = [f"m{i}" for i in range(300)]
+        _run(host, ("b", _msgs("arm", *tags)))
         assert len(core.seen) == 301
-        # due at once: the drain stops after the message that armed it
+        # due at once: the drain stops after the message that armed it,
+        # though the rest arrived in the same read
         assert fired_after == [1]
 
-    def test_message_budget_ends_the_turn(self):
+    def _budget_turns(self, monkeypatch, one_write):
+        writes = _Writes(monkeypatch)
         host, _ = _host({"*": lambda c, m: c.send("b", m)})
         n = 3 * host_mod._DRAIN_MSGS + 5
-        _run(host, *[_frame("c", f"m{i}") for i in range(n)])
-        frames = _drain(host._inboxes["b"])
-        assert _tags(frames) == [f"m{i}" for i in range(n)]
-        sizes = [len(batch) for _, batch in frames]
-        assert sizes == [host_mod._DRAIN_MSGS] * 3 + [5]
+        tags = [f"m{i}" for i in range(n)]
+        if one_write:
+            _run(host, ("c", _msgs(*tags)))
+        else:
+            _run(host, *[("c", _msgs(t)) for t in tags])
+        flushes = writes.flushes(host, "b")
+        assert sum(flushes, []) == tags
+        assert [len(f) for f in flushes] == [host_mod._DRAIN_MSGS] * 3 + [5]
 
-    def test_a_frame_is_never_split_by_the_budget(self):
+    def test_message_budget_ends_the_turn(self, monkeypatch):
+        self._budget_turns(monkeypatch, one_write=False)
+
+    def test_message_budget_ends_the_turn_within_one_write(self, monkeypatch):
+        self._budget_turns(monkeypatch, one_write=True)
+
+    def test_the_budget_splits_one_write_by_messages(self, monkeypatch):
+        """The pipe keeps no write boundaries: a peer's long write is
+        served ``_DRAIN_MSGS`` messages a turn, like separate ones."""
+        writes = _Writes(monkeypatch)
         host, _ = _host({"*": lambda c, m: c.send("b", m)})
         n = host_mod._DRAIN_MSGS + 10
-        _run(host, _frame("c", *[f"m{i}" for i in range(n)]), _frame("c", "tail"))
-        sizes = [len(batch) for _, batch in _drain(host._inboxes["b"])]
-        assert sizes == [n, 1]
+        _run(host, ("c", _msgs(*[f"m{i}" for i in range(n)])), ("c", _msgs("tail")))
+        sizes = [len(f) for f in writes.flushes(host, "b")]
+        assert sizes == [host_mod._DRAIN_MSGS, 11]
 
 
 class TestShutdownAndParent:
@@ -363,19 +606,19 @@ class TestShutdownAndParent:
         host, core = _host(
             {"*": lambda c, m: c.send("b", _req("ack-" + m.request_id))}
         )
-        host._inbox.put(encode_json(CtrlShutdown(grace=0.05)))
-        host._inbox.put(_frame("c", "late1", "late2"))
-        host._inbox.put(_start())  # anything but frames/submits is skipped
+        host.wires.send(None, _ctrl(CtrlShutdown(grace=0.05)))
+        host.wires.send("c", _msgs("late1", "late2"))
+        host.wires.send(None, _start())  # anything but frames/submits is skipped
         host.run()
         assert [m.request_id for m in core.seen] == ["late1", "late2"]
         assert host.clock.t0 is None
-        assert _tags(_drain(host._inboxes["b"])) == ["ack-late1", "ack-late2"]
+        assert _tags(host.wires.read("b")) == ["ack-late1", "ack-late2"]
         up = [decode_json(raw) for raw in _drain(host._up)]
         assert [type(i) for i in up] == [ChildReady, ChildExit]
 
     def _parent(self):
-        """A LiveRuntime wired to in-process queues, as ``start()`` would
-        leave it had it forked one already-exited child ``a``."""
+        """A LiveRuntime wired to an in-process up queue, as ``start()``
+        would leave it had it forked one already-exited child ``a``."""
 
         class _Exited:
             exitcode = 0
@@ -395,7 +638,8 @@ class TestShutdownAndParent:
             )
         )
         rt._up = _Queue()
-        rt._inboxes = {p: _Queue() for p in "ab"}
+        wires = Wires(())
+        rt._ctrl, rt._ctrl_rx = {"a": wires.ctrl}, wires.ends.ctrl
         rt._procs = {"a": _Exited()}
         rt._t0 = rt._t_wall0 = rt._last_reap = time.monotonic()
         rt._pending, rt._report, rt._exited = [], LiveReport(), set()
@@ -409,10 +653,25 @@ class TestShutdownAndParent:
         host, _ = _host(
             {"emit": emit}, peers=("b",), up=rt._up, wanted=(CATEGORY_TASK,)
         )
-        host._inbox.put(_frame("b", "emit"))
-        host._inbox.put(encode_json(CtrlShutdown()))
+        host.wires.send("b", _msgs("emit"))
+        host.wires.send(None, _ctrl(CtrlShutdown()))
         host.run()
         assert rt._up.qsize() == 3  # ready, one batch of two events, exit
+
+    def test_a_control_write_to_a_dead_child_is_loud(self):
+        rt = self._parent()
+        os.close(rt._ctrl_rx)  # the child's end, gone with the child
+        Wires.live[-1].fds.remove(rt._ctrl_rx)
+        with pytest.raises(LiveError, match="child a died"):
+            rt._broadcast(CtrlShutdown())
+
+    def test_a_control_write_to_a_stalled_child_gives_up(self, monkeypatch):
+        monkeypatch.setattr(runtime_mod, "_JOIN_TIMEOUT_S", 0.05)
+        rt = self._parent()
+        os.set_blocking(rt._ctrl["a"], False)
+        with pytest.raises(LiveError, match="child a stopped reading"):
+            for _ in range(10_000):  # nobody reads: the pipe fills
+                rt._broadcast(CtrlShutdown())
 
     def test_poll_unpacks_event_batches(self):
         rt = self._parent()

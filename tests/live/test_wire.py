@@ -1,12 +1,13 @@
 """Wire-level control types: registration and codec round-trips.
 
-The live backend puts exactly two payload shapes on its queues: codec
-JSON strings (``repro.live.wire`` control dataclasses, and a list of
-:class:`ChildEvent` per child loop turn on the way up), and net frames —
-plain ``(src, [(neq, payload), ...])`` tuples whose payloads are codec
-JSON of protocol messages in content form.  These tests pin both shapes;
-what hosts put in them is pinned by ``test_host_transport.py`` and
-protocol message coverage lives in
+The live backend moves exactly two payload shapes between processes:
+codec JSON envelopes (``repro.live.wire`` control dataclasses, and a
+list of :class:`ChildEvent` per child loop turn on the way up), and net
+frames whose payloads are codec JSON of protocol messages in content
+form (a receiving host hands them to ``_handle`` as plain
+``(src, [(neq, payload), ...])`` tuples).  These tests pin both shapes;
+how hosts frame and write them is pinned by ``test_host_transport.py``
+and protocol message coverage lives in
 ``tests/runtime/test_codec_completeness.py``.
 """
 

@@ -4,21 +4,22 @@
 table, the crash and guarded-job rules and the CPU lanes once; each case
 below runs on the DES substrate (:class:`~repro.runtime.des.DesHost`)
 and on the live one (:class:`~repro.live.host.LiveHost` over the
-``queue.Queue`` stand-ins of ``tests/live/test_host_transport.py``, with
-its wall clock replaced by a hand-set one so deadlines are exact).  The
-``live``-marked case at the end runs the Halt rules in a forked child
-over real ``multiprocessing`` queues and the real clock.
+in-process ``os.pipe()`` pairs of ``tests/live/test_host_transport.py``,
+with its wall clock replaced by a hand-set one so deadlines are exact).
+The ``live``-marked case at the end runs the Halt rules in a forked
+child on the real pipe mesh and the real clock.
 """
 
 import multiprocessing as mp
-import queue
+import os
 import time
 
 import pytest
 
 from repro.consensus.messages import CsRequest
 from repro.live import host as host_mod
-from repro.live.host import LiveHost
+from repro.live.host import CTRL, PLAIN, LiveHost, frame
+from repro.live.runtime import open_mesh
 from repro.live.wire import (
     ChildExit,
     ChildReady,
@@ -34,7 +35,7 @@ from repro.runtime.des import DesHost
 from repro.runtime.effects import Job, Send
 from repro.runtime.interpreter import EffectInterpreter
 from repro.sim import Simulator
-from tests.live.test_host_transport import _Queue
+from tests.live.test_host_transport import Wires, _parse, _Queue
 
 
 class _Probe(ProtocolCore):
@@ -81,8 +82,8 @@ class _HandClock(host_mod._WallClock):
 class _Live:
     def __init__(self, core, monkeypatch):
         monkeypatch.setattr(host_mod, "_WallClock", _HandClock)
-        inboxes = {core.pid: _Queue(), "b": _Queue()}
-        self.host = LiveHost(core, 2, inboxes, _Queue(), frozenset())
+        self.wires = Wires(("b",))
+        self.host = LiveHost(core, 2, self.wires.ends, _Queue(), frozenset())
 
     def advance(self, until):
         self.host.clock.now = until
@@ -99,7 +100,9 @@ def node(request, monkeypatch):
     core = _Probe()
     substrate = request.param(core, monkeypatch)
     substrate.core = core
-    return substrate
+    yield substrate
+    if hasattr(substrate, "wires"):
+        substrate.wires.close()
 
 
 # ------------------------------------------------------------------ timers
@@ -300,7 +303,7 @@ def test_bare_subclass_overriding_only_do_send_dispatches_a_send():
     assert sent == [effect, effect]
 
 
-# ------------------------------------------------ real queues, real clock
+# -------------------------------------------- real pipes, real clock
 class _Scripted(ProtocolCore):
     """On ``go``: arm a timer and queue one of each job kind, halt, try to
     arm again.  Every continuation that runs reports to ``p``."""
@@ -322,43 +325,57 @@ class _Scripted(ProtocolCore):
         self.set_timer("late", 0.01, report, "late-timer")
 
 
-def _serve_scripted(inboxes, up):
-    LiveHost(_Scripted("a"), 2, inboxes, up, frozenset()).run()
+def _serve_scripted(ends, foreign, up):
+    for fd in foreign:
+        os.close(fd)
+    LiveHost(_Scripted("a"), 2, ends, up, frozenset()).run()
 
 
 @pytest.mark.live
-def test_halt_rules_hold_in_a_forked_child_on_real_queues():
+def test_halt_rules_hold_in_a_forked_child_on_real_pipes():
+    """The test plays node ``p`` and the parent of node ``a``."""
     register_wire()  # the forked child inherits the registry
     ctx = mp.get_context("fork")
-    inboxes = {"a": ctx.Queue(), "p": ctx.Queue()}
+    ends, ctrl = open_mesh(["a", "p"])
+    a, p = ends["a"], ends["p"]
+    foreign = sorted(p.fds() | set(ctrl.values()))
     up = ctx.Queue()
     child = ctx.Process(
-        target=_serve_scripted, args=(inboxes, up), daemon=True
+        target=_serve_scripted, args=(a, foreign, up), daemon=True
     )
     child.start()
+    for fd in a.fds():  # the child's now: its exit closes them everywhere
+        os.close(fd)
+
+    def to_a(kind, obj):
+        os.write(p.tx["a"] if kind != CTRL else ctrl["a"], frame(kind, obj))
+
     try:
         assert isinstance(decode_json(up.get(timeout=10)), ChildReady)
         start = CtrlStart(t0=time.monotonic(), time_scale=1.0)
-        inboxes["a"].put(encode_json(start))
-        inboxes["a"].put(_frame("p", "go"))
+        to_a(CTRL, encode_json(start).encode())
+        go, after = (
+            encode_json(CsRequest(request_id=t), with_sender=False).encode()
+            for t in ("go", "after-halt")
+        )
+        to_a(PLAIN, go)
         time.sleep(0.3)  # every deadline above is due by now
-        inboxes["a"].put(_frame("p", "after-halt"))
+        to_a(PLAIN, after)
         # the grace drain ends with one more pass over due work
-        inboxes["a"].put(encode_json(CtrlShutdown(grace=0.1)))
+        to_a(CTRL, encode_json(CtrlShutdown(grace=0.1)).encode())
         report = decode_json(up.get(timeout=10))
-        tags = []
-        while True:  # drain before join: the child's feeder must flush
-            try:
-                _, batch = inboxes["p"].get(timeout=0.5)
-            except queue.Empty:
-                break
-            tags += [decode_json(payload).request_id for _, payload in batch]
         child.join(timeout=10)
         assert not child.is_alive()
+        got = b""
+        while chunk := os.read(p.rx["a"], 1 << 16):  # EOF: the child is gone
+            got += chunk
+        tags = [decode_json(payload).request_id for _, payload in _parse(got)]
     finally:
         if child.is_alive():
             child.kill()
             child.join()
+        for fd in foreign:
+            os.close(fd)
     assert isinstance(report, ChildExit) and report.crashed
     assert sorted(tags) == ["milestone", "raw-job", "sched"]
     assert report.busy_seconds == 0.04  # both app jobs, charged at submit
