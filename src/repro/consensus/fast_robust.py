@@ -105,6 +105,9 @@ class ConsensusMember:
         self.committed_seq = 0
         self._next_seq = 1  # leader-only: next slot to propose
         self._slots: dict[int, _Slot] = {}
+        #: highest seq in ``_slots``: slots commit in seq order, so the
+        #: uncommitted ones are exactly those above ``committed_seq``
+        self._top_seq = 0
         self._pending: dict[str, tuple[Any, int]] = {}
         self._proposed_ids: set[str] = set()
         self._committed_ids: set[str] = set()
@@ -255,6 +258,7 @@ class ConsensusMember:
                 else set()
             ),
         )
+        self._top_seq = max(self._top_seq, msg.seq)
         self.host.run_ctrl_job(
             verify_cost(1) + sign_cost(1), self._send_ack, msg.view, msg.seq, bd
         )
@@ -323,7 +327,7 @@ class ConsensusMember:
             self.host.cancel_timer("cs-progress")
 
     def _has_uncommitted(self) -> bool:
-        return any(not s.committed for s in self._slots.values())
+        return self._top_seq > self.committed_seq
 
     def _uncommitted_slots(self) -> tuple:
         return tuple(
@@ -379,6 +383,7 @@ class ConsensusMember:
                 if mine is not None and mine.batch_digest != bd:
                     self._reclaim(mine.batch)
                 self._slots[seq] = _Slot(view=view, batch=batch, batch_digest=bd)
+                self._top_seq = max(self._top_seq, seq)
 
     def _enter_view(self, new_view: int) -> None:
         self._merge_reported_slots(new_view)

@@ -123,6 +123,9 @@ class PbftMember:
         self.committed_seq = 0
         self._next_seq = 1
         self._slots: dict[int, _Slot] = {}
+        #: highest seq in ``_slots``: slots commit in seq order, so the
+        #: uncommitted ones are exactly those above ``committed_seq``
+        self._top_seq = 0
         self._pending: dict[str, tuple[Any, int]] = {}
         self._proposed_ids: set[str] = set()
         self._committed_ids: set[str] = set()
@@ -269,6 +272,7 @@ class PbftMember:
             prepares=slot.prepares if keep_votes else set(),
             commits=slot.commits if keep_votes else set(),
         )
+        self._top_seq = max(self._top_seq, msg.seq)
         cost = (0 if local else verify_cost(1)) + sign_cost(1)
         self.host.run_ctrl_job(cost, self._send_prepare, msg.view, msg.seq, bd)
 
@@ -358,12 +362,13 @@ class PbftMember:
 
     # --------------------------------------------------------- view change
     def _arm_progress_timer(self) -> None:
-        if self._pending or any(
-            not s.committed for s in self._slots.values()
-        ):
+        if self._pending or self._has_uncommitted():
             self.host.set_timer("pbft-progress", self._timeout(), self._on_stall)
         else:
             self.host.cancel_timer("pbft-progress")
+
+    def _has_uncommitted(self) -> bool:
+        return self._top_seq > self.committed_seq
 
     def _uncommitted_slots(self) -> tuple:
         # report *prepared* slots (could have committed somewhere) plus
@@ -375,7 +380,7 @@ class PbftMember:
         )
 
     def _on_stall(self) -> None:
-        if not self._pending and all(s.committed for s in self._slots.values()):
+        if not self._pending and not self._has_uncommitted():
             return
         new_view = self.view + 1
         sig = self.signer.sign(
@@ -420,6 +425,7 @@ class PbftMember:
                 if mine is not None and mine.batch_digest != bd:
                     self._reclaim(mine.batch)
                 self._slots[seq] = _Slot(view=view, batch=batch, batch_digest=bd)
+                self._top_seq = max(self._top_seq, seq)
         self.view = new_view
         if self.host.wants(CATEGORY_CONSENSUS):
             self.host.emit(

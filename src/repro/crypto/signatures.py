@@ -43,6 +43,10 @@ __all__ = [
 #: server core: ~20 µs sign, ~60 µs verify).
 SIGN_COST = 20e-6
 VERIFY_COST = 60e-6
+#: MACs a registry remembers; past this the oldest entry goes first.  A
+#: DES run verifies far fewer distinct (signer, payload) pairs, so its
+#: hits are those of an unbounded cache.
+MAC_CACHE_SIZE = 1 << 16
 
 
 def sign_cost(count: int = 1) -> float:
@@ -97,7 +101,8 @@ class KeyRegistry:
         # that pair, and broadcast protocols make every receiver verify
         # the same signature over the same bytes — the registry computes
         # it once.  Keyed by content, never by object identity, so
-        # tampered payloads can never alias a cached entry.
+        # tampered payloads can never alias a cached entry.  Bounded by
+        # MAC_CACHE_SIZE, oldest first.
         self._mac_cache: dict[tuple[str, bytes], bytes] = {}
 
     def register(self, pid: str) -> Signer:
@@ -131,16 +136,20 @@ class KeyRegistry:
         Returns ``False`` (never raises) for unknown signers or bad MACs —
         a forged signature is a runtime condition protocols must survive.
         """
+        return self._check(canonical_bytes(payload), sig)
+
+    def _check(self, pb: bytes, sig: Signature) -> bool:
+        """:meth:`verify` of a payload already in canonical bytes."""
         secret = self._secrets.get(sig.signer)
         if secret is None:
             return False
-        pb = canonical_bytes(payload)
         key = (sig.signer, pb)
-        expected = self._mac_cache.get(key)
+        cache = self._mac_cache
+        expected = cache.get(key)
         if expected is None:
-            expected = self._mac_cache[key] = hmac.digest(
-                secret, pb, "sha256"
-            )
+            if len(cache) >= MAC_CACHE_SIZE:
+                del cache[next(iter(cache))]  # dicts keep insertion order
+            expected = cache[key] = hmac.digest(secret, pb, "sha256")
         return hmac.compare_digest(expected, sig.mac)
 
     def verify_quorum(
@@ -149,10 +158,11 @@ class KeyRegistry:
         """Check ``payload`` carries ``need`` valid signatures from distinct
         members of ``group`` — the f+1-of-VP_CO pattern used throughout the
         task flow."""
+        pb = canonical_bytes(payload)
         seen: set[str] = set()
         for sig in sigs:
             if sig.signer in group and sig.signer not in seen:
-                if self.verify(payload, sig):
+                if self._check(pb, sig):
                     seen.add(sig.signer)
                     if len(seen) >= need:
                         return True

@@ -298,18 +298,21 @@ class LiveHost(EffectInterpreter):
         head = _HEAD.size
         end = len(buf)
         pos = 0
-        while end - pos >= head:
-            kind, size = unpack(buf, pos)
-            stop = pos + head + size
-            if stop > end:
-                break
-            # str, not bytes: json.loads detects the encoding of bytes
-            payload = buf[pos + head : stop].decode()
-            pos = stop
-            if kind == CTRL:
-                ready.append(decode_json(payload))
-            else:
-                ready.append((src, [(kind == NEQ, payload)]))
+        # decode each payload straight from the buffer, without slicing
+        # a copy; the view must be gone before ``buf`` is resized
+        with memoryview(buf) as view:
+            while end - pos >= head:
+                kind, size = unpack(buf, pos)
+                stop = pos + head + size
+                if stop > end:
+                    break
+                # str, not bytes: json.loads detects the encoding of bytes
+                payload = str(view[pos + head : stop], "utf-8")
+                pos = stop
+                if kind == CTRL:
+                    ready.append(decode_json(payload))
+                else:
+                    ready.append((src, [(kind == NEQ, payload)]))
         del buf[:pos]
 
     # ------------------------------------------------------------ the loop

@@ -17,13 +17,21 @@ small.
 
 Both directions dispatch on the **exact** type of each value:
 
-* :func:`encode` passes ``str``/``int``/``float``/``bool``/``None``
-  through and looks every other type up in one table.  Containers have
-  fixed entries; a registered dataclass gets an encoder compiled from
-  its ``init`` fields the first time one is encoded.  A type the table
+* :func:`encode_json` writes the JSON text itself.  Every value's
+  emitter appends fragments to one list, and the message is one
+  ``"".join`` of it.  Each type has one table entry: a registered
+  dataclass gets an emitter compiled from its ``init`` fields, in
+  sorted-name order, the first time one is encoded.  A type the table
   does not know (a subclass of a built-in, a numpy scalar, an enum) is
   resolved once through the ``isinstance`` chain in :data:`_FALLBACK`,
   in the order the format defines, and cached under its exact type.
+  The text is what ``json.dumps(..., sort_keys=True,
+  separators=(",", ":"))`` wrote of the tagged tree this module used
+  to build: a long ASCII string with nothing to escape is appended as
+  it is, between two quote fragments, and every other string goes
+  through ``json``'s own escaper; numbers are ``int.__repr__`` and
+  ``float.__repr__`` (``NaN``, ``Infinity``); set elements sort by
+  ``json.dumps`` of their tagged tree, read back from their text.
 * :func:`decode` walks ``json.loads`` output: lists element-wise, each
   object by its tag, and a class body through a decoder compiled for
   its wire name on first use.  A tagged object carries exactly its
@@ -31,9 +39,10 @@ Both directions dispatch on the **exact** type of each value:
   rejected.
 
 ``tests/runtime/test_codec_reference.py`` holds a frozen copy of the
-``isinstance``-ladder codec this replaced and checks, on generated
-values, that the JSON is byte-identical and that malformed input raises
-as it did.
+``isinstance``-ladder codec over ``json.dumps`` and checks, on
+generated values (long strings with one character to escape included),
+that the JSON is byte-identical and that malformed input raises as it
+did.
 
 The base class registry is built lazily on first use: the message
 modules of the baselines import their deployment builders, which import
@@ -48,12 +57,12 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Callable, Optional
 
 from repro.errors import ReplayError
 
 __all__ = [
-    "encode",
     "decode",
     "encode_json",
     "decode_json",
@@ -70,9 +79,6 @@ _ENUMS: dict[str, type] = {}
 
 #: exact types that are their own JSON form
 _PASS = frozenset({str, int, float, bool, type(None)})
-#: exact type → ``fn(value, with_sender)``; compiled dataclass encoders
-#: and fallback resolutions are added as types are first seen
-_ENCODERS: dict[type, Callable[[Any, bool], Any]] = {}
 #: wire name → ``fn(tagged_object)`` for registered dataclasses
 _DECODERS: dict[str, Callable[[dict], Any]] = {}
 #: the keys a class body may carry (``q``/``s`` are the transport stamps)
@@ -102,7 +108,7 @@ def register(*classes: type) -> None:
         _EXTRA[name] = cls
         if _REGISTRY is not None:
             # a name taken from a base class drops what was compiled for it
-            _ENCODERS.pop(_REGISTRY.get(name), None)
+            _EMITTERS.pop(_REGISTRY.get(name), None)
             _DECODERS.pop(name, None)
             _REGISTRY[name] = cls
 
@@ -166,84 +172,172 @@ def _enum_for(name: str) -> type:
 
 
 # ------------------------------------------------------------------ encode
-def encode(value: Any, with_sender: bool = True) -> Any:
-    """Lower ``value`` to JSON-compatible structures (tagged)."""
-    t = type(value)
-    if t in _PASS:
-        return value
-    fn = _ENCODERS.get(t)
-    if fn is None:
-        fn = _resolve(value)
-    return fn(value, with_sender)
+#: what ``json`` escapes in an ASCII string: the quote, the backslash,
+#: the C0 controls and DEL (which it writes as ``\u007f``)
+_DIRTY = bytes(range(0x20)) + b'"\\\x7f'
+#: below this length one call of the C escaper costs less than the check
+_SHORT = 128
 
 
-def _enc_list(value: list, ws: bool) -> list:
-    return [v if type(v) in _PASS else encode(v, ws) for v in value]
+def _emit(value: Any, ap: Callable[[str], None], ws: bool) -> None:
+    """Append the JSON text of ``value`` to a fragment list through its
+    ``append``, ``ap``."""
+    (_EMITTERS.get(type(value)) or _resolve(value))(value, ap, ws)
 
 
-def _enc_tuple(value: tuple, ws: bool) -> dict:
-    return {"__t": [v if type(v) in _PASS else encode(v, ws) for v in value]}
+def _emit_str(value: str, ap: Callable, ws: bool) -> None:
+    # a long clean string goes out as it is, between two quote fragments
+    if (
+        len(value) >= _SHORT
+        and value.isascii()
+        and len(value.encode().translate(None, _DIRTY)) == len(value)
+    ):
+        ap('"')
+        ap(value)
+        ap('"')
+    else:
+        ap(_escape(value))
 
 
-def _enc_bytes(value: bytes, ws: bool) -> dict:
-    return {"__b": value.hex()}
+def _emit_int(value: int, ap: Callable, ws: bool) -> None:
+    ap(int.__repr__(value))  # an ``IntEnum`` is written as its number
 
 
-def _enc_dict(value: dict, ws: bool) -> dict:
-    return {"__d": [[encode(k, ws), encode(v, ws)] for k, v in value.items()]}
+#: ``float.__repr__`` of the values JSON has no literal for
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _set_order(e: Any) -> str:
-    return json.dumps(e, sort_keys=True, default=str)
+def _emit_float(value: float, ap: Callable, ws: bool) -> None:
+    text = float.__repr__(value)
+    ap(_NONFINITE.get(text, text))
 
 
-def _enc_set(value: set, ws: bool) -> dict:
-    # sets are unordered; sort by encoded form for a deterministic wire
-    return {"__s": sorted((encode(v, ws) for v in value), key=_set_order)}
+def _emit_items(items: Any, ap: Callable, ws: bool) -> None:
+    get = _EMITTERS.get
+    sep = False
+    for v in items:
+        if sep:
+            ap(",")
+        sep = True
+        (get(type(v)) or _resolve(v))(v, ap, ws)
 
 
-def _enc_frozenset(value: frozenset, ws: bool) -> dict:
-    return {"__fs": sorted((encode(v, ws) for v in value), key=_set_order)}
+def _emit_list(value: list, ap: Callable, ws: bool) -> None:
+    ap("[")
+    _emit_items(value, ap, ws)
+    ap("]")
 
 
-def _enc_enum(value: Enum, ws: bool) -> dict:
-    return {"__e": type(value).__name__, "v": value.value}
+def _emit_tuple(value: tuple, ap: Callable, ws: bool) -> None:
+    ap('{"__t":[')
+    _emit_items(value, ap, ws)
+    ap("]}")
 
 
-def _enc_pass(value: Any, ws: bool) -> Any:
-    return value
+def _emit_bytes(value: bytes, ap: Callable, ws: bool) -> None:
+    ap('{"__b":"')
+    ap(value.hex())
+    ap('"}')
 
 
-_ENCODERS.update(
-    {
-        list: _enc_list,
-        tuple: _enc_tuple,
-        bytes: _enc_bytes,
-        dict: _enc_dict,
-        set: _enc_set,
-        frozenset: _enc_frozenset,
-    }
-)
+def _emit_dict(value: dict, ap: Callable, ws: bool) -> None:
+    ap('{"__d":[')
+    sep = "["
+    for k, v in value.items():
+        ap(sep)
+        sep = ",["
+        _emit(k, ap, ws)
+        ap(",")
+        _emit(v, ap, ws)
+        ap("]")
+    ap("]}")
+
+
+def _set_order(text: str) -> str:
+    # the key the format sorts set elements by: ``json.dumps`` of each
+    # element's tagged tree, which ``json.loads`` of its text recovers
+    return json.dumps(json.loads(text), sort_keys=True, default=str)
+
+
+def _emit_members(tag: str, value: Any, ap: Callable, ws: bool) -> None:
+    texts = []
+    for v in value:
+        part: list[str] = []
+        _emit(v, part.append, ws)
+        texts.append("".join(part))
+    texts.sort(key=_set_order)
+    ap(tag)
+    ap(",".join(texts))
+    ap("]}")
+
+
+def _emit_set(value: set, ap: Callable, ws: bool) -> None:
+    _emit_members('{"__s":[', value, ap, ws)
+
+
+def _emit_frozenset(value: frozenset, ap: Callable, ws: bool) -> None:
+    _emit_members('{"__fs":[', value, ap, ws)
+
+
+def _plain(value: Any) -> str:
+    """``value`` as ``json`` writes it: what the format carries untagged
+    (an enum's value, a sender stamp that is not a ``str``)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: member → its tagged text; enum classes are finite
+_ENUM_TEXT: dict[Enum, str] = {}
+
+
+def _emit_enum(value: Enum, ap: Callable, ws: bool) -> None:
+    text = _ENUM_TEXT.get(value)
+    if text is None:
+        text = _ENUM_TEXT[value] = (
+            f'{{"__e":{_escape(type(value).__name__)},'
+            f'"v":{_plain(value.value)}}}'
+        )
+    ap(text)
+
+
+def _emit_sender(value: Any, ap: Callable) -> None:
+    ap(_escape(value) if type(value) is str else _plain(value))
+
+
+#: exact type → ``fn(value, ap, with_sender)``; compiled dataclass
+#: emitters and fallback resolutions are added as types are first seen
+_EMITTERS: dict[type, Callable[[Any, Callable, bool], None]] = {
+    str: _emit_str,
+    int: _emit_int,
+    float: _emit_float,
+    bool: lambda value, ap, ws: ap("true" if value else "false"),
+    type(None): lambda value, ap, ws: ap("null"),
+    list: _emit_list,
+    tuple: _emit_tuple,
+    bytes: _emit_bytes,
+    dict: _emit_dict,
+    set: _emit_set,
+    frozenset: _emit_frozenset,
+}
 
 #: what a type outside the table encodes as: the first base it is an
 #: instance of, in this order (an ``IntEnum`` is an ``int``, a
 #: ``namedtuple`` a ``tuple``)
-_FALLBACK: tuple[tuple[type, Callable[[Any, bool], Any]], ...] = (
-    (str, _enc_pass),
-    (int, _enc_pass),
-    (float, _enc_pass),
-    (bytes, _enc_bytes),
-    (tuple, _enc_tuple),
-    (list, _enc_list),
-    (frozenset, _enc_frozenset),
-    (set, _enc_set),
-    (dict, _enc_dict),
-    (Enum, _enc_enum),
+_FALLBACK: tuple[tuple[type, Callable[[Any, Callable, bool], None]], ...] = (
+    (str, _emit_str),  # a ``str`` subclass is written as its text
+    (int, _emit_int),
+    (float, _emit_float),
+    (bytes, _emit_bytes),
+    (tuple, _emit_tuple),
+    (list, _emit_list),
+    (frozenset, _emit_frozenset),
+    (set, _emit_set),
+    (dict, _emit_dict),
+    (Enum, _emit_enum),
 )
 
 
-def _resolve(value: Any) -> Callable[[Any, bool], Any]:
-    """Encoder for a type seen for the first time, cached by exact type."""
+def _resolve(value: Any) -> Callable[[Any, Callable, bool], None]:
+    """Emitter for a type seen for the first time, cached by exact type."""
     cls = type(value)
     for base, fn in _FALLBACK:
         if isinstance(value, base):
@@ -251,43 +345,51 @@ def _resolve(value: Any) -> Callable[[Any, bool], Any]:
     else:
         if not (is_dataclass(value) and _registry().get(cls.__name__) is cls):
             raise ReplayError(f"cannot encode {cls.__name__}: {value!r}")
-        fn = _compile_encoder(cls)
-    _ENCODERS[cls] = fn
+        fn = _compile_emitter(cls)
+    _EMITTERS[cls] = fn
     return fn
 
 
-def _compile_encoder(cls: type) -> Callable[[Any, bool], Any]:
-    """``fn(obj, with_sender)`` building ``{"__c", "f"[, "s"][, "q"]}``
-    for ``cls`` straight from its ``init`` fields."""
-    names = [f.name for f in fields(cls) if f.init]
-    load = "".join(f"    a{i} = v.{n}\n" for i, n in enumerate(names))
-    body = ", ".join(
-        f"{n!r}: a{i} if type(a{i}) in P else E(a{i}, ws)"
-        for i, n in enumerate(names)
-    )
+def _compile_emitter(cls: type) -> Callable[[Any, Callable, bool], None]:
+    """``fn(obj, ap, with_sender)`` writing ``{"__c","f"[,"q"][,"s"]}``
+    for ``cls``, its ``init`` fields in sorted-name order."""
+    names = sorted(f.name for f in fields(cls) if f.init)
+    head = f'{{"__c":{_escape(cls.__name__)},"f":{{'
+    body = "" if names else f"    ap({head!r})\n"
+    for i, n in enumerate(names):
+        key = ("," if i else head) + _escape(n) + ":"
+        body += (
+            f"    ap({key!r})\n"
+            f"    x = v.{n}\n"
+            "    (G(type(x)) or R(x))(x, ap, ws)\n"
+        )
     src = (
-        "def enc(v, ws):\n"
-        f"{load}"
-        f"    out = {{'__c': NAME, 'f': {{{body}}}}}\n"
+        "def emit(v, ap, ws):\n"
+        f"{body}"
         # sender and the non-equivocation marker are stamped by the
         # transport on delivered copies, not constructor fields; both are
         # part of the inbox (with_sender=True) but not of outgoing content
         "    if ws:\n"
+        "        ap('}')\n"
+        "        if getattr(v, '_neq', False):\n"
+        "            ap(',\"q\":true')\n"
         "        s = getattr(v, 'sender', None)\n"
         "        if s is not None:\n"
-        "            out['s'] = s\n"
-        "        if getattr(v, '_neq', False):\n"
-        "            out['q'] = True\n"
-        "    return out\n"
+        "            ap(',\"s\":')\n"
+        "            S(s, ap)\n"
+        "        ap('}')\n"
+        "    else:\n"
+        "        ap('}}')\n"
     )
-    namespace = {"P": _PASS, "E": encode, "NAME": cls.__name__}
+    namespace = {"G": _EMITTERS.get, "R": _resolve, "S": _emit_sender}
     exec(src, namespace)
-    return namespace["enc"]
+    return namespace["emit"]
 
 
 # ------------------------------------------------------------------ decode
 def decode(value: Any) -> Any:
-    """Invert :func:`encode`."""
+    """Rebuild the value :func:`encode_json` wrote from its ``json.loads``
+    form."""
     t = type(value)
     if t is dict:
         name = value.get("__c")
@@ -371,16 +473,12 @@ def _decoder_for(name: str) -> Callable[[dict], Any]:
 
 
 # -------------------------------------------------------------------- JSON
-#: one encoder object instead of one per ``json.dumps`` call; what
-#: :func:`encode` returns is a fresh tree, so it cannot hold a cycle
-_dumps = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), check_circular=False
-).encode
-
-
 def encode_json(value: Any, with_sender: bool = True) -> str:
-    """Compact deterministic JSON string of :func:`encode`."""
-    return _dumps(encode(value, with_sender))
+    """Compact deterministic JSON text of ``value``: one join of the
+    fragments its emitters append."""
+    out: list[str] = []
+    _emit(value, out.append, with_sender)
+    return "".join(out)
 
 
 def decode_json(text: str) -> Any:

@@ -2,13 +2,15 @@
 twice, even when leaders are deposed mid-stream with proposals in
 flight (the state-transfer + reclaim machinery)."""
 
+import pytest
 
-from repro.consensus import ConsensusClient, ConsensusMember
+from repro.consensus import ConsensusClient, ConsensusMember, PbftMember
 from repro.crypto import KeyRegistry
 from repro.net import Network, SubCluster, SynchronyModel
 from repro.runtime.core import ProtocolCore
 from repro.runtime.des import DesHost
 from repro.sim import Simulator
+from tests.consensus.test_pbft import make_group as make_pbft_group
 
 
 class Host(ProtocolCore):
@@ -130,3 +132,51 @@ class TestStateTransfer:
         # committed sequence is contiguous on survivors
         for member in members[1:]:
             assert member.committed_seq >= 1
+
+
+class TestProgressCheck:
+    """The progress timer's "anything uncommitted?" reads the highest slot
+    seq against ``committed_seq``; at every decision it must answer as a
+    scan of every slot would, through commits and a view change."""
+
+    @pytest.mark.parametrize(
+        "engine, make",
+        [(ConsensusMember, make_group), (PbftMember, make_pbft_group)],
+        ids=["fast-robust", "pbft"],
+    )
+    def test_answers_as_the_slot_scan(self, engine, make, monkeypatch):
+        answers = []
+
+        def check(decide):
+            def checked(self):
+                scan = any(not s.committed for s in self._slots.values())
+                assert self._has_uncommitted() == scan
+                answers.append(scan)
+                return decide(self)
+
+            return checked
+
+        for name in ("_arm_progress_timer", "_on_stall"):
+            monkeypatch.setattr(engine, name, check(getattr(engine, name)))
+        sim, net, hosts, members, client = make(
+            seed=13, max_batch=1, batch_delay=1e-6
+        )
+        for i in range(60):
+            sim.schedule(i * 0.001, lambda i=i: client.submit({"op": i}))
+        sim.schedule(0.02, hosts[0].crash)  # the view-0 leader
+        sim.run(until=20.0)
+        for host in hosts[1:]:
+            assert len(host.delivered) == 60
+        assert all(m.view >= 1 for m in members[1:])
+        assert True in answers and False in answers
+        # state transfer: a view-change quorum reports a slot above any
+        # this member has seen
+        m = members[1]
+        view = next(
+            v for v in range(m.view + 1, m.view + 9)
+            if m.group.leader_at(v) != m.host.pid
+        )
+        slot = (m.committed_seq + 5, view - 1, (), b"d")
+        m._vc_votes[view] = {pid: (slot,) for pid in m.group.members}
+        m._enter_view(view)
+        assert answers[-1] is True

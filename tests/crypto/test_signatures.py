@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto import KeyRegistry, Signature, sign_cost, verify_cost
+from repro.crypto import signatures
 from repro.errors import CryptoError
 
 
@@ -85,6 +86,55 @@ class TestQuorum:
         sigs = [Signature("v0", b"\x00" * 32), v1.sign(payload)]
         assert not registry.verify_quorum(payload, sigs, {"v0", "v1"}, need=2)
         assert registry.verify_quorum(payload, sigs, {"v0", "v1"}, need=1)
+
+
+class TestMacCache:
+    def test_verdicts_hold_from_the_cache_and_after_eviction(
+        self, registry, monkeypatch
+    ):
+        monkeypatch.setattr(signatures, "MAC_CACHE_SIZE", 2)
+        signer = registry.register("v0")
+        registry.register("v1")
+        valid = signer.sign([1])
+        forged = Signature("v1", valid.mac)
+        unknown = Signature("ghost", valid.mac)
+        for _ in range(2):  # a miss, then a hit
+            assert registry.verify([1], valid)
+            assert not registry.verify([1], forged)
+            assert not registry.verify([1], unknown)
+        for i in range(4):  # push both entries out
+            registry.verify([2, i], valid)
+        assert registry.verify([1], valid)
+        assert not registry.verify([1], forged)
+
+    def test_cache_keeps_at_most_the_bound_newest_first(
+        self, registry, monkeypatch
+    ):
+        bound, extra = 8, 5
+        monkeypatch.setattr(signatures, "MAC_CACHE_SIZE", bound)
+        signer = registry.register("v0")
+        payloads = [["p", i] for i in range(bound + extra)]
+        for p in payloads:
+            assert registry.verify(p, signer.sign(p))
+        cache = registry._mac_cache
+        assert len(cache) == bound
+        kept = [signatures.canonical_bytes(p) for p in payloads[extra:]]
+        assert [pb for _, pb in cache] == kept
+
+    def test_quorum_check_encodes_its_payload_once(self, registry, monkeypatch):
+        signers = [registry.register(f"v{i}") for i in range(4)]
+        payload = ["assign", 1]
+        sigs = [s.sign(payload) for s in signers]
+        calls = []
+        real = signatures.canonical_bytes
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(signatures, "canonical_bytes", counting)
+        assert registry.verify_quorum(payload, sigs, {"v0", "v1", "v2", "v3"}, 4)
+        assert calls == [payload]
 
 
 class TestCosts:

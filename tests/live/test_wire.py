@@ -33,7 +33,7 @@ def setup_module():
 
 
 def _round_trip(obj):
-    return codec.decode(codec.encode(obj))
+    return codec.decode_json(codec.encode_json(obj))
 
 
 def test_register_wire_is_idempotent():

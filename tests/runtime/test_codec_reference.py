@@ -136,12 +136,39 @@ ODD = st.sampled_from(
         OrderedDict([("k", 1), (2, b"\x00")]),
     ]
 )
+#: printable ASCII without the quote and the backslash: text the escaper
+#: leaves as it is
+CLEAN = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
+#: one character the escaper must rewrite, or none; each kind is its
+#: own branch, so every kind is drawn often
+ESCAPED = (
+    st.just('"')
+    | st.just("\\")
+    | st.just("\x7f")
+    | st.characters(max_codepoint=0x1F)
+    | st.characters(min_codepoint=0x80)
+    | st.characters(categories=["Cs"])  # a lone surrogate
+    | st.just("")
+)
+
+
+def _long_text(size, at, ch):
+    clean = (CLEAN * (size // len(CLEAN) + 1))[:size]
+    return clean[:at] + ch + clean[at:]
+
+
+#: at least 4 KiB of clean ASCII with one drawn character at a drawn
+#: position: the edges of the encoder's unescaped path for long strings
+LONG_TEXT = st.builds(
+    _long_text, st.integers(4096, 4200), st.integers(0, 4096), ESCAPED
+)
 SCALARS = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats(allow_nan=False)
     | st.text(max_size=8)
+    | LONG_TEXT
 )
 HASHABLE = st.recursive(
     SCALARS | st.binary(max_size=4) | st.sampled_from(list(Opcode)),
@@ -174,7 +201,7 @@ VALUES = st.recursive(
 )
 
 
-@given(value=VALUES, with_sender=st.booleans())
+@given(value=VALUES | LONG_TEXT, with_sender=st.booleans())
 def test_encoding_is_byte_identical(value, with_sender):
     assert codec.encode_json(value, with_sender) == _reference_json(
         value, with_sender
@@ -188,7 +215,7 @@ def test_every_registered_type_is_byte_identical(value, with_sender):
     )
 
 
-@given(value=VALUES)
+@given(value=VALUES | LONG_TEXT)
 def test_decoding_rebuilds_equal_objects_with_equal_stamps(value):
     text = _reference_json(value)
     ours, theirs = codec.decode_json(text), _reference_decode(json.loads(text))
@@ -290,7 +317,7 @@ def test_unregistered_dataclass_is_refused_on_both_paths():
     with pytest.raises(ReplayError):
         _reference_encode(Stray())
     with pytest.raises(ReplayError):
-        codec.encode(Stray())
+        codec.encode_json(Stray())
 
 
 def test_registration_extends_the_compiled_tables():
