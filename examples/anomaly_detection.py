@@ -40,7 +40,7 @@ def main() -> None:
         k=2,
         seed=9,
         config=OsirisConfig(f=1, chunk_bytes=4096, suspect_timeout=0.5),
-        executor_faults={"e1": OmitRecordFault()},  # hides matches!
+        faults={"e1": OmitRecordFault()},  # hides matches!
     )
     cluster.start()
     cluster.run(until=120.0)

@@ -149,7 +149,7 @@ def main():
         k=2,
         seed=5,
         config=OsirisConfig(f=1, suspect_timeout=0.5),
-        executor_faults={f"e{i}": OmitRecordFault() for i in range(4)},
+        faults={f"e{i}": OmitRecordFault() for i in range(4)},
     )
     cluster.start()
     cluster.run(until=30.0)

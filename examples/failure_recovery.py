@@ -37,7 +37,7 @@ def main() -> None:
             switch_cooldown=2,
             cores_per_node=1,
         ),
-        executor_faults={
+        faults={
             f"e{i}": CorruptRecordFault(activate_at=FAIL_AT) for i in range(4)
         },
     )

@@ -75,7 +75,7 @@ def cluster_demo() -> None:
         k=2,
         seed=12,
         config=OsirisConfig(f=1, chunk_bytes=65536, suspect_timeout=0.5),
-        executor_faults={"e2": CorruptRecordFault()},
+        faults={"e2": CorruptRecordFault()},
     )
     cluster.start()
     cluster.run(until=120.0)

@@ -33,7 +33,7 @@ def main() -> None:
         k=2,
         seed=42,
         config=OsirisConfig(f=1, suspect_timeout=0.5),
-        executor_faults={"e0": CorruptRecordFault()},  # a Byzantine executor
+        faults={"e0": CorruptRecordFault()},  # a Byzantine executor
     )
 
     # 4. Run the simulation.

@@ -40,7 +40,7 @@ def main() -> None:
         k=2,
         seed=22,
         config=OsirisConfig(f=1, chunk_bytes=16384, suspect_timeout=0.5),
-        executor_faults={"e3": FabricateRecordFault()},  # fake clusters
+        faults={"e3": FabricateRecordFault()},  # fake clusters
     )
     cluster.start()
     cluster.run(until=60.0)

@@ -8,12 +8,11 @@ order), adaptive triggers react synchronously from the emitting call
 site in attach order, and nothing consumes RNG.  Same campaign + same
 seed ⇒ bit-identical traces (pinned by the golden campaign fixture).
 
-Faults are applied through the exact per-role injection points the
-static ``faults=`` mapping uses — ``ExecutionEngine.fault`` for
-executor behaviours, ``Verifier.fault`` / ``OutputProcess.fault`` for
-the rest — so a campaign can do anything a deployment-time mapping can,
-plus activate / deactivate / swap it at any simulated time or protocol
-event.
+A ``set`` action installs its fault through
+:func:`repro.runtime.plan.install_fault`, the function that installs a
+deployment's static ``faults=`` entries — so a campaign can do anything
+a deployment-time fault can, plus activate / deactivate / swap it at any
+simulated time or protocol event.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import inspect
 from typing import TYPE_CHECKING, Optional
 
 from repro.adversary.campaign import Action, Campaign, Phase, Trigger, resolve_selector
-from repro.errors import AdversaryError
+from repro.errors import AdversaryError, ProtocolError
 from repro.obs import events as _events
 from repro.obs.bus import Sink
 from repro.obs.events import (
@@ -32,6 +31,7 @@ from repro.obs.events import (
     AdversaryTrigger,
     TraceEvent,
 )
+from repro.runtime.plan import install_fault
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.deploy import OsirisCluster
@@ -215,46 +215,22 @@ def apply_action_to_core(core, topo, pid: str, action: Action) -> str:
     """
     if action.op == "clear":
         # honest again: clear every injection point the process carries
-        # (Executor exposes ``fault`` as a read-only view of its
-        # engine's, so only the engine slot is written there)
         cleared = []
         engine = getattr(core, "engine", None)
         if engine is not None:
             if engine.fault is not None:
                 cleared.append("executor")
             engine.fault = None
-        if not isinstance(getattr(type(core), "fault", None), property):
-            if getattr(core, "fault", None) is not None:
-                cleared.append(
-                    "output" if pid in topo.output_pids else "verifier"
-                )
-                core.fault = None
+        if getattr(core, "fault", None) is not None:
+            cleared.append("output" if pid in topo.output_pids else "verifier")
+            core.fault = None
         return "+".join(cleared) or "none"
-    spec = action.fault
-    strategy = spec.build()
-    if spec.role == "executor":
-        engine = getattr(core, "engine", None)
-        if engine is None:
-            raise AdversaryError(
-                f"{pid} has no execution engine for executor fault "
-                f"{spec.kind!r} (selector {action.select!r})"
-            )
-        engine.fault = strategy
-    elif spec.role == "verifier":
-        if pid not in topo.all_verifier_pids():
-            raise AdversaryError(
-                f"{pid} is not a verifier (fault {spec.kind!r}, "
-                f"selector {action.select!r})"
-            )
-        core.fault = strategy
-    else:  # output
-        if pid not in topo.output_pids:
-            raise AdversaryError(
-                f"{pid} is not an output process (fault {spec.kind!r}, "
-                f"selector {action.select!r})"
-            )
-        core.fault = strategy
-    return spec.role
+    try:
+        return install_fault(core, topo, pid, action.fault.build())
+    except ProtocolError as exc:
+        raise AdversaryError(
+            f"{exc} (fault {action.fault.kind!r}, selector {action.select!r})"
+        ) from exc
 
 
 def install_campaign(campaign: Campaign, cluster) -> CampaignController:

@@ -1,10 +1,9 @@
 """Unified deployment façade: one frozen spec, one build path, one runner.
 
-Historically each entry point grew its own kwargs plumbing — the builder
-took three per-role fault dicts, every scenario runner re-declared
-``seed``/``deadline``/``sinks``/``sanitize``, and the sweep engine
-translated its points into those kwargs by hand.  This module replaces
-all of that with a single value type:
+Historically each entry point grew its own kwargs plumbing — every
+scenario runner re-declared ``seed``/``deadline``/``sinks``/``sanitize``,
+and the sweep engine translated its points into those kwargs by hand.
+This module replaces all of that with a single value type:
 
 * :class:`DeploymentSpec` — everything one run depends on (system,
   workload, topology, config overrides, faults *or* an adversary
@@ -19,7 +18,8 @@ all of that with a single value type:
   processes behind a TCP socket accepting client-submitted tasks, with
   admission control enforced at the gateway edge.
 * :func:`normalize_faults` — the one helper that turns *any* accepted
-  fault argument (legacy pid→strategy mapping, per-role dicts, a
+  fault argument (a pid → strategy or
+  :class:`~repro.adversary.campaign.FaultSpec` mapping, a
   :class:`~repro.adversary.campaign.Campaign`, campaign JSON) into a
   :class:`FaultPlan`.
 
@@ -75,119 +75,68 @@ def _kv(params: Mapping[str, Any] | Iterable | None) -> tuple[tuple[str, Any], .
 
 
 # -------------------------------------------------------------- fault plans
-def _strategies(entries) -> dict:
-    """pid → strategy, with a fresh instance built for every declarative
-    :class:`~repro.adversary.campaign.FaultSpec` entry."""
-    return {
-        pid: fault.build() if isinstance(fault, FaultSpec) else fault
-        for pid, fault in entries
-    }
+_STRATEGIES = (ExecutorFault, VerifierFault, OutputFault, FaultSpec)
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Normalized fault configuration: per-role static fault maps plus an
-    optional adversary campaign.  Produced by :func:`normalize_faults`;
-    everything downstream consumes this, never the raw argument.
+    """Normalized fault configuration: static pid → fault entries (in
+    pid order) plus an optional adversary campaign.  Produced by
+    :func:`normalize_faults`; everything downstream consumes this, never
+    the raw argument.
 
     A static fault is either a live strategy object or a declarative
     :class:`~repro.adversary.campaign.FaultSpec`.  Declarative entries
-    serialize (see :meth:`DeploymentSpec.descriptor`) and the role maps
-    build a fresh strategy from each one, so no two runs of a plan share
-    strategy state.
+    serialize (see :meth:`DeploymentSpec.descriptor`) and
+    :meth:`strategies` builds a fresh strategy from each one, so no two
+    runs of a plan share strategy state.
     """
 
-    executors: tuple[tuple[str, ExecutorFault | FaultSpec], ...] = ()
-    verifiers: tuple[tuple[str, VerifierFault | FaultSpec], ...] = ()
-    outputs: tuple[tuple[str, OutputFault | FaultSpec], ...] = ()
+    static: tuple[tuple[str, Any], ...] = ()
     campaign: Optional[Campaign] = None
 
     @property
     def empty(self) -> bool:
-        return (
-            not self.executors
-            and not self.verifiers
-            and not self.outputs
-            and self.campaign is None
-        )
+        return not self.static and self.campaign is None
 
-    def executor_map(self) -> dict[str, ExecutorFault]:
-        return _strategies(self.executors)
-
-    def verifier_map(self) -> dict[str, VerifierFault]:
-        return _strategies(self.verifiers)
-
-    def output_map(self) -> dict[str, OutputFault]:
-        return _strategies(self.outputs)
+    def strategies(self) -> dict[str, Any]:
+        """pid → strategy, a fresh instance for every ``FaultSpec``."""
+        return {
+            pid: fault.build() if isinstance(fault, FaultSpec) else fault
+            for pid, fault in self.static
+        }
 
 
-def _route(mapping: Mapping[str, Any]) -> tuple[dict, dict, dict]:
-    """Split a pid→fault mapping by role: strategies by type, declarative
-    :class:`~repro.adversary.campaign.FaultSpec` entries by ``role``."""
-    executors: dict = {}
-    verifiers: dict = {}
-    outputs: dict = {}
-    for pid, fault in mapping.items():
-        role = fault.role if isinstance(fault, FaultSpec) else None
-        if role == "executor" or isinstance(fault, ExecutorFault):
-            executors[pid] = fault
-        elif role == "verifier" or isinstance(fault, VerifierFault):
-            verifiers[pid] = fault
-        elif role == "output" or isinstance(fault, OutputFault):
-            outputs[pid] = fault
-        else:
-            raise BenchmarkError(
-                f"fault for {pid!r} must be an Executor/Verifier/Output "
-                f"fault strategy or a FaultSpec, got {type(fault).__name__}"
-            )
-    return executors, verifiers, outputs
-
-
-def normalize_faults(
-    faults: Any = None,
-    *,
-    executors: Optional[Mapping[str, ExecutorFault]] = None,
-    verifiers: Optional[Mapping[str, VerifierFault]] = None,
-    outputs: Optional[Mapping[str, OutputFault]] = None,
-) -> FaultPlan:
+def normalize_faults(faults: Any = None) -> FaultPlan:
     """Turn any accepted fault argument into a :class:`FaultPlan`.
 
     ``faults`` may be ``None``, an existing plan, a
     :class:`~repro.adversary.campaign.Campaign` (or its canonical JSON
-    string), or a pid→fault mapping — strategies are routed to their
-    role by type, :class:`~repro.adversary.campaign.FaultSpec` entries by
-    their ``role``.  The keyword role maps carry the builder's legacy
-    per-role dicts; on a pid collision they win over ``faults``.
+    string), or a pid → fault mapping whose values are fault strategies
+    or :class:`~repro.adversary.campaign.FaultSpec` entries.  Which role
+    a static fault acts in is decided when it is installed
+    (:func:`repro.runtime.plan.install_fault`).
     """
-    campaign: Optional[Campaign] = None
-    f_exec: dict = {}
-    f_verif: dict = {}
-    f_out: dict = {}
+    if faults is None:
+        return FaultPlan()
     if isinstance(faults, FaultPlan):
-        campaign = faults.campaign
-        f_exec = dict(faults.executors)
-        f_verif = dict(faults.verifiers)
-        f_out = dict(faults.outputs)
-    elif isinstance(faults, Campaign):
-        campaign = faults
-    elif isinstance(faults, str):
-        campaign = Campaign.from_json(faults)
-    elif isinstance(faults, Mapping):
-        f_exec, f_verif, f_out = _route(faults)
-    elif faults is not None:
+        return faults
+    if isinstance(faults, Campaign):
+        return FaultPlan(campaign=faults)
+    if isinstance(faults, str):
+        return FaultPlan(campaign=Campaign.from_json(faults))
+    if not isinstance(faults, Mapping):
         raise BenchmarkError(
             f"faults must be a mapping, Campaign, campaign JSON or "
             f"FaultPlan, got {type(faults).__name__}"
         )
-    f_exec.update(executors or {})
-    f_verif.update(verifiers or {})
-    f_out.update(outputs or {})
-    return FaultPlan(
-        executors=tuple(sorted(f_exec.items())),
-        verifiers=tuple(sorted(f_verif.items())),
-        outputs=tuple(sorted(f_out.items())),
-        campaign=campaign,
-    )
+    for pid, fault in faults.items():
+        if not isinstance(fault, _STRATEGIES):
+            raise BenchmarkError(
+                f"fault for {pid!r} must be an Executor/Verifier/Output "
+                f"fault strategy or a FaultSpec, got {type(fault).__name__}"
+            )
+    return FaultPlan(static=tuple(sorted(faults.items())))
 
 
 # -------------------------------------------------------------------- spec
@@ -270,8 +219,7 @@ class DeploymentSpec:
         object.__setattr__(self, "sinks", tuple(self.sinks))
         object.__setattr__(self, "capture", tuple(self.capture))
         if self.system != "osiris":
-            plan: FaultPlan = self.faults
-            if plan.executors or plan.verifiers or plan.outputs or plan.campaign:
+            if not self.faults.empty:
                 raise BenchmarkError(
                     f"faults/campaigns are OsirisBFT-only "
                     f"(spec targets {self.system!r})"
@@ -339,8 +287,7 @@ class DeploymentSpec:
                 "only specs with a registry-named workload are serializable"
             )
         plan: FaultPlan = self.faults
-        static = plan.executors + plan.verifiers + plan.outputs
-        if not all(isinstance(fault, FaultSpec) for _, fault in static):
+        if not all(isinstance(fault, FaultSpec) for _, fault in plan.static):
             raise BenchmarkError(
                 "specs carrying live fault strategies are not serializable; "
                 "express the faults as FaultSpec entries or a Campaign"
@@ -358,7 +305,7 @@ class DeploymentSpec:
             "duration": self.duration,
             "bandwidth": self.bandwidth,
             "config": [list(p) for p in self.config],
-            "faults": [[pid, fault.to_dict()] for pid, fault in static],
+            "faults": [[pid, fault.to_dict()] for pid, fault in plan.static],
             "campaign": plan.campaign.to_json() if plan.campaign else "",
             "sanitize": self.sanitize,
             "shards": self.shards,
@@ -418,20 +365,20 @@ def _bandwidth(spec: DeploymentSpec) -> float:
     return spec.bandwidth if spec.bandwidth is not None else BENCH_BANDWIDTH
 
 
-def build(spec: DeploymentSpec, **build_extra):
+def build(spec: DeploymentSpec, time_scale: Optional[float] = None):
     """Build (don't start) the deployment a spec describes.
 
-    ``backend="des"`` (the default) returns a wired
+    Both backends instantiate the one
+    :class:`~repro.runtime.plan.ClusterPlan` :func:`_plan` derives from
+    the spec.  ``backend="des"`` (the default) returns a wired
     :class:`~repro.runtime.deploy.OsirisCluster`: the campaign (if any)
     is installed — its phase timers scheduled, its trigger sink and a
     :class:`~repro.adversary.recovery.RecoverySink` attached — and the
-    spec's sinks are attached last.  ``build_extra`` passes through to
-    the low-level builder (``synchrony``, ``n_inputs``, ``n_outputs``).
+    spec's sinks are attached last.
 
     ``backend="live"`` returns an unstarted
-    :class:`~repro.live.runtime.LiveRuntime` built from the same
-    :class:`~repro.runtime.plan.ClusterPlan`; ``build_extra`` accepts
-    ``time_scale`` (wall seconds per simulated second).
+    :class:`~repro.live.runtime.LiveRuntime`; ``time_scale`` (wall
+    seconds per simulated second, default 0.25) is live-only.
     """
     if spec.system != "osiris":
         raise BenchmarkError(
@@ -439,51 +386,47 @@ def build(spec: DeploymentSpec, **build_extra):
             f"{spec.system!r}"
         )
     if spec.backend == "live":
-        return _build_live(spec, **build_extra)
-    from repro.runtime.deploy import build_osiris_cluster
+        return _build_live(spec, time_scale)
+    _des_has_no_time_scale(time_scale)
+    from repro.runtime.deploy import instantiate_plan_des
 
     workload = spec.resolve_workload()
-    cluster = build_osiris_cluster(
+    cluster = instantiate_plan_des(
+        _plan(spec, _osiris_config(spec, workload)),
         workload.app,
-        workload=workload.stream,
-        n_workers=spec.n,
-        shards=spec.shards,
-        k=spec.k,
-        seed=spec.seed,
-        config=_osiris_config(spec, workload),
-        bandwidth=_bandwidth(spec),
-        faults=spec.faults,
-        capture=spec.capture,
-        sanitize=spec.sanitize,
-        **build_extra,
+        workload.stream,
     )
     for sink in spec.sinks:
         cluster.bus.attach(sink)
     return cluster
 
 
-def _build_live(spec: DeploymentSpec, time_scale: float = 0.25, **extra):
-    """Plan the deployment and wrap it in an unstarted LiveRuntime."""
-    if extra:
+def _des_has_no_time_scale(time_scale: Optional[float]) -> None:
+    if time_scale is not None:
         raise BenchmarkError(
-            f"backend='live' accepts only time_scale as a builder "
-            f"override, got {sorted(extra)}"
+            "time_scale paces the live backend; a DES run has no wall clock"
         )
+
+
+def _build_live(spec: DeploymentSpec, time_scale: Optional[float]):
+    """Plan the deployment and wrap it in an unstarted LiveRuntime
+    (``time_scale`` defaults to 0.25 wall seconds per simulated one)."""
     from repro.live.runtime import LiveRuntime
 
     workload = spec.resolve_workload()
     return LiveRuntime(
-        _live_plan(spec, _osiris_config(spec, workload)),
+        _plan(spec, _osiris_config(spec, workload)),
         workload.app,
         workload=workload,
         sinks=spec.sinks,
-        time_scale=time_scale,
+        time_scale=0.25 if time_scale is None else time_scale,
     )
 
 
-def _live_plan(spec: DeploymentSpec, config: OsirisConfig):
-    """The :class:`~repro.runtime.plan.ClusterPlan` a live deployment of
-    ``spec`` runs under ``config`` (also the serve gateway's plan)."""
+def _plan(spec: DeploymentSpec, config: OsirisConfig):
+    """The :class:`~repro.runtime.plan.ClusterPlan` a deployment of
+    ``spec`` runs under ``config`` — on the DES, on the live backend and
+    behind the serve gateway."""
     from repro.runtime.plan import plan_osiris_cluster
 
     return plan_osiris_cluster(
@@ -637,9 +580,9 @@ def _fold_recovery(cluster, extra: dict, sanitizer_violations) -> Optional[dict]
     return _recovery_scalars(report)
 
 
-def _run_osiris(spec: DeploymentSpec, **build_extra) -> ScenarioResult:
+def _run_osiris(spec: DeploymentSpec) -> ScenarioResult:
     workload = spec.resolve_workload()
-    cluster = build(spec.with_(workload=workload), **build_extra)
+    cluster = build(spec.with_(workload=workload))
     _drive(cluster, spec, workload)
 
     def busy():
@@ -671,7 +614,7 @@ def _run_osiris(spec: DeploymentSpec, **build_extra) -> ScenarioResult:
     )
 
 
-def _run_live(spec: DeploymentSpec, time_scale: float = 0.25) -> ScenarioResult:
+def _run_live(spec: DeploymentSpec, time_scale: Optional[float]) -> ScenarioResult:
     """Run the spec as real OS processes; same result shape as the DES.
 
     Timing-derived numbers (throughput, latency, utilization) come from
@@ -686,7 +629,7 @@ def _run_live(spec: DeploymentSpec, time_scale: float = 0.25) -> ScenarioResult:
             "use repro.api.serve()"
         )
     workload = spec.resolve_workload()
-    rt = _build_live(spec, time_scale=time_scale)
+    rt = _build_live(spec, time_scale)
     report = rt.run(
         deadline=spec.deadline,
         duration=spec.duration,
@@ -809,23 +752,21 @@ def _run_baseline(spec: DeploymentSpec) -> ScenarioResult:
     )
 
 
-def run(spec: DeploymentSpec, **build_extra) -> ScenarioResult:
+def run(spec: DeploymentSpec, time_scale: Optional[float] = None) -> ScenarioResult:
     """Run the deployment a spec describes; returns the measured result.
 
     This is the single execution path behind :mod:`repro.exp` sweeps,
     the bench CLI, the fuzz driver and the adversary CLI.  Campaign
     runs additionally report recovery metrics in the result's typed
     ``recovery`` field (the live ``recovery_report`` rides in
-    ``result.extra``).
+    ``result.extra``).  ``time_scale`` paces a live run (see
+    :func:`build`).
     """
     if spec.backend == "live":
-        return _run_live(spec, **build_extra)
+        return _run_live(spec, time_scale)
+    _des_has_no_time_scale(time_scale)
     if spec.system == "osiris":
-        return _run_osiris(spec, **build_extra)
-    if build_extra:
-        raise BenchmarkError(
-            f"builder overrides are OsirisBFT-only, got {sorted(build_extra)}"
-        )
+        return _run_osiris(spec)
     return _run_baseline(spec)
 
 

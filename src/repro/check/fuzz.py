@@ -302,10 +302,8 @@ def _candidates(point: DeploymentSpec):
                         campaign, phases=_without(campaign.phases, i)
                     ),
                 )
-    for i in range(len(plan.executors)):
-        yield _with_faults(point, executors=_without(plan.executors, i))
-    for i in range(len(plan.verifiers)):
-        yield _with_faults(point, verifiers=_without(plan.verifiers, i))
+    for i in range(len(plan.static)):
+        yield _with_faults(point, static=_without(plan.static, i))
     if point.config:
         yield replace(point, config=())
     # tenancy/sharding shrink before any topology shrink: a violation
@@ -325,10 +323,11 @@ def _candidates(point: DeploymentSpec):
         # n/k shrinks are skipped while a campaign remains: its selectors
         # may name specific pids or sub-clusters that a smaller topology
         # no longer has (the drop-campaign candidate unlocks them)
-        floor = 3 * (point.k or 1) + (1 if plan.executors else 0)
+        roles = {fault.role for _, fault in plan.static}
+        floor = 3 * (point.k or 1) + (1 if "executor" in roles else 0)
         if point.n > floor and campaign is None:
             yield replace(point, n=max(floor, point.n // 2))
-        if (point.k or 1) > 1 and not plan.verifiers and campaign is None:
+        if (point.k or 1) > 1 and "verifier" not in roles and campaign is None:
             yield replace(point, k=1, n=min(point.n, 5))
     elif point.n > 3:
         yield replace(point, n=3)

@@ -51,9 +51,10 @@ class ExecutionEngine:
     of individual in-flight tasks.
     """
 
-    def __init__(self, host: WorkerBase, fault: Optional[ExecutorFault] = None) -> None:
+    def __init__(self, host: WorkerBase) -> None:
         self.host = host
-        self.fault = fault
+        #: Byzantine strategy, installed by ``repro.runtime.plan.install_fault``
+        self.fault: Optional[ExecutorFault] = None
         self._pending: dict[tuple[str, int], _PendingAssignment] = {}
         self._foreign: dict[tuple[str, int], set[str]] = {}
         self._completed: set[tuple[str, int]] = set()
@@ -224,13 +225,9 @@ class ExecutionEngine:
 class Executor(WorkerBase):
     """A plain EP member: state replica + execution engine."""
 
-    def __init__(self, *args, fault: Optional[ExecutorFault] = None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.engine = ExecutionEngine(self, fault)
-
-    @property
-    def fault(self) -> Optional[ExecutorFault]:
-        return self.engine.fault
+        self.engine = ExecutionEngine(self)
 
     def on_AssignmentMsg(self, msg: AssignmentMsg) -> None:
         self.engine.handle_assignment(msg)

@@ -8,9 +8,11 @@ about: record corruption and fabrication (mismatch), record/chunk replay
 slowness, and plain-channel equivocation.  Verifier- and OP-side faults
 cover the generic protocol failures of Sec 5.2.2.
 
-A strategy is attached to a process at deployment time via
-:func:`repro.runtime.deploy.build_osiris_cluster`'s ``faults`` mapping; the
-process then behaves Byzantinely *through its normal code paths* — it
+A strategy is attached to a process by
+:func:`repro.runtime.plan.install_fault` — for a deployment's pid → fault
+``faults`` mapping at build time, for an adversary campaign's actions at
+run time — and its base class picks the injection point.  The process
+then behaves Byzantinely *through its normal code paths* — it
 still cannot forge other processes' signatures or equivocate through the
 non-equivocating primitive, because those powers don't exist in the
 substrate.

@@ -164,12 +164,12 @@ class OutputProcess(ProtocolCore):
         pid: str,
         topo: Topology,
         config: OsirisConfig,
-        fault: Optional[OutputFault] = None,
     ) -> None:
         super().__init__(pid)
         self.topo = topo
         self.config = config
-        self.fault = fault
+        #: Byzantine strategy, installed by ``repro.runtime.plan.install_fault``
+        self.fault: Optional[OutputFault] = None
         self._tasks: dict[str, _OutTask] = {}
         self.chunks_accepted = 0
         self.records_accepted = 0

@@ -86,12 +86,12 @@ class Verifier(WorkerBase):
         self,
         *args,
         cluster: SubCluster,
-        fault: Optional[VerifierFault] = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
         self.cluster = cluster
-        self.fault = fault
+        #: Byzantine strategy, installed by ``repro.runtime.plan.install_fault``
+        self.fault: Optional[VerifierFault] = None
         self.engine = ExecutionEngine(self)  # role-switch executor mode
         self.term = 0
         self.executor_mode = False

@@ -121,7 +121,7 @@ def _instrument(out_dir: str) -> Callable[[], None]:
     return undo
 
 
-def measure(spec, **build_extra: Any) -> dict[str, dict[str, float]]:
+def measure(spec, time_scale: float) -> dict[str, dict[str, float]]:
     """Run ``spec`` (``backend="live"``) instrumented; per pid, CPU
     milliseconds per committed task by category."""
     from repro.api import run
@@ -129,7 +129,7 @@ def measure(spec, **build_extra: Any) -> dict[str, dict[str, float]]:
     with tempfile.TemporaryDirectory() as out_dir:
         undo = _instrument(out_dir)
         try:
-            result = run(spec, **build_extra)
+            result = run(spec, time_scale=time_scale)
         finally:
             undo()
         tasks = max(1, result.tasks_completed)

@@ -34,6 +34,7 @@ from repro.crypto.signatures import KeyRegistry
 from repro.errors import ProtocolError
 from repro.mc.world import McWorld
 from repro.net.topology import SubCluster, Topology
+from repro.runtime.plan import install_fault
 
 __all__ = ["McModel", "build_world"]
 
@@ -131,43 +132,31 @@ def build_world(model: McModel) -> McWorld:
     signers = {p: registry.register(p) for p in topo.all_pids()}
     config = OsirisConfig(role_switching=False)
     app = SyntheticApp(records_per_task=model.records, compute_cost=1e-3)
-    fault = (
-        make_fault(model.fault_role, model.fault_kind)
-        if model.fault_role
-        else None
+    # verifier faults target the initial leader — the most
+    # consequential seat for negligence/digest lies
+    faulty = {"verifier": verifiers[0], "executor": executors[0]}.get(
+        model.fault_role
     )
 
     world = McWorld(model, topo, config, app, registry)
-    for pid in verifiers:
-        # verifier faults target the initial leader — the most
-        # consequential seat for negligence/digest lies
-        vfault = (
-            fault
-            if model.fault_role == "verifier" and pid == verifiers[0]
-            else None
-        )
-        core = Coordinator(
-            pid,
-            topo,
-            registry,
-            signers[pid],
-            app,
-            config,
-            cluster=topo.cluster(0),
-            fault=vfault,
-        )
-        world.add_core(core, coordinator=True)
-    for pid in executors:
-        efault = (
-            fault
-            if model.fault_role == "executor" and pid == executors[0]
-            else None
-        )
-        world.add_core(
-            Executor(
-                pid, topo, registry, signers[pid], app, config, fault=efault
+    for pid in verifiers + executors:
+        if pid in verifiers:
+            core = Coordinator(
+                pid,
+                topo,
+                registry,
+                signers[pid],
+                app,
+                config,
+                cluster=topo.cluster(0),
             )
-        )
+        else:
+            core = Executor(pid, topo, registry, signers[pid], app, config)
+        if pid == faulty:
+            install_fault(
+                core, topo, pid, make_fault(model.fault_role, model.fault_kind)
+            )
+        world.add_core(core, coordinator=pid in verifiers)
     world.add_core(OutputProcess("op0", topo, config), output=True)
 
     # bootstrap past consensus: each member commits each task directly,

@@ -1,6 +1,6 @@
 """Deployment builder: bind protocol cores to the DES backend.
 
-Layout decisions (topology, role assignment, fault normalization) live
+Layout decisions (topology, role assignment, the pid → fault map) live
 in :mod:`repro.runtime.plan`; this module instantiates a computed
 :class:`~repro.runtime.plan.ClusterPlan` on the simulated substrate.
 Every role is a pure :class:`~repro.runtime.core.ProtocolCore`; this is
@@ -21,7 +21,6 @@ from repro.core.api import VerifiableApplication
 from repro.core.config import OsirisConfig
 from repro.core.coordinator import Coordinator
 from repro.core.executor import Executor
-from repro.core.faults import ExecutorFault, OutputFault, VerifierFault
 from repro.core.input_output import InputProcess, OutputProcess
 from repro.core.metrics import MetricsHub
 from repro.core.tasks import Task
@@ -216,9 +215,6 @@ def build_osiris_cluster(
     n_inputs: int = 1,
     n_outputs: int = 1,
     faults: Optional[object] = None,
-    executor_faults: Optional[dict[str, ExecutorFault]] = None,
-    verifier_faults: Optional[dict[str, VerifierFault]] = None,
-    output_faults: Optional[dict[str, OutputFault]] = None,
     sinks: Iterable = (),
     capture: Iterable[str] = (),
     sanitize: bool = False,
@@ -239,15 +235,14 @@ def build_osiris_cluster(
         Verifier sub-cluster count (first cluster is VP_CO).  Default:
         ``max(1, n_workers // (2·(2f+1)))``.
     faults:
-        Anything :func:`repro.api.normalize_faults` accepts — a legacy
-        pid → strategy mapping, an adversary
+        Anything :func:`repro.api.normalize_faults` accepts — a pid →
+        fault strategy (or ``FaultSpec``) mapping, an adversary
         :class:`~repro.adversary.campaign.Campaign` (or its canonical
-        JSON), or a pre-normalized plan.  A campaign is installed on the
-        built cluster (phase timers scheduled, trigger sink and a
+        JSON), or a pre-normalized plan.  Each static fault is installed
+        on its pid's core by :func:`repro.runtime.plan.install_fault`; a
+        campaign is installed on the built cluster (phase timers
+        scheduled, trigger sink and a
         :class:`~repro.adversary.recovery.RecoverySink` attached).
-    executor_faults / verifier_faults / output_faults:
-        Legacy per-role pid → strategy maps; merged into ``faults``
-        (they win on pid collisions).
     sinks:
         Event sinks attached to the bus *before* any core is built, so
         they observe construction-time events too.
@@ -276,9 +271,6 @@ def build_osiris_cluster(
         n_inputs=n_inputs,
         n_outputs=n_outputs,
         faults=faults,
-        executor_faults=executor_faults,
-        verifier_faults=verifier_faults,
-        output_faults=output_faults,
         capture=capture,
         sanitize=sanitize,
         shards=shards,

@@ -4,10 +4,15 @@ Splitting a deployment into *plan* and *instantiate* phases is what lets
 the DES backend and the live OS-process backend share one construction
 path: :func:`plan_osiris_cluster` computes everything that is pure
 decision-making — topology and role layout, sub-cluster membership,
-normalized fault assignment, per-node CPU-bank widths, capture set — and
-returns a :class:`ClusterPlan`; each backend then walks
+the pid → fault strategy map, per-node CPU-bank widths, capture set —
+and returns a :class:`ClusterPlan`; each backend then walks
 :attr:`ClusterPlan.nodes` **in order** and asks :meth:`ClusterPlan.make_core`
 for the pure protocol core of each pid.
+
+:func:`install_fault` is the one place a fault strategy meets a core:
+``make_core`` builds the honest core and installs the pid's static fault
+with it, and an adversary campaign's ``set`` action installs its fault
+the same way at run time.
 
 Two invariants matter:
 
@@ -46,7 +51,37 @@ __all__ = [
     "ClusterPlan",
     "plan_osiris_cluster",
     "default_cluster_count",
+    "install_fault",
 ]
+
+
+def install_fault(core: ProtocolCore, topo: Topology, pid: str, fault) -> str:
+    """Install ``fault`` on ``pid``'s core; returns the role it acts in.
+
+    The strategy's base class picks the injection point: an executor
+    fault drives the core's execution engine (executors, and verifiers
+    in role-switched executor mode), a verifier fault the verifier
+    logic, an output fault the output process.  A strategy the process
+    cannot host raises :class:`~repro.errors.ProtocolError`.
+    """
+    if isinstance(fault, ExecutorFault):
+        role, slot = "executor", getattr(core, "engine", None)
+    elif isinstance(fault, VerifierFault):
+        role = "verifier"
+        slot = core if pid in topo.all_verifier_pids() else None
+    elif isinstance(fault, OutputFault):
+        role, slot = "output", core if pid in topo.output_pids else None
+    else:
+        raise ProtocolError(
+            f"fault for {pid!r} must be an Executor/Verifier/Output fault "
+            f"strategy, got {type(fault).__name__}"
+        )
+    if slot is None:
+        raise ProtocolError(
+            f"{pid} cannot host {role} fault {type(fault).__name__}"
+        )
+    slot.fault = fault
+    return role
 
 
 @dataclass(frozen=True)
@@ -70,9 +105,8 @@ class ClusterPlan:
     bandwidth: float
     synchrony: SynchronyModel
     nodes: tuple[NodeSpec, ...]
-    executor_faults: dict[str, ExecutorFault] = field(default_factory=dict)
-    verifier_faults: dict[str, VerifierFault] = field(default_factory=dict)
-    output_faults: dict[str, OutputFault] = field(default_factory=dict)
+    #: pid → fault strategy, installed by :meth:`make_core`
+    faults: dict = field(default_factory=dict)
     #: normalized adversary campaign (``repro.adversary.Campaign``), if any
     campaign: Optional[object] = None
     capture: frozenset = frozenset()
@@ -91,7 +125,8 @@ class ClusterPlan:
         registry: KeyRegistry,
         workload: Optional[Iterator[tuple[float, Task]]] = None,
     ) -> ProtocolCore:
-        """Construct the pure core for one node.
+        """Construct the pure core for one node, its static fault (if
+        any) installed by :func:`install_fault`.
 
         ``registry`` may be shared across all nodes (DES) or private to
         the calling process (live) — key derivation is per-pid
@@ -102,7 +137,7 @@ class ClusterPlan:
         if spec.role in ("coordinator", "verifier"):
             cluster = topo.verifier_clusters[spec.cluster_index]
             cls = Coordinator if spec.role == "coordinator" else Verifier
-            return cls(
+            core = cls(
                 spec.pid,
                 topo,
                 registry,
@@ -110,30 +145,31 @@ class ClusterPlan:
                 app,
                 config,
                 cluster=cluster,
-                fault=self.verifier_faults.get(spec.pid),
             )
-        if spec.role == "executor":
-            return Executor(
+        elif spec.role == "executor":
+            core = Executor(
                 spec.pid,
                 topo,
                 registry,
                 registry.register(spec.pid),
                 app,
                 config,
-                fault=self.executor_faults.get(spec.pid),
             )
-        if spec.role == "input":
-            return InputProcess(
+        elif spec.role == "input":
+            core = InputProcess(
                 spec.pid,
                 topo,
                 workload if workload is not None else iter(()),
                 config=config,
             )
-        if spec.role == "output":
-            return OutputProcess(
-                spec.pid, topo, config, fault=self.output_faults.get(spec.pid)
-            )
-        raise ProtocolError(f"unknown role {spec.role!r}")  # pragma: no cover
+        elif spec.role == "output":
+            core = OutputProcess(spec.pid, topo, config)
+        else:  # pragma: no cover
+            raise ProtocolError(f"unknown role {spec.role!r}")
+        fault = self.faults.get(spec.pid)
+        if fault is not None:
+            install_fault(core, topo, spec.pid, fault)
+        return core
 
 
 def default_cluster_count(n_workers: int, config: OsirisConfig) -> int:
@@ -154,9 +190,6 @@ def plan_osiris_cluster(
     n_inputs: int = 1,
     n_outputs: int = 1,
     faults: Optional[object] = None,
-    executor_faults: Optional[dict[str, ExecutorFault]] = None,
-    verifier_faults: Optional[dict[str, VerifierFault]] = None,
-    output_faults: Optional[dict[str, OutputFault]] = None,
     capture: Iterable[str] = (),
     sanitize: bool = False,
     shards: int = 1,
@@ -167,7 +200,8 @@ def plan_osiris_cluster(
     processes split into ``k`` verifier sub-clusters of 2f+1 (the first
     being VP_CO) and a pool of executors; ``n_inputs``/``n_outputs``
     dedicated IP/OP nodes.  ``faults`` accepts anything
-    :func:`repro.api.normalize_faults` does.
+    :func:`repro.api.normalize_faults` does; a static fault naming a pid
+    the layout does not have raises :class:`~repro.errors.ProtocolError`.
 
     ``shards`` > 1 expands the layout into that many tenant-routed IP/OP
     pipelines (pipeline i = ``ip{i}``/``op{i}``) sharing the verifier
@@ -212,12 +246,13 @@ def plan_osiris_cluster(
 
     from repro.api import normalize_faults  # lazy: api sits above runtime
 
-    plan = normalize_faults(
-        faults,
-        executors=executor_faults,
-        verifiers=verifier_faults,
-        outputs=output_faults,
-    )
+    fault_plan = normalize_faults(faults)
+    pids = set(topo.all_pids())
+    missing = [pid for pid, _ in fault_plan.static if pid not in pids]
+    if missing:
+        raise ProtocolError(
+            f"faults name {missing}, which the layout does not have"
+        )
 
     nodes: list[NodeSpec] = []
     for cluster in topo.verifier_clusters:
@@ -245,10 +280,8 @@ def plan_osiris_cluster(
         bandwidth=bandwidth,
         synchrony=synchrony or SynchronyModel(),
         nodes=tuple(nodes),
-        executor_faults=plan.executor_map(),
-        verifier_faults=plan.verifier_map(),
-        output_faults=plan.output_map(),
-        campaign=plan.campaign,
+        faults=fault_plan.strategies(),
+        campaign=fault_plan.campaign,
         capture=frozenset(capture),
         sanitize=sanitize,
     )

@@ -130,7 +130,7 @@ class Gateway:
         port: int = 0,
         time_scale: float = 0.25,
     ) -> None:
-        from repro.api import _live_plan, _osiris_config
+        from repro.api import _osiris_config, _plan
         from repro.live.runtime import LiveRuntime
 
         if spec.system != "osiris":
@@ -156,7 +156,7 @@ class Gateway:
             cfg, admission_queue=None, admission_rate=None
         )
         self.runtime = LiveRuntime(
-            _live_plan(spec, plan_cfg),
+            _plan(spec, plan_cfg),
             workload.app,
             workload=None,
             sinks=spec.sinks,

@@ -32,16 +32,18 @@ class TestNormalizeFaults:
                 "op0": FaultSpec("output", "spurious-reports"),
             }
         )
-        assert [pid for pid, _ in plan.executors] == ["e0", "e1", "e2"]
-        assert [pid for pid, _ in plan.verifiers] == ["v0", "v4"]
-        assert [pid for pid, _ in plan.outputs] == ["op0"]
+        # one pid-ordered tuple; the role is decided at installation
+        assert [pid for pid, _ in plan.static] == [
+            "e0", "e1", "e2", "op0", "v0", "v4"
+        ]
+        assert isinstance(dict(plan.static)["v0"], NegligentLeaderFault)
         assert plan.campaign is None
 
     def test_declarative_faults_build_fresh_strategies(self):
         plan = api.normalize_faults(
             {"e0": FaultSpec("executor", "slow", {"delay": 2.0})}
         )
-        first, second = plan.executor_map()["e0"], plan.executor_map()["e0"]
+        first, second = plan.strategies()["e0"], plan.strategies()["e0"]
         assert isinstance(first, SlowFault) and first.delay == 2.0
         assert first is not second
 
@@ -55,11 +57,14 @@ class TestNormalizeFaults:
         assert api.normalize_faults(plan) == plan
 
     def test_role_kwargs_win_on_collision(self):
-        slow, corrupt = SlowFault(delay=1.0), CorruptRecordFault()
-        plan = api.normalize_faults(
-            {"e0": slow}, executors={"e0": corrupt}
-        )
-        assert plan.executor_map()["e0"] is corrupt
+        # the per-role keyword maps are gone: one pid → fault mapping
+        # is the only static form, so there is no collision to resolve
+        corrupt = CorruptRecordFault()
+        for keyword in ("executors", "verifiers", "outputs"):
+            with pytest.raises(TypeError):
+                api.normalize_faults({}, **{keyword: {"e0": corrupt}})
+        plan = api.normalize_faults({"e0": corrupt})
+        assert plan.strategies()["e0"] is corrupt
 
     def test_rejects_junk(self):
         with pytest.raises(BenchmarkError):
@@ -159,12 +164,12 @@ class TestSerialization:
             seed=3,
             duration=10.0,
             config=(("suspect_timeout", 2.0),),
-            faults=api.normalize_faults(
-                silent_minority(at=1.0),
-                executors={
-                    "e0": FaultSpec("executor", "slow", {"activate_at": 0.5})
-                },
-                verifiers={"v3": FaultSpec("verifier", "negligent-leader")},
+            faults=api.FaultPlan(
+                static=(
+                    ("e0", FaultSpec("executor", "slow", {"activate_at": 0.5})),
+                    ("v3", FaultSpec("verifier", "negligent-leader")),
+                ),
+                campaign=silent_minority(at=1.0),
             ),
             sanitize=True,
         )
@@ -175,8 +180,7 @@ class TestSerialization:
         assert clone == spec
         assert clone.descriptor() == spec.descriptor()
         assert clone.campaign == spec.campaign
-        assert clone.faults.executors == spec.faults.executors
-        assert clone.faults.verifiers == spec.faults.verifiers
+        assert clone.faults.static == spec.faults.static
         assert clone.duration == spec.duration
 
     def test_descriptor_is_json_safe(self):

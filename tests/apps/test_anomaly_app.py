@@ -153,7 +153,7 @@ class TestAnomalyOnCluster:
         from repro.core.faults import FabricateRecordFault
 
         cluster = self._cluster(
-            executor_faults={"e0": FabricateRecordFault()}
+            faults={"e0": FabricateRecordFault()}
         )
         cluster.run(until=60.0)
         assert cluster.metrics.tasks_completed == 15
@@ -161,6 +161,6 @@ class TestAnomalyOnCluster:
         assert reasons & {"invalid-record", "digest-mismatch", "count-mismatch"}
 
     def test_omitted_match_detected(self):
-        cluster = self._cluster(executor_faults={"e0": OmitRecordFault()})
+        cluster = self._cluster(faults={"e0": OmitRecordFault()})
         cluster.run(until=60.0)
         assert cluster.metrics.tasks_completed == 15

@@ -6,8 +6,12 @@ import random
 import repro.check.fuzz as fuzz_mod
 from repro.adversary import FaultSpec
 from repro.adversary.library import silent_minority
-from repro.api import DeploymentSpec, normalize_faults
+from repro.api import DeploymentSpec, FaultPlan
 from repro.check.fuzz import generate_point, run_fuzz, shrink_point
+
+
+def _faulty_executors(point):
+    return [pid for pid, f in point.faults.static if f.role == "executor"]
 
 
 class TestGeneration:
@@ -26,12 +30,13 @@ class TestGeneration:
                 continue
             n_exec = p.n - 3 * (p.k or 1)
             assert n_exec >= 0
-            for pid, fault in p.faults.executors:
-                assert fault.role == "executor" and int(pid[1:]) < n_exec
-            for pid, fault in p.faults.verifiers:
+            for pid, fault in p.faults.static:
+                if pid.startswith("e"):
+                    assert fault.role == "executor" and int(pid[1:]) < n_exec
+                    continue
                 # only non-coordinator verifiers may be faulty, which
                 # requires a second sub-cluster
-                assert fault.role == "verifier"
+                assert fault.role == "verifier" and pid.startswith("v")
                 assert (p.k or 1) >= 2 and int(pid[1:]) >= 3
             # every draw is declarative: it serializes and replays
             assert DeploymentSpec.from_dict(p.to_dict()) == p
@@ -39,8 +44,8 @@ class TestGeneration:
     def test_space_includes_faulty_and_clean_points(self):
         rng = random.Random(1)
         pts = [generate_point(rng) for _ in range(60)]
-        assert any(p.faults.executors for p in pts)
-        assert any(not p.faults.executors for p in pts)
+        assert any(_faulty_executors(p) for p in pts)
+        assert any(not _faulty_executors(p) for p in pts)
         assert any(p.system != "osiris" for p in pts)
 
 
@@ -59,7 +64,7 @@ class TestSweep:
 class TestShrink:
     def test_greedy_shrink_minimizes_a_failing_point(self, monkeypatch):
         def fake_check(point):
-            if point.faults.executors:
+            if point.faults.static:
                 return ("violation", frozenset({"x"}), "detail")
             return ("ok", frozenset(), "")
 
@@ -77,11 +82,29 @@ class TestShrink:
             },
         )
         shrunk, runs = shrink_point(point, frozenset({"x"}))
-        assert len(shrunk.faults.executors) == 1
+        assert len(shrunk.faults.static) == 1
         assert shrunk.config == ()
         assert dict(shrunk.workload_params)["n_tasks"] == 2
         assert shrunk.n == 4
         assert runs <= fuzz_mod.MAX_SHRINK_RUNS
+
+    def test_topology_shrink_that_drops_a_faulted_pid_is_inconclusive(self):
+        point = DeploymentSpec(
+            workload="synthetic",
+            workload_params={"n_tasks": 2},
+            n=8,
+            k=1,
+            seed=3,
+            faults={"e4": FaultSpec("executor", "silent")},
+        )
+        (smaller,) = [
+            c for c in fuzz_mod._candidates(point) if c.n < point.n
+        ]
+        assert smaller.n == 4  # one executor left: e0
+        status, invariants, detail = fuzz_mod._check(smaller)
+        # not a weaker reproducer that still names the missing pid
+        assert status == "inconclusive" and not invariants
+        assert "e4" in detail
 
 
 class TestCli:
@@ -111,10 +134,12 @@ class TestCli:
             k=2,
             seed=1,
             config={"suspect_timeout": 2.0},
-            faults=normalize_faults(
-                silent_minority(at=1.0, count=1),
-                executors={"e0": FaultSpec("executor", "slow", {"delay": 0.5})},
-                verifiers={"v3": FaultSpec("verifier", "bogus-digest")},
+            faults=FaultPlan(
+                static=(
+                    ("e0", FaultSpec("executor", "slow", {"delay": 0.5})),
+                    ("v3", FaultSpec("verifier", "bogus-digest")),
+                ),
+                campaign=silent_minority(at=1.0, count=1),
             ),
         )
         assert main(["point", json.dumps(faulty.descriptor())]) == 0

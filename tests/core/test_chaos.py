@@ -59,17 +59,14 @@ def fault_plans(draw):
         fault_cls = draw(st.sampled_from(VER_FAULTS))
         if fault_cls is not None:
             verifier_plan[victim] = fault_cls()
-    return (
-        {pid: cls() for pid, cls in execs.items() if cls is not None},
-        verifier_plan,
-    )
+    executor_plan = {pid: cls() for pid, cls in execs.items() if cls is not None}
+    return {**executor_plan, **verifier_plan}
 
 
 class TestChaos:
     @given(plan=fault_plans(), seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=15, deadline=None)
     def test_safety_and_liveness_under_combined_faults(self, plan, seed):
-        executor_faults, verifier_faults = plan
         n_tasks = 5
         app = SyntheticApp(records_per_task=4, compute_cost=5e-3)
         cluster = build_osiris_cluster(
@@ -79,15 +76,14 @@ class TestChaos:
             k=2,
             seed=seed,
             config=fast_config(max_attempts=2),
-            executor_faults=executor_faults,
-            verifier_faults=verifier_faults,
+            faults=plan,
         )
         cluster.start()
         cluster.run(until=300.0)
         m = cluster.metrics
 
         # liveness: every task's output reaches OP
-        assert m.tasks_completed == n_tasks, (executor_faults, verifier_faults)
+        assert m.tasks_completed == n_tasks, plan
         # safety: exactly the correct records, never more, never corrupt
         assert m.records_accepted == n_tasks * 4
         op = cluster.outputs[0]

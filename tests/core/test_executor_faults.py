@@ -65,7 +65,7 @@ class TestOutputFailureDetection:
             k=2,
             seed=11,
             until=60.0,
-            executor_faults={"e0": FAULTS[name]()},
+            faults={"e0": FAULTS[name]()},
         )
         assert_safety(cluster, 10)
         assert len(cluster.metrics.faults_detected) >= 1, name
@@ -81,7 +81,7 @@ class TestOutputFailureDetection:
             k=2,
             seed=11,
             until=60.0,
-            executor_faults={"e0": FAULTS[name]()},
+            faults={"e0": FAULTS[name]()},
         )
         for coord in cluster.coordinators:
             assert "e0" in coord.blacklist, name
@@ -91,7 +91,7 @@ class TestOutputFailureDetection:
             n_tasks=6,
             until=60.0,
             seed=11,
-            executor_faults={"e0": CorruptRecordFault()},
+            faults={"e0": CorruptRecordFault()},
         )
         reasons = {kind for _, kind, _ in cluster.metrics.faults_detected}
         assert "invalid-record" in reasons
@@ -101,7 +101,7 @@ class TestOutputFailureDetection:
             n_tasks=6,
             until=60.0,
             seed=11,
-            executor_faults={"e0": OmitRecordFault()},
+            faults={"e0": OmitRecordFault()},
         )
         reasons = {kind for _, kind, _ in cluster.metrics.faults_detected}
         assert "count-mismatch" in reasons
@@ -117,7 +117,7 @@ class TestOutputFailureDetection:
             until=60.0,
             seed=11,
             app=app,
-            executor_faults={"e0": DuplicateFinalChunkFault()},
+            faults={"e0": DuplicateFinalChunkFault()},
         )
         assert cluster.metrics.tasks_completed == 6
         reasons = {kind for _, kind, _ in cluster.metrics.faults_detected}
@@ -132,7 +132,7 @@ class TestOutputFailureDetection:
             until=60.0,
             seed=11,
             app=app,
-            executor_faults={"e0": EarlyFinalFault()},
+            faults={"e0": EarlyFinalFault()},
         )
         assert cluster.metrics.tasks_completed == 6
         reasons = {kind for _, kind, _ in cluster.metrics.faults_detected}
@@ -145,7 +145,7 @@ class TestTimeoutFaults:
             n_tasks=10,
             until=60.0,
             seed=12,
-            executor_faults={"e0": SilentFault()},
+            faults={"e0": SilentFault()},
         )
         assert_safety(cluster, 10)
         assert len(cluster.metrics.reassignments) >= 1
@@ -157,7 +157,7 @@ class TestTimeoutFaults:
             n_tasks=10,
             until=60.0,
             seed=13,
-            executor_faults={"e0": SlowFault(delay=3.0)},
+            faults={"e0": SlowFault(delay=3.0)},
         )
         assert_safety(cluster, 10)
         assert len(cluster.metrics.reassignments) >= 1
@@ -194,7 +194,7 @@ class TestAllExecutorsFaulty:
             k=2,
             seed=15,
             until=120.0,
-            executor_faults=faults,
+            faults=faults,
         )
         assert_safety(cluster, 6)
 
@@ -206,7 +206,7 @@ class TestAllExecutorsFaulty:
             k=2,
             seed=16,
             until=120.0,
-            executor_faults=faults,
+            faults=faults,
         )
         assert cluster.metrics.tasks_completed == 4
         assert len(cluster.metrics.fallbacks) >= 1
@@ -232,6 +232,6 @@ class TestSafetyProperty:
             k=2,
             seed=seed,
             until=120.0,
-            executor_faults=faults,
+            faults=faults,
         )
         assert_safety(cluster, 6)

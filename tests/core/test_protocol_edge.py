@@ -121,7 +121,7 @@ class TestFallbackExecution:
             seed=35,
             until=240.0,
             config=fast_config(max_attempts=2),
-            executor_faults=faults,
+            faults=faults,
         )
         assert cluster.metrics.tasks_completed == 3
         assert len(cluster.metrics.fallbacks) == 3
@@ -135,7 +135,7 @@ class TestFallbackExecution:
             seed=36,
             until=240.0,
             config=fast_config(max_attempts=2),
-            executor_faults=faults,
+            faults=faults,
         )
         assert cluster.metrics.records_accepted == 15
 
@@ -150,7 +150,7 @@ class TestEquivocationRecovery:
             k=2,
             seed=37,
             until=60.0,
-            executor_faults={"e0": EquivocateChunksFault()},
+            faults={"e0": EquivocateChunksFault()},
         )
         assert cluster.metrics.tasks_completed == 10
         assert cluster.metrics.records_accepted == 50

@@ -21,7 +21,7 @@ class TestNegligentLeader:
             k=2,
             seed=21,
             until=60.0,
-            verifier_faults={"v3": NegligentLeaderFault()},
+            faults={"v3": NegligentLeaderFault()},
         )
         assert cluster.metrics.tasks_completed == 10
         assert cluster.metrics.records_accepted == 50
@@ -34,7 +34,7 @@ class TestNegligentLeader:
             k=2,
             seed=22,
             until=60.0,
-            verifier_faults={"v3": NegligentLeaderFault()},
+            faults={"v3": NegligentLeaderFault()},
         )
         # all data eventually reached OP despite the leader never sending
         assert cluster.outputs[0].records_accepted == 25
@@ -48,7 +48,7 @@ class TestNegligentLeader:
             k=2,
             seed=23,
             until=60.0,
-            verifier_faults={"v3": NegligentLeaderFault()},
+            faults={"v3": NegligentLeaderFault()},
         )
         assert all(
             "e" not in c.blacklist for c in cluster.coordinators
@@ -63,7 +63,7 @@ class TestBogusDigest:
             k=2,
             seed=24,
             until=60.0,
-            verifier_faults={"v4": BogusDigestFault()},  # non-leader of VP1
+            faults={"v4": BogusDigestFault()},  # non-leader of VP1
         )
         assert cluster.metrics.tasks_completed == 10
         assert cluster.metrics.records_accepted == 50
@@ -78,7 +78,7 @@ class TestBogusDigest:
             k=2,
             seed=25,
             until=60.0,
-            verifier_faults={"v3": BogusDigestFault()},  # leader of VP1
+            faults={"v3": BogusDigestFault()},  # leader of VP1
         )
         assert cluster.metrics.tasks_completed == 6
         assert cluster.metrics.records_accepted == 30
@@ -92,7 +92,7 @@ class TestFalseAccusation:
             k=2,
             seed=26,
             until=60.0,
-            verifier_faults={"v4": FalseAccusationFault()},
+            faults={"v4": FalseAccusationFault()},
         )
         assert cluster.metrics.tasks_completed == 10
         # no executor was blacklisted on a single (< f+1) accusation
@@ -108,7 +108,7 @@ class TestSilentVerifier:
             k=2,
             seed=27,
             until=60.0,
-            verifier_faults={"v4": SilentVerifierFault()},
+            faults={"v4": SilentVerifierFault()},
         )
         assert cluster.metrics.tasks_completed == 10
 
@@ -119,7 +119,7 @@ class TestSilentVerifier:
             k=2,
             seed=28,
             until=60.0,
-            verifier_faults={"v3": SilentVerifierFault()},
+            faults={"v3": SilentVerifierFault()},
         )
         assert cluster.metrics.tasks_completed == 6
 
@@ -139,7 +139,7 @@ class TestByzantineOutputProcess:
             seed=29,
             config=fast_config(),
             n_outputs=2,
-            output_faults={"op1": SpuriousReportsFault()},
+            faults={"op1": SpuriousReportsFault()},
         )
         cluster.outputs[1].start_spurious_reports(vp_index=1, period=0.05)
         cluster.start()

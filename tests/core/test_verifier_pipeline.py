@@ -149,7 +149,7 @@ class TestLeaderResend:
             k=2,
             seed=52,
             config=fast_config(),
-            verifier_faults={"v3": NegligentLeaderFault()},
+            faults={"v3": NegligentLeaderFault()},
         )
         cluster.start()
         cluster.run(until=60.0)

@@ -9,6 +9,7 @@ second of wall time for the MM anomaly profile.
 
 import pytest
 
+from repro.adversary import FaultSpec
 from repro.adversary.library import fig7a
 from repro.api import DeploymentSpec, run
 from repro.live import cross_validate
@@ -50,6 +51,16 @@ class TestCrossValidation:
         spec = _mm_spec(8, seed=1, faults=fig7a(at=0.5))
         _, _, mismatches = cross_validate(spec, time_scale=_TIME_SCALE)
         assert mismatches == []
+
+    def test_static_executor_fault(self):
+        """A deployment-time executor fault, installed in the live child
+        by the same function the DES uses, commits the same records."""
+        spec = _mm_spec(
+            8, seed=1, faults={"e0": FaultSpec("executor", "corrupt-record")}
+        )
+        des, _, mismatches = cross_validate(spec, time_scale=_TIME_SCALE)
+        assert mismatches == []
+        assert des.extra["faults_detected"] > 0  # the fault was exercised
 
 
 class TestLiveRun:

@@ -96,8 +96,12 @@ class TestBuildDispatch:
         assert workers == 4
 
     def test_build_live_rejects_des_builder_overrides(self):
+        # time_scale is build()'s one override, and it is live-only
+        for backend in ("live", "des"):
+            with pytest.raises(TypeError, match="n_inputs"):
+                build(_spec(backend=backend), n_inputs=2)
         with pytest.raises(BenchmarkError, match="time_scale"):
-            build(_spec(backend="live"), sanitize_substrate=True)
+            build(_spec(), time_scale=1.0)
 
     def test_live_runtime_rejects_nonpositive_time_scale(self):
         with pytest.raises(LiveError, match="time_scale"):

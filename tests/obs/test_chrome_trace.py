@@ -128,7 +128,7 @@ class TestRecoveryTimeline:
             k=3,
             seed=7,
             config=config,
-            executor_faults={
+            faults={
                 f"e{i}": CorruptRecordFault(activate_at=activate)
                 for i in range(5)
             },

@@ -7,6 +7,8 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from repro.obs import (
     CATEGORY_CPU,
     CATEGORY_KERNEL,
@@ -82,6 +84,60 @@ class TestGoldenTrace:
             "same-seed trace diverged from the committed golden "
             "fingerprint — a refactor changed observable behaviour"
         )
+
+
+class TestStaticFaultGoldenTrace:
+    """Static faults — strategies and declarative ``FaultSpec`` entries
+    on executors, verifiers and an output process — are pinned to a
+    committed fingerprint, so the path that installs them cannot drift
+    unnoticed."""
+
+    FIXTURE = (
+        pathlib.Path(__file__).parent / "fixtures" / "static_faults_mm_n12.json"
+    )
+
+    @staticmethod
+    def faults(name):
+        from repro.adversary import FaultSpec
+        from repro.core.faults import CorruptRecordFault, NegligentLeaderFault
+
+        return {
+            "executors+verifier": {
+                "e0": CorruptRecordFault(),
+                "e2": FaultSpec("executor", "omit-record"),
+                "v3": NegligentLeaderFault(),
+            },
+            "output+verifier": {
+                "op0": FaultSpec("output", "spurious-reports"),
+                "v4": FaultSpec("verifier", "bogus-digest"),
+            },
+        }[name]
+
+    @pytest.mark.parametrize("name", ["executors+verifier", "output+verifier"])
+    def test_static_fault_trace_matches_committed_fingerprint(self, name):
+        from repro import api
+        from repro.bench import anomaly_bench
+
+        fixture = json.loads(self.FIXTURE.read_text())
+        expected = fixture["specs"][name]
+        buf = io.StringIO()
+        api.run(
+            api.DeploymentSpec(
+                workload=anomaly_bench(
+                    fixture["profile"],
+                    n_tasks=fixture["n_tasks"],
+                    seed=fixture["seed"],
+                ),
+                n=fixture["n"],
+                k=fixture["k"],
+                seed=fixture["seed"],
+                faults=self.faults(name),
+                sinks=[JsonlTraceSink(buf)],
+            )
+        )
+        text = buf.getvalue()
+        assert len(text.splitlines()) == expected["lines"]
+        assert hashlib.sha256(text.encode()).hexdigest() == expected["sha256"]
 
 
 class TestInstrumentationNeutrality:

@@ -48,7 +48,7 @@ def capture():
         k=2,
         seed=11,
         config=OsirisConfig(suspect_timeout=60.0, chunk_bytes=4096),
-        executor_faults={"e0": CorruptRecordFault(activate_at=0.0)},
+        faults={"e0": CorruptRecordFault(activate_at=0.0)},
         sinks=(JsonlTraceSink(buf, categories=frozenset({CATEGORY_REPLAY})),),
         capture=CAPTURED,
     )
