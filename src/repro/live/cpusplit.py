@@ -4,12 +4,13 @@
 
     python -m repro.live split [--n-tasks 400] [--n 4] [--seed 0]
 
-runs one live burst (:func:`burst_spec`) with thread-CPU timers around four things
-every child's main thread does per message — ``encode_json`` and
-``decode_json`` as :mod:`repro.live.host` calls them, ``deliver`` (the
-protocol handler and the effects it performs) and ``_recv`` (the wait,
-the pipe reads and the frame parse) — and prints, per node,
-milliseconds per committed task.  Timers nest exclusively: an encode
+runs one live burst (:func:`burst_spec`) with thread-CPU timers around
+four things every child's main thread does per message — encode
+(``encode_frame`` of every mesh frame, ``encode_json`` of the up queue's
+batches) and decode (``decode_frame``) as :mod:`repro.live.host` calls
+them, ``deliver`` (the protocol handler and the effects it performs) and
+``_recv`` (the wait, the pipe reads and the frame parse) — and prints,
+per node, milliseconds per committed task.  Timers nest exclusively: an encode
 inside a handler counts as encode, not as deliver.  ``other`` is the
 rest of the main thread (timers, jobs, the flushes' pipe writes, the
 loop); ``process`` also counts the up queue's feeder thread, which
@@ -27,6 +28,12 @@ import time
 from typing import Any, Callable
 
 CATEGORIES = ("encode", "decode", "deliver", "recv")
+#: the codec calls of :mod:`repro.live.host`, by the category they count as
+_CODEC = (
+    ("encode_frame", "encode"),
+    ("encode_json", "encode"),
+    ("decode_frame", "decode"),
+)
 #: protocol timers long enough that a busy 2-vCPU host does not set off
 #: view changes, whose state transfers would swamp the per-task split
 QUIET_TIMERS = (
@@ -84,8 +91,7 @@ def _instrument(out_dir: str) -> Callable[[], None]:
 
     split = _Split()
     saved = {
-        "encode_json": host.encode_json,
-        "decode_json": host.decode_json,
+        **{name: getattr(host, name) for name, _ in _CODEC},
         "deliver": host.LiveHost.deliver,
         "_recv": host.LiveHost._recv,
         "run": host.LiveHost.run,
@@ -106,15 +112,15 @@ def _instrument(out_dir: str) -> Callable[[], None]:
                     fh,
                 )
 
-    host.encode_json = split.timed("encode", saved["encode_json"])
-    host.decode_json = split.timed("decode", saved["decode_json"])
+    for name, cat in _CODEC:
+        setattr(host, name, split.timed(cat, saved[name]))
     host.LiveHost.deliver = split.timed("deliver", saved["deliver"])
     host.LiveHost._recv = split.timed("recv", saved["_recv"])
     host.LiveHost.run = run
 
     def undo() -> None:
-        host.encode_json = saved["encode_json"]
-        host.decode_json = saved["decode_json"]
+        for name, _ in _CODEC:
+            setattr(host, name, saved[name])
         for name in ("deliver", "_recv", "run"):
             setattr(host.LiveHost, name, saved[name])
 

@@ -8,20 +8,23 @@ This module supplies what those rules run on in a real process —
 * **transport**: a mesh of OS pipes, one per ordered (src, dst) node
   pair plus one parent→node control pipe per node (:class:`Ends` is one
   node's share of it).  ``Send``/``Multicast``/``NeqMulticast`` encode
-  their message once (codec JSON, content form) and append the same
-  header and payload bytes to the pending deque of every destination;
-  the end of every loop turn writes each deque with non-blocking
-  ``writev`` until it is empty or the pipe is full, and a full pipe's
-  remainder waits, as views of the same bytes, until the pipe turns
-  writable.  A frame on a pipe is ``(kind, length, payload)``
-  (:data:`PLAIN`, :data:`NEQ` or :data:`CTRL`, see :func:`frame`); the
-  source is the pipe, so per-(src,dst) FIFO order is the pipe's byte
-  order, and ``sender``/``_neq`` are stamped at delivery as the DES
-  network stamps them.  A send to the node itself skips the codec and
-  the pipes: the message object waits in a loopback list that the next
-  turn takes as its first frame, so self-sends batch per turn as frames
-  do, and it is delivered as the object every DES receiver shares,
-  stamped the same way;
+  their message once as a two-level frame
+  (:func:`~repro.runtime.codec.encode_frame`, content form) and append
+  the same header, head and body segments to the pending deque of
+  every destination, each its own buffer; the end of every loop turn
+  writes each deque with non-blocking ``writev`` until it is empty or
+  the pipe is full, and a full pipe's remainder waits, as views of the
+  same bytes, until the pipe turns writable.  A frame on a pipe is
+  ``(kind, head length, body length)``, the head (codec JSON) and the
+  body (the raw bytes of the head's long strings and ``bytes``), on
+  every pipe alike (:data:`PLAIN`, :data:`NEQ` or :data:`CTRL`, see
+  :func:`frame`); the source is the pipe, so per-(src,dst) FIFO order
+  is the pipe's byte order, and ``sender``/``_neq`` are stamped at
+  delivery as the DES network stamps them.  A send to the node itself
+  skips the codec and the pipes: the message object waits in a loopback
+  list that the next turn takes as its first frame, so self-sends batch
+  per turn as frames do, and it is delivered as the object every DES
+  receiver shares, stamped the same way;
 * **clock**: simulated time is ``(monotonic() - t0) / time_scale`` with
   ``t0`` shared by all processes via :class:`~repro.live.wire.CtrlStart`;
   timers, schedules, job completions and milestones wait on one heap
@@ -51,6 +54,7 @@ blocks: a node whose peer stops reading keeps serving everyone else.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import os
 import selectors
@@ -77,7 +81,7 @@ from repro.live.wire import (
     register_wire,
 )
 from repro.obs.bus import EventBus
-from repro.runtime.codec import decode_json, encode_json
+from repro.runtime.codec import decode_frame, encode_frame, encode_json
 from repro.runtime.core import ProtocolCore
 from repro.runtime.interpreter import EffectInterpreter
 from repro.sim.cpu import CpuBank
@@ -92,10 +96,10 @@ _POLL_S = 0.25
 #: at the heap again: a busy node must not starve jobs and view timers
 _DRAIN_MSGS = 64
 #: frame kinds: a protocol message sent plainly or by ``NeqMulticast``,
-#: and a codec-JSON control envelope from the parent
+#: and a control envelope from the parent
 PLAIN, NEQ, CTRL = 0, 1, 2
-#: frame header: kind, payload length
-_HEAD = struct.Struct("<BI")
+#: frame header: kind, head length, body length
+_HEAD = struct.Struct("<BII")
 #: bytes one ``readv`` may take, into a buffer allocated once per host
 #: (``os.read`` of this size would allocate it per call)
 _READ_BYTES = 1 << 18
@@ -103,9 +107,11 @@ _READ_BYTES = 1 << 18
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
-def frame(kind: int, payload: bytes) -> bytes:
-    """One message as it crosses a pipe: header, then payload."""
-    return _HEAD.pack(kind, len(payload)) + payload
+def frame(kind: int, value: Any) -> bytes:
+    """``value`` as it crosses a pipe: header, head, then body."""
+    head, body = encode_frame(value)
+    data = b"".join(body)
+    return _HEAD.pack(kind, len(head), len(data)) + head + data
 
 
 @dataclass
@@ -180,9 +186,9 @@ class LiveHost(EffectInterpreter):
         self._waiting: set[str] = set()  # registered for writability
         #: this turn's sends to ``pid`` itself, as ``(neq, msg)``
         self._loopback: list[tuple[bool, Any]] = []
-        #: parsed input not yet handled: one ``(src, [(neq, payload)])``
-        #: frame per message (the due rule is checked between messages),
-        #: and control envelopes
+        #: parsed input not yet handled: one ``(src, [(neq, (head,
+        #: body))])`` frame per message (the due rule is checked between
+        #: messages), and control envelopes
         self._ready: deque = deque()
         self._events: list[ChildEvent] = []  # emitted this turn
         self._scratch = memoryview(bytearray(_READ_BYTES))
@@ -205,7 +211,7 @@ class LiveHost(EffectInterpreter):
     # ----------------------------------------------------------- transport
     def _post(self, dsts, msg: Any, neq: bool) -> None:
         pid = self.pid
-        head = None
+        header = None
         for dst in dsts:
             if dst == pid:  # the object itself, as the DES delivers it
                 self._loopback.append((neq, msg))
@@ -213,11 +219,16 @@ class LiveHost(EffectInterpreter):
             out = self._out.get(dst)
             if out is None:
                 raise LiveError(f"{pid}: send to unknown node {dst!r}")
-            if head is None:  # encoded once, for the first remote dst
-                payload = encode_json(msg, with_sender=False).encode()
-                head = _HEAD.pack(NEQ if neq else PLAIN, len(payload))
+            if header is None:  # encoded once, for the first remote dst
+                head, body = encode_frame(msg)
+                header = _HEAD.pack(
+                    NEQ if neq else PLAIN,
+                    len(head),
+                    sum(map(len, body)) if body else 0,
+                )
+            out.append(header)
             out.append(head)
-            out.append(payload)
+            out.extend(body)
             self._dirty.add(dst)
 
     def _send(self, dst: str, msg: Any) -> None:
@@ -228,6 +239,21 @@ class LiveHost(EffectInterpreter):
 
     def _neq_multicast(self, dsts, msg: Any) -> None:
         self._post(dsts, msg, True)
+
+    @staticmethod
+    def _decode(head: str, body: bytes) -> Any:
+        """:func:`decode_frame`, with the collector paused if the frame has
+        refs.  The head's JSON tree (two containers per ref) dies when
+        decode returns; a young collection in the middle would promote it
+        and, counted as long-lived, set off full collections of the
+        node's whole heap."""
+        if not body or not gc.isenabled():
+            return decode_frame(head, body)
+        gc.disable()
+        try:
+            return decode_frame(head, body)
+        finally:
+            gc.enable()
 
     def _emit(self, event: Any) -> None:
         # cores gate with wants() before constructing events, mirroring
@@ -295,24 +321,26 @@ class LiveHost(EffectInterpreter):
                 break
         ready = self._ready
         unpack = _HEAD.unpack_from
-        head = _HEAD.size
+        size = _HEAD.size
         end = len(buf)
         pos = 0
-        # decode each payload straight from the buffer, without slicing
-        # a copy; the view must be gone before ``buf`` is resized
+        # take each head and body straight from the buffer, one copy
+        # each; the view must be gone before ``buf`` is resized
         with memoryview(buf) as view:
-            while end - pos >= head:
-                kind, size = unpack(buf, pos)
-                stop = pos + head + size
+            while end - pos >= size:
+                kind, n_head, n_body = unpack(buf, pos)
+                mid = pos + size + n_head
+                stop = mid + n_body
                 if stop > end:
                     break
                 # str, not bytes: json.loads detects the encoding of bytes
-                payload = str(view[pos + head : stop], "utf-8")
+                head = str(view[pos + size : mid], "utf-8")
+                body = view[mid:stop].tobytes() if n_body else b""
                 pos = stop
                 if kind == CTRL:
-                    ready.append(decode_json(payload))
+                    ready.append(decode_frame(head, body))
                 else:
-                    ready.append((src, [(kind == NEQ, payload)]))
+                    ready.append((src, [(kind == NEQ, (head, body))]))
         del buf[:pos]
 
     # ------------------------------------------------------------ the loop
@@ -373,7 +401,7 @@ class LiveHost(EffectInterpreter):
             remote = src != self.pid  # a loopback frame holds the objects
             for neq, msg in batch:
                 if remote:
-                    msg = decode_json(msg)
+                    msg = self._decode(*msg)
                 # delivery stamps, as Network._fanout/_deliver set them on
                 # the one object every DES receiver shares
                 msg.sender = src

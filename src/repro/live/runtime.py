@@ -11,10 +11,11 @@ the deployment's *substrate services* for the duration of the run:
   ``fs.pipe-max-size``; every child closes the ends it does not own and
   the parent keeps only the control pipes' write ends, so a dead node's
   pipes are closed everywhere (writers see EPIPE, readers EOF).
-  Control envelopes are codec JSON framed as
-  :data:`~repro.live.host.CTRL`, written under one lock because the
-  gateway's threads call :meth:`LiveRuntime.submit`; a write to a dead
-  child raises :class:`~repro.errors.LiveError`;
+  Control envelopes are two-level frames of kind
+  :data:`~repro.live.host.CTRL`, like every frame on the mesh, written
+  under one lock because the gateway's threads call
+  :meth:`LiveRuntime.submit`; a write to a dead child raises
+  :class:`~repro.errors.LiveError`;
 
 * **observability pump** — children forward every emitted trace event
   over a shared up-queue; the parent decodes and re-emits them on a
@@ -70,7 +71,7 @@ from repro.obs.events import (
     AdversaryAction,
     AdversaryPhase,
 )
-from repro.runtime.codec import decode_json, encode_json
+from repro.runtime.codec import decode_json
 from repro.runtime.plan import ClusterPlan
 
 __all__ = ["LiveReport", "LiveRuntime"]
@@ -243,7 +244,7 @@ class LiveRuntime:
     def _send_ctrl(self, pids: Iterable[str], envelope) -> None:
         """Encode ``envelope`` once and write it to each of ``pids``'
         control pipes, whole, under the one lock."""
-        data = frame(CTRL, encode_json(envelope).encode())
+        data = frame(CTRL, envelope)
         with self._ctrl_lock:
             for pid in pids:
                 fd = self._ctrl.get(pid)

@@ -2,18 +2,20 @@
 
 Exactly two payload shapes cross a process boundary:
 
-* a **codec-JSON envelope** (:mod:`repro.runtime.codec`) — the parent
-  drives children with the ``Ctrl*`` types, framed as
-  :data:`~repro.live.host.CTRL` on each child's control pipe; children
-  answer on the up queue with :class:`ChildReady` / :class:`ChildExit`,
-  and the trace events one child emitted in one loop turn ride up as
-  the JSON of a *list* of :class:`ChildEvent`;
-* a **net frame** between children — ``(kind, length, payload)`` on the
-  pipe from ``src`` to ``dst`` (:func:`repro.live.host.frame`).  Each
-  ``payload`` is the codec JSON of one protocol message in content
-  form, encoded once per effect and written to every destination; the
-  transport stamps ride outside it — ``src`` is the pipe, ``neq`` the
-  frame kind (:data:`~repro.live.host.PLAIN` or
+* a **codec-JSON envelope** (:mod:`repro.runtime.codec`) — children
+  answer the parent on the up queue with :class:`ChildReady` /
+  :class:`ChildExit`, and the trace events one child emitted in one
+  loop turn ride up as the JSON of a *list* of :class:`ChildEvent`;
+* a **net frame** on the pipe mesh — ``(kind, head length, body
+  length)``, the head and the body (:func:`repro.live.host.frame`).
+  Head and body are :func:`~repro.runtime.codec.encode_frame` of one
+  value: codec JSON in content form, with each long ASCII string and
+  long ``bytes`` moved raw into the body.  The parent drives children
+  with the ``Ctrl*`` types, framed as :data:`~repro.live.host.CTRL` on
+  each child's control pipe; between children each frame holds one
+  protocol message, encoded once per effect and written to every
+  destination, and the transport stamps ride outside it — ``src`` is
+  the pipe, ``neq`` the frame kind (:data:`~repro.live.host.PLAIN` or
   :data:`~repro.live.host.NEQ`).  The receiving
   :class:`~repro.live.host.LiveHost` sets them as ``sender``/``_neq``
   (as the DES network does) before the shared

@@ -44,6 +44,25 @@ generated values (long strings with one character to escape included),
 that the JSON is byte-identical and that malformed input raises as it
 did.
 
+**Frames.**  The live pipe mesh carries bulk records, and scanning them
+as JSON (escape check on encode, string scan on decode) cost more than
+moving them.  :func:`encode_frame` writes a value as a *head* and a
+*body* through the same emitter table, with a frame context in place of
+the ``with_sender`` flag: a ``str`` of at least :data:`_SHORT`
+characters that ``isascii()`` and a ``bytes`` of at least
+:data:`_SHORT` are appended to the body as they are and written into
+the head as ``{"__r":[off,len]}`` / ``{"__rb":[off,len]}``; every other
+value is written exactly as ``encode_json(v, with_sender=False)``
+writes it (set members keep the text's order).  So the head is codec
+JSON, and putting each ref's text back into it gives the text byte for
+byte (``tests/runtime/test_codec_frame.py``).  :func:`decode_frame`
+walks the head with the same decoder table, resolving refs against the
+body; a ref that is not an in-bounds ``[int, int]``, or a ``__r`` span
+that is not ASCII, raises :class:`~repro.errors.ReplayError` (a text
+has no body, so :func:`decode_json` rejects both tags).  Only the mesh
+frames; replay logs, signatures, served frames and the up queue write
+text.
+
 The base class registry is built lazily on first use: the message
 modules of the baselines import their deployment builders, which import
 the DES backend, so an import-time registry would be cyclic.  Layers
@@ -58,7 +77,7 @@ import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import ReplayError
 
@@ -66,6 +85,8 @@ __all__ = [
     "decode",
     "encode_json",
     "decode_json",
+    "decode_frame",
+    "encode_frame",
     "register",
     "register_enum",
     "registered_types",
@@ -79,8 +100,8 @@ _ENUMS: dict[str, type] = {}
 
 #: exact types that are their own JSON form
 _PASS = frozenset({str, int, float, bool, type(None)})
-#: wire name → ``fn(tagged_object)`` for registered dataclasses
-_DECODERS: dict[str, Callable[[dict], Any]] = {}
+#: wire name → ``fn(tagged_object, frame_body)`` for registered dataclasses
+_DECODERS: dict[str, Callable[[dict, Optional[bytes]], Any]] = {}
 #: the keys a class body may carry (``q``/``s`` are the transport stamps)
 _BODY_KEYS = frozenset({"__c", "f", "q", "s"})
 _ENUM_KEYS = frozenset({"__e", "v"})
@@ -179,27 +200,43 @@ _DIRTY = bytes(range(0x20)) + b'"\\\x7f'
 _SHORT = 128
 
 
-def _emit(value: Any, ap: Callable[[str], None], ws: bool) -> None:
+class _Body(list):
+    """The body of a frame being encoded: the raw segments the head's refs
+    point into, and their total length so far."""
+
+    size = 0  # a class default, so a frame without refs runs no __init__
+
+    def ref(self, tag: str, data: bytes) -> str:
+        """Append ``data``; the head's text for it."""
+        off = self.size
+        self.append(data)
+        self.size = off + len(data)
+        return f'{{"{tag}":[{off},{len(data)}]}}'
+
+
+def _emit(value: Any, ap: Callable[[str], None], cx: Any) -> None:
     """Append the JSON text of ``value`` to a fragment list through its
-    ``append``, ``ap``."""
-    (_EMITTERS.get(type(value)) or _resolve(value))(value, ap, ws)
+    ``append``, ``ap``.  ``cx`` is the mode: ``True`` or ``False``
+    (text, with or without the sender stamps) or a frame's :class:`_Body`
+    (content form, long values raw in the body)."""
+    (_EMITTERS.get(type(value)) or _resolve(value))(value, ap, cx)
 
 
-def _emit_str(value: str, ap: Callable, ws: bool) -> None:
-    # a long clean string goes out as it is, between two quote fragments
-    if (
-        len(value) >= _SHORT
-        and value.isascii()
-        and len(value.encode().translate(None, _DIRTY)) == len(value)
-    ):
-        ap('"')
-        ap(value)
-        ap('"')
-    else:
-        ap(_escape(value))
+def _emit_str(value: str, ap: Callable, cx: Any) -> None:
+    if len(value) >= _SHORT and value.isascii():
+        if cx.__class__ is _Body:  # into the body, unscanned
+            ap(cx.ref("__r", value.encode()))
+            return
+        # a long clean string goes out as it is, between two quote fragments
+        if len(value.encode().translate(None, _DIRTY)) == len(value):
+            ap('"')
+            ap(value)
+            ap('"')
+            return
+    ap(_escape(value))
 
 
-def _emit_int(value: int, ap: Callable, ws: bool) -> None:
+def _emit_int(value: int, ap: Callable, cx: Any) -> None:
     ap(int.__repr__(value))  # an ``IntEnum`` is written as its number
 
 
@@ -207,48 +244,51 @@ def _emit_int(value: int, ap: Callable, ws: bool) -> None:
 _NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _emit_float(value: float, ap: Callable, ws: bool) -> None:
+def _emit_float(value: float, ap: Callable, cx: Any) -> None:
     text = float.__repr__(value)
     ap(_NONFINITE.get(text, text))
 
 
-def _emit_items(items: Any, ap: Callable, ws: bool) -> None:
+def _emit_items(items: Any, ap: Callable, cx: Any) -> None:
     get = _EMITTERS.get
     sep = False
     for v in items:
         if sep:
             ap(",")
         sep = True
-        (get(type(v)) or _resolve(v))(v, ap, ws)
+        (get(type(v)) or _resolve(v))(v, ap, cx)
 
 
-def _emit_list(value: list, ap: Callable, ws: bool) -> None:
+def _emit_list(value: list, ap: Callable, cx: Any) -> None:
     ap("[")
-    _emit_items(value, ap, ws)
+    _emit_items(value, ap, cx)
     ap("]")
 
 
-def _emit_tuple(value: tuple, ap: Callable, ws: bool) -> None:
+def _emit_tuple(value: tuple, ap: Callable, cx: Any) -> None:
     ap('{"__t":[')
-    _emit_items(value, ap, ws)
+    _emit_items(value, ap, cx)
     ap("]}")
 
 
-def _emit_bytes(value: bytes, ap: Callable, ws: bool) -> None:
+def _emit_bytes(value: bytes, ap: Callable, cx: Any) -> None:
+    if len(value) >= _SHORT and cx.__class__ is _Body:
+        ap(cx.ref("__rb", value))
+        return
     ap('{"__b":"')
     ap(value.hex())
     ap('"}')
 
 
-def _emit_dict(value: dict, ap: Callable, ws: bool) -> None:
+def _emit_dict(value: dict, ap: Callable, cx: Any) -> None:
     ap('{"__d":[')
     sep = "["
     for k, v in value.items():
         ap(sep)
         sep = ",["
-        _emit(k, ap, ws)
+        _emit(k, ap, cx)
         ap(",")
-        _emit(v, ap, ws)
+        _emit(v, ap, cx)
         ap("]")
     ap("]}")
 
@@ -259,24 +299,34 @@ def _set_order(text: str) -> str:
     return json.dumps(json.loads(text), sort_keys=True, default=str)
 
 
-def _emit_members(tag: str, value: Any, ap: Callable, ws: bool) -> None:
-    texts = []
+def _emit_members(tag: str, value: Any, ap: Callable, cx: Any) -> None:
+    # a frame orders the members by their text form too, then writes
+    # them in that order, so its refs stand where the text's strings do
+    text = cx if cx.__class__ is bool else False
+    keyed = []
     for v in value:
         part: list[str] = []
-        _emit(v, part.append, ws)
-        texts.append("".join(part))
-    texts.sort(key=_set_order)
+        _emit(v, part.append, text)
+        keyed.append(("".join(part), v))
+    keyed.sort(key=_member_order)
     ap(tag)
-    ap(",".join(texts))
+    if text is cx:
+        ap(",".join([t for t, _ in keyed]))
+    else:
+        _emit_items([v for _, v in keyed], ap, cx)
     ap("]}")
 
 
-def _emit_set(value: set, ap: Callable, ws: bool) -> None:
-    _emit_members('{"__s":[', value, ap, ws)
+def _member_order(pair: tuple[str, Any]) -> str:
+    return _set_order(pair[0])
 
 
-def _emit_frozenset(value: frozenset, ap: Callable, ws: bool) -> None:
-    _emit_members('{"__fs":[', value, ap, ws)
+def _emit_set(value: set, ap: Callable, cx: Any) -> None:
+    _emit_members('{"__s":[', value, ap, cx)
+
+
+def _emit_frozenset(value: frozenset, ap: Callable, cx: Any) -> None:
+    _emit_members('{"__fs":[', value, ap, cx)
 
 
 def _plain(value: Any) -> str:
@@ -289,7 +339,7 @@ def _plain(value: Any) -> str:
 _ENUM_TEXT: dict[Enum, str] = {}
 
 
-def _emit_enum(value: Enum, ap: Callable, ws: bool) -> None:
+def _emit_enum(value: Enum, ap: Callable, cx: Any) -> None:
     text = _ENUM_TEXT.get(value)
     if text is None:
         text = _ENUM_TEXT[value] = (
@@ -303,14 +353,14 @@ def _emit_sender(value: Any, ap: Callable) -> None:
     ap(_escape(value) if type(value) is str else _plain(value))
 
 
-#: exact type → ``fn(value, ap, with_sender)``; compiled dataclass
+#: exact type → ``fn(value, ap, cx)``; compiled dataclass
 #: emitters and fallback resolutions are added as types are first seen
-_EMITTERS: dict[type, Callable[[Any, Callable, bool], None]] = {
+_EMITTERS: dict[type, Callable[[Any, Callable, Any], None]] = {
     str: _emit_str,
     int: _emit_int,
     float: _emit_float,
-    bool: lambda value, ap, ws: ap("true" if value else "false"),
-    type(None): lambda value, ap, ws: ap("null"),
+    bool: lambda value, ap, cx: ap("true" if value else "false"),
+    type(None): lambda value, ap, cx: ap("null"),
     list: _emit_list,
     tuple: _emit_tuple,
     bytes: _emit_bytes,
@@ -322,7 +372,7 @@ _EMITTERS: dict[type, Callable[[Any, Callable, bool], None]] = {
 #: what a type outside the table encodes as: the first base it is an
 #: instance of, in this order (an ``IntEnum`` is an ``int``, a
 #: ``namedtuple`` a ``tuple``)
-_FALLBACK: tuple[tuple[type, Callable[[Any, Callable, bool], None]], ...] = (
+_FALLBACK: tuple[tuple[type, Callable[[Any, Callable, Any], None]], ...] = (
     (str, _emit_str),  # a ``str`` subclass is written as its text
     (int, _emit_int),
     (float, _emit_float),
@@ -336,7 +386,7 @@ _FALLBACK: tuple[tuple[type, Callable[[Any, Callable, bool], None]], ...] = (
 )
 
 
-def _resolve(value: Any) -> Callable[[Any, Callable, bool], None]:
+def _resolve(value: Any) -> Callable[[Any, Callable, Any], None]:
     """Emitter for a type seen for the first time, cached by exact type."""
     cls = type(value)
     for base, fn in _FALLBACK:
@@ -350,8 +400,8 @@ def _resolve(value: Any) -> Callable[[Any, Callable, bool], None]:
     return fn
 
 
-def _compile_emitter(cls: type) -> Callable[[Any, Callable, bool], None]:
-    """``fn(obj, ap, with_sender)`` writing ``{"__c","f"[,"q"][,"s"]}``
+def _compile_emitter(cls: type) -> Callable[[Any, Callable, Any], None]:
+    """``fn(obj, ap, cx)`` writing ``{"__c","f"[,"q"][,"s"]}``
     for ``cls``, its ``init`` fields in sorted-name order."""
     names = sorted(f.name for f in fields(cls) if f.init)
     head = f'{{"__c":{_escape(cls.__name__)},"f":{{'
@@ -361,15 +411,15 @@ def _compile_emitter(cls: type) -> Callable[[Any, Callable, bool], None]:
         body += (
             f"    ap({key!r})\n"
             f"    x = v.{n}\n"
-            "    (G(type(x)) or R(x))(x, ap, ws)\n"
+            "    (G(type(x)) or R(x))(x, ap, cx)\n"
         )
     src = (
-        "def emit(v, ap, ws):\n"
+        "def emit(v, ap, cx):\n"
         f"{body}"
         # sender and the non-equivocation marker are stamped by the
         # transport on delivered copies, not constructor fields; both are
         # part of the inbox (with_sender=True) but not of outgoing content
-        "    if ws:\n"
+        "    if cx is True:\n"
         "        ap('}')\n"
         "        if getattr(v, '_neq', False):\n"
         "            ap(',\"q\":true')\n"
@@ -387,9 +437,10 @@ def _compile_emitter(cls: type) -> Callable[[Any, Callable, bool], None]:
 
 
 # ------------------------------------------------------------------ decode
-def decode(value: Any) -> Any:
+def decode(value: Any, body: Optional[bytes] = None) -> Any:
     """Rebuild the value :func:`encode_json` wrote from its ``json.loads``
-    form."""
+    form; ``body`` is the frame body a head's refs point into (a text
+    has none, so a ref in it is rejected)."""
     t = type(value)
     if t is dict:
         name = value.get("__c")
@@ -398,68 +449,95 @@ def decode(value: Any) -> Any:
                 fn = _DECODERS.get(name)
                 if fn is None:
                     fn = _decoder_for(name)
-                return fn(value)
+                return fn(value, body)
         elif len(value) == 1:
-            ((tag, body),) = value.items()
+            ((tag, item),) = value.items()
+            if tag == "__b":  # hex needs no body: no call through the table
+                return bytes.fromhex(item)
             fn = _TAGGED.get(tag)
             if fn is not None:
-                return fn(body)
+                return fn(item, body)
         elif value.keys() == _ENUM_KEYS:
             return _enum_for(value["__e"])(value["v"])
         raise ReplayError(f"unrecognized tagged object {value!r}")
     if t is list:
-        return [v if type(v) in _PASS else decode(v) for v in value]
+        return [v if type(v) in _PASS else decode(v, body) for v in value]
     if t in _PASS or isinstance(value, (str, int, float)):
         return value  # encode() passes an IntEnum or numpy float through
     raise ReplayError(f"cannot decode {t.__name__}: {value!r}")
 
 
-def _dec_tuple(items: list) -> tuple:
-    return tuple([v if type(v) in _PASS else decode(v) for v in items])
+def _dec_tuple(items: list, body: Optional[bytes]) -> tuple:
+    return tuple([v if type(v) in _PASS else decode(v, body) for v in items])
 
 
-def _dec_set(items: list) -> set:
-    return {decode(v) for v in items}
+def _dec_set(items: list, body: Optional[bytes]) -> set:
+    return {decode(v, body) for v in items}
 
 
-def _dec_frozenset(items: list) -> frozenset:
-    return frozenset([decode(v) for v in items])
+def _dec_frozenset(items: list, body: Optional[bytes]) -> frozenset:
+    return frozenset([decode(v, body) for v in items])
 
 
-def _dec_dict(pairs: list) -> dict:
-    return {decode(k): decode(v) for k, v in pairs}
+def _dec_dict(pairs: list, body: Optional[bytes]) -> dict:
+    return {decode(k, body): decode(v, body) for k, v in pairs}
 
 
-_TAGGED: dict[str, Callable[[Any], Any]] = {
-    "__b": bytes.fromhex,
+def _span(ref: Any, body: Optional[bytes]) -> bytes:
+    """The body bytes ``ref`` names: anything but an ``[int, int]`` that
+    lies inside the body raises, where a slice would come back short."""
+    if body is None:
+        raise ReplayError(f"raw ref {ref!r} outside a frame")
+    if type(ref) is list and len(ref) == 2:
+        off, size = ref
+        if (
+            type(off) is int
+            and type(size) is int
+            and 0 <= off <= off + size <= len(body)
+        ):
+            return body[off : off + size]
+    raise ReplayError(f"raw ref {ref!r} is not a span of a {len(body)}-byte body")
+
+
+def _dec_raw(ref: Any, body: Optional[bytes]) -> str:
+    try:
+        return _span(ref, body).decode("ascii")
+    except UnicodeDecodeError:
+        raise ReplayError(f"raw string {ref!r} is not ASCII") from None
+
+
+#: tag → ``fn(item, body)``; ``__b`` is :func:`decode`'s own first case
+_TAGGED: dict[str, Callable[[Any, Optional[bytes]], Any]] = {
     "__t": _dec_tuple,
     "__s": _dec_set,
     "__fs": _dec_frozenset,
     "__d": _dec_dict,
+    "__r": _dec_raw,
+    "__rb": _span,
 }
 
 
-def _decoder_for(name: str) -> Callable[[dict], Any]:
-    """``fn(class_body)`` for the class registered as ``name``: a keyword
-    call straight from the body's fields when they are exactly the
-    ``init`` fields, and ``cls(**fields)`` (which raises on a wrong name)
-    otherwise."""
+def _decoder_for(name: str) -> Callable[[dict, Optional[bytes]], Any]:
+    """``fn(class_body, frame_body)`` for the class registered as
+    ``name``: a keyword call straight from the body's fields when they
+    are exactly the ``init`` fields, and ``cls(**fields)`` (which raises
+    on a wrong name) otherwise."""
     cls = _registry().get(name)
     if cls is None:
         raise ReplayError(f"unknown class {name!r}")
     names = [f.name for f in fields(cls) if f.init]
     load = "".join(f"        a{i} = f[{n!r}]\n" for i, n in enumerate(names))
     args = ", ".join(
-        f"{n}=a{i} if type(a{i}) in P else D(a{i})" for i, n in enumerate(names)
+        f"{n}=a{i} if type(a{i}) in P else D(a{i}, b)" for i, n in enumerate(names)
     )
     src = (
-        "def dec(value):\n"
+        "def dec(value, b):\n"
         "    f = value['f']\n"
         "    if f.keys() == KEYS:\n"
         f"{load}"
         f"        obj = cls({args})\n"
         "    else:\n"
-        "        obj = cls(**{k: D(v) for k, v in f.items()})\n"
+        "        obj = cls(**{k: D(v, b) for k, v in f.items()})\n"
         "    if 's' in value:\n"
         "        obj.sender = value['s']\n"
         "    if value.get('q'):\n"
@@ -477,9 +555,28 @@ def encode_json(value: Any, with_sender: bool = True) -> str:
     """Compact deterministic JSON text of ``value``: one join of the
     fragments its emitters append."""
     out: list[str] = []
-    _emit(value, out.append, with_sender)
+    _emit(value, out.append, True if with_sender else False)
     return "".join(out)
 
 
 def decode_json(text: str) -> Any:
     return decode(json.loads(text))
+
+
+# ------------------------------------------------------------------ frames
+def encode_frame(value: Any) -> tuple[bytes, list[bytes]]:
+    """``value`` in content form as a frame: the head (ASCII codec JSON,
+    a ref in place of each long ASCII string and long ``bytes``) and the
+    body segments the refs point into, in order."""
+    out: list[str] = []
+    body = _Body()
+    _emit(value, out.append, body)
+    return "".join(out).encode(), body
+
+
+def decode_frame(head: str | bytes, body: bytes | Iterable[bytes]) -> Any:
+    """Rebuild the value :func:`encode_frame` wrote; ``body`` is its bytes
+    or the segments :func:`encode_frame` returned."""
+    if not isinstance(body, bytes):
+        body = b"".join(body)
+    return decode(json.loads(head), body)

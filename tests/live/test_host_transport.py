@@ -11,6 +11,7 @@ covered by ``test_crossval.py``, ``test_process_faults.py`` and
 ``tests/serve`` under the ``live`` marker.
 """
 
+import gc
 import os
 import queue
 import selectors
@@ -21,7 +22,7 @@ import pytest
 
 from repro.api import DeploymentSpec, build
 from repro.consensus.messages import CsRequest
-from repro.errors import LiveError
+from repro.errors import LiveError, ReplayError
 from repro.live import host as host_mod
 from repro.live import runtime as runtime_mod
 from repro.live.host import CTRL, NEQ, PLAIN, Ends, LiveHost, frame
@@ -34,13 +35,15 @@ from repro.live.wire import (
     register_wire,
 )
 from repro.obs.events import CATEGORY_TASK, TaskCompleted
-from repro.runtime.codec import decode_json, encode_json
+from repro.runtime.codec import decode_frame, decode_json, encode_frame
 from repro.runtime.core import ProtocolCore
 
 #: fits a default 64 KiB pipe, so it is written in one go
 _BIG = "x" * (48 * 1024)
 #: more than a default pipe holds: written in parts
 _HUGE = "z" * (200 * 1024)
+#: a mebibyte that is not ASCII: escaped into the head, not raw in the body
+_WIDE = "\u00e9" + "w" * (1 << 20)
 
 
 def setup_module():
@@ -106,7 +109,7 @@ class Wires:
         return bytes(out)
 
     def read(self, dst):
-        """What the host wrote for ``dst``, as ``(kind, payload)``."""
+        """What the host wrote for ``dst``, as ``(kind, (head, body))``."""
         return _parse(self.raw(dst))
 
     def close(self):
@@ -123,15 +126,18 @@ def _close_wires():
 
 
 def _parse(data, complete=True):
-    """A frame reader: ``(kind, payload)`` of every whole frame; unless
-    ``complete`` is false (a reader mid-stream), nothing may be left."""
-    out, pos, head = [], 0, host_mod._HEAD.size
-    while len(data) - pos >= head:
-        kind, size = host_mod._HEAD.unpack_from(data, pos)
-        if pos + head + size > len(data):
+    """A frame reader: ``(kind, (head, body))`` of every whole frame;
+    unless ``complete`` is false (a reader mid-stream), nothing may be
+    left."""
+    out, pos, size = [], 0, host_mod._HEAD.size
+    while len(data) - pos >= size:
+        kind, n_head, n_body = host_mod._HEAD.unpack_from(data, pos)
+        mid = pos + size + n_head
+        if mid + n_body > len(data):
             break
-        out.append((kind, data[pos + head : pos + head + size].decode()))
-        pos += head + size
+        stop = mid + n_body
+        out.append((kind, (data[pos + size : mid].decode(), data[mid:stop])))
+        pos = stop
     assert pos == len(data) or not complete, "a frame was cut short"
     return out
 
@@ -159,14 +165,11 @@ def _req(tag, payload=None):
 def _msgs(*tags, neq=False):
     """A frame writer: the bytes a peer writes to send ``tags``."""
     kind = NEQ if neq else PLAIN
-    return b"".join(
-        frame(kind, encode_json(_req(t), with_sender=False).encode())
-        for t in tags
-    )
+    return b"".join(frame(kind, _req(t)) for t in tags)
 
 
 def _ctrl(envelope):
-    return frame(CTRL, encode_json(envelope).encode())
+    return frame(CTRL, envelope)
 
 
 def _host(script=None, pid="a", peers=("b", "c", "d"), up=None, wanted=()):
@@ -197,7 +200,7 @@ def _drain(q):
 
 
 def _tags(frames):
-    return [decode_json(payload).request_id for _, payload in frames]
+    return [decode_frame(*payload).request_id for _, payload in frames]
 
 
 def _start():
@@ -235,14 +238,15 @@ class TestEncodeOnce:
     def test_multicast_encodes_once_for_all_destinations(self, monkeypatch):
         calls = []
 
-        def counting(value, with_sender=True):
+        def counting(value):
             calls.append(type(value).__name__)
-            return encode_json(value, with_sender)
+            return encode_frame(value)
 
         writes = _Writes(monkeypatch)
         host, _ = _host({"go": lambda c, m: c.multicast("bcd", _req("out"))})
-        monkeypatch.setattr(host_mod, "encode_json", counting)
-        _run(host, ("b", _msgs("go")))
+        go = _msgs("go")  # framed before the count starts
+        monkeypatch.setattr(host_mod, "encode_frame", counting)
+        _run(host, ("b", go))
         assert calls.count("CsRequest") == 1
         frames = [host.wires.read(p) for p in "bcd"]
         assert all(f == [(PLAIN, frames[0][0][1])] for f in frames)
@@ -252,11 +256,11 @@ class TestEncodeOnce:
 
     def test_send_and_neq_multicast_encode_once_each(self, monkeypatch):
         calls = []
+        trigger = _msgs("go")  # framed before the count starts
         monkeypatch.setattr(
             host_mod,
-            "encode_json",
-            lambda v, with_sender=True: calls.append(v)
-            or encode_json(v, with_sender),
+            "encode_frame",
+            lambda v: calls.append(v) or encode_frame(v),
         )
 
         def go(core, msg):
@@ -264,7 +268,7 @@ class TestEncodeOnce:
             core.neq_multicast("cd", _req("n"))
 
         host, _ = _host({"go": go})
-        _run(host, ("b", _msgs("go")))
+        _run(host, ("b", trigger))
         assert [m.request_id for m in calls if isinstance(m, CsRequest)] == [
             "s",
             "n",
@@ -292,11 +296,13 @@ class TestFraming:
         assert writes.flushes(host, "b") == [["m0", "m1", "m2", "m3"]]
         assert writes.flushes(host, "c") == [["m0", "m1", "m2"]]
 
-    @pytest.mark.parametrize("big", [_BIG, _HUGE], ids=["whole", "partial"])
+    @pytest.mark.parametrize(
+        "big", [_BIG, _HUGE, _WIDE], ids=["whole", "partial", "escaped"]
+    )
     def test_order_holds_across_a_partial_write(self, monkeypatch, big):
         """Per-(src,dst) FIFO is the pipe's byte order, also when a pipe
         too small for a payload takes it in parts while the sender goes
-        on posting behind it."""
+        on posting behind it — a raw body or a long escaped head."""
 
         def go(core, msg):
             core.send("b", _req("before"))
@@ -317,9 +323,9 @@ class TestFraming:
         assert not runner.is_alive()
         frames = _parse(got)
         assert _tags(frames) == ["before", "big", "after", "last"]
-        assert decode_json(frames[1][1]).payload == big
+        assert decode_frame(*frames[1][1]).payload == big
         partial = any(n < sum(map(len, bufs)) for bufs, n in writes.to(host, "b"))
-        assert partial is (big is _HUGE)
+        assert partial is (big is not _BIG)
 
     def test_big_multicast_payload_arrives_whole_everywhere(self, monkeypatch):
         def go(core, msg):
@@ -333,7 +339,7 @@ class TestFraming:
         assert _tags(to_b) == ["big"]
         assert _tags(to_c) == ["small", "big"]
         assert to_b[0] == to_c[1]
-        assert decode_json(to_b[0][1]).payload == _BIG
+        assert decode_frame(*to_b[0][1]).payload == _BIG
         # encoded once: the same bytes went to both pipes
         ((b_bufs, _),), ((c_bufs, _),) = writes.to(host, "b"), writes.to(host, "c")
         assert b_bufs[-1] is c_bufs[-1]
@@ -350,8 +356,26 @@ class TestReceive:
         while (item := host._recv(0.0)) is not None:
             host._handle(item)
         assert [m.request_id for m in core.seen] == ["split", "whole"]
-        payload = encode_json(core.seen[0], with_sender=False).encode()
-        assert frame(PLAIN, payload) == data[: len(_msgs("split"))]
+        assert frame(PLAIN, core.seen[0]) == data[: len(_msgs("split"))]
+
+    def test_frames_decode_with_the_collector_paused_and_restored(
+        self, monkeypatch
+    ):
+        seen = []
+
+        def decode(head, body):
+            seen.append(gc.isenabled())
+            return decode_frame(head, body)
+
+        monkeypatch.setattr(host_mod, "decode_frame", decode)
+        host, core = _host()
+        host._handle(("b", [(False, encode_frame(_req("ok", "k" * 200)))]))
+        host._handle(("b", [(False, encode_frame(_req("short")))]))
+        with pytest.raises(ReplayError):  # a hostile frame restores it too
+            host._handle(("b", [(False, (b'{"__r":[0,9]}', b"x"))]))
+        # only a frame with a body pauses it: without refs there is no tree
+        assert seen == [False, True, False] and gc.isenabled()
+        assert [m.request_id for m in core.seen] == ["ok", "short"]
 
     def test_control_and_peer_pipes_are_served_by_one_wait(self):
         host, core = _host()
@@ -470,16 +494,17 @@ class TestLoopback:
     def _counting(self, monkeypatch):
         calls = []
 
-        def counting(value, with_sender=True):
+        def counting(value):
             calls.append(value)
-            return encode_json(value, with_sender)
+            return encode_frame(value)
 
-        monkeypatch.setattr(host_mod, "encode_json", counting)
+        monkeypatch.setattr(host_mod, "encode_frame", counting)
         return calls
 
     def test_multicast_including_self_encodes_once_and_skips_own_inbox(
         self, monkeypatch
     ):
+        trigger = _msgs("go")  # framed before the count starts
         calls = self._counting(monkeypatch)
         writes = _Writes(monkeypatch)
         out = _req("out")
@@ -490,7 +515,7 @@ class TestLoopback:
             log.append(("returned", len(core.seen)))
 
         host, core = _host({"go": go, "out": lambda c, m: log.append("self")})
-        _run(host, ("d", _msgs("go")), grace=0.05)
+        _run(host, ("d", trigger), grace=0.05)
         assert [m for m in calls if isinstance(m, CsRequest)] == [out]
         # nothing went through a pipe but the two remote copies
         tx = host.wires.ends.tx
@@ -502,9 +527,10 @@ class TestLoopback:
         assert log == [("returned", 1), "self"]  # never re-entrant
 
     def test_send_only_to_self_never_encodes(self, monkeypatch):
+        trigger = _msgs("go")  # framed before the count starts
         calls = self._counting(monkeypatch)
         host, core = _host({"go": lambda c, m: c.send("a", _req("me"))})
-        _run(host, ("b", _msgs("go")), grace=0.05)
+        _run(host, ("b", trigger), grace=0.05)
         assert [m.request_id for m in core.seen] == ["go", "me"]
         assert not [m for m in calls if isinstance(m, CsRequest)]
         me = core.seen[1]
@@ -534,7 +560,7 @@ class TestLoopback:
         echo = lambda c, m: c.send("b", _req("echo-" + m.request_id))  # noqa: E731
         writes = _Writes(monkeypatch)
         host, core = _host({"go": go, "*": echo})
-        host._handle(("d", [(False, encode_json(_req("go"), False))]))
+        host._handle(("d", [(False, encode_frame(_req("go")))]))
         _run(host, ("c", _msgs("tail")), grace=0.05)
         selfs = [f"s{i}" for i in range(n)]
         assert [m.request_id for m in core.seen] == ["go", *selfs, "tail"]

@@ -29,7 +29,7 @@ from repro.live.wire import (
 )
 from repro.net.links import Network
 from repro.runtime import testing
-from repro.runtime.codec import decode_json, encode_json
+from repro.runtime.codec import decode_frame, decode_json, encode_frame
 from repro.runtime.core import ProtocolCore
 from repro.runtime.des import DesHost
 from repro.runtime.effects import Job, Send
@@ -52,10 +52,7 @@ class _Probe(ProtocolCore):
 def _frame(src, *tags):
     return (
         src,
-        [
-            (False, encode_json(CsRequest(request_id=t), with_sender=False))
-            for t in tags
-        ],
+        [(False, encode_frame(CsRequest(request_id=t))) for t in tags],
     )
 
 
@@ -353,23 +350,19 @@ def test_halt_rules_hold_in_a_forked_child_on_real_pipes():
     try:
         assert isinstance(decode_json(up.get(timeout=10)), ChildReady)
         start = CtrlStart(t0=time.monotonic(), time_scale=1.0)
-        to_a(CTRL, encode_json(start).encode())
-        go, after = (
-            encode_json(CsRequest(request_id=t), with_sender=False).encode()
-            for t in ("go", "after-halt")
-        )
-        to_a(PLAIN, go)
+        to_a(CTRL, start)
+        to_a(PLAIN, CsRequest(request_id="go"))
         time.sleep(0.3)  # every deadline above is due by now
-        to_a(PLAIN, after)
+        to_a(PLAIN, CsRequest(request_id="after-halt"))
         # the grace drain ends with one more pass over due work
-        to_a(CTRL, encode_json(CtrlShutdown(grace=0.1)).encode())
+        to_a(CTRL, CtrlShutdown(grace=0.1))
         report = decode_json(up.get(timeout=10))
         child.join(timeout=10)
         assert not child.is_alive()
         got = b""
         while chunk := os.read(p.rx["a"], 1 << 16):  # EOF: the child is gone
             got += chunk
-        tags = [decode_json(payload).request_id for _, payload in _parse(got)]
+        tags = [decode_frame(*parts).request_id for _, parts in _parse(got)]
     finally:
         if child.is_alive():
             child.kill()
