@@ -75,7 +75,6 @@ class OsirisConfig:
     non_equivocation: bool = True
     consensus_batch_delay: float = 0.5e-3
     consensus_view_timeout: float = 50e-3
-    retained_outputs: int = 128
     admission_queue: int | None = None
     admission_rate: float | None = None
 

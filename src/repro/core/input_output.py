@@ -2,8 +2,9 @@
 
 IP submits task batches to VP_CO through the consensus client ([P1]);
 OP accepts a record chunk only after f+1 matching digests from one
-verifier sub-cluster ([P4]) and runs the negligent-leader /
-equivocation-report machinery of Sec 5.2.2.  The paper makes *no*
+verifier sub-cluster ([P4]), acknowledges each completed task to that
+sub-cluster so its verifiers can drop the output, and runs the
+negligent-leader / equivocation-report machinery of Sec 5.2.2.  The paper makes *no*
 assumption about failures in IP or OP — Byzantine variants are expressed
 through :class:`~repro.core.faults.OutputFault` and by submitting
 invalid tasks.
@@ -24,6 +25,7 @@ from repro.core.faults import OutputFault
 from repro.core.messages import (
     EquivocationReport,
     NegligentLeaderReport,
+    OutputAckMsg,
     VerifiedChunkMsg,
     VerifiedDigestMsg,
 )
@@ -279,6 +281,11 @@ class OutputProcess(ProtocolCore):
             ot.completed = True
             for index in list(ot.slots):
                 self.cancel_timer(f"op-wait-{task_id}-{index}")
+            # the verifiers may now drop this task's output
+            self.multicast(
+                self.topo.cluster(ot.vp_index).members,
+                OutputAckMsg(vp_index=ot.vp_index, task_id=task_id),
+            )
             if self.wants(CATEGORY_TASK):
                 self.emit(
                     TaskCompleted(

@@ -23,6 +23,7 @@ __all__ = [
     "ChunkDigestMsg",
     "VerifiedChunkMsg",
     "VerifiedDigestMsg",
+    "OutputAckMsg",
     "OutputSizeReport",
     "VerifierLoadReport",
     "SuspectExecutorMsg",
@@ -134,6 +135,21 @@ class VerifiedDigestMsg(Message):
 
     def payload_bytes(self) -> int:
         return 96
+
+
+@dataclass
+class OutputAckMsg(Message):
+    """OP → VP_i members: every chunk of the task is accepted.
+
+    Unsigned: the link authenticates the sender, and an ack only lets
+    verifiers drop output bound for the OP that sent it.
+    """
+
+    vp_index: int = 0
+    task_id: str = ""
+
+    def payload_bytes(self) -> int:
+        return 64
 
 
 # ----------------------------------------------------------------- control

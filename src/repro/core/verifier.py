@@ -20,7 +20,6 @@ liveness fallback of Lemma 6.4.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,6 +34,7 @@ from repro.core.messages import (
     FallbackExecuteMsg,
     LeaderElectMsg,
     NegligentLeaderReport,
+    OutputAckMsg,
     OutputSizeReport,
     RoleSwitchMsg,
     SuspectExecutorMsg,
@@ -105,7 +105,14 @@ class Verifier(WorkerBase):
         #: task_id -> (tenant, submitted_at) for OP routing/SLO tagging;
         #: grows with _completed_tasks (same unbounded-set precedent)
         self._task_meta: dict[str, tuple[str, float]] = {}
-        self._retained: OrderedDict[str, list[tuple[Chunk, bytes]]] = OrderedDict()
+        #: task_id -> (verified chunks, total records, OPs yet to ack):
+        #: a completed task's output, held until every OP it went to has
+        #: acknowledged it, so memory is bounded by the work in flight
+        self._unacked: dict[
+            str, tuple[list[tuple[Chunk, bytes]], int, set[str]]
+        ] = {}
+        #: task_id -> OPs that acked before this member completed the task
+        self._early_acks: dict[str, set[str]] = {}
         self._elect_votes: dict[int, set[str]] = {}
         self._op_reported_leaders: dict[str, set[str]] = {}
         self._byzantine_ops: set[str] = set()
@@ -408,11 +415,9 @@ class Verifier(WorkerBase):
         st = self._tasks[key]
         st.finished = True
         task_id = key[0]
-        self._completed_tasks.add(task_id)
         if st.assignment is not None:
             t = st.assignment.task
             self._task_meta[task_id] = (t.tenant, t.submitted_at)
-        self._retain(task_id, list(st.verified))
         self._forward_output(task_id, st.verified, st.seen_records)
         done = TaskCompleteMsg(
             task_id=task_id, attempt=key[1], count=st.seen_records
@@ -425,11 +430,50 @@ class Verifier(WorkerBase):
                 other_key = (task_id, attempt)
                 self.cancel_timer(self._suspect_timer_name(other_key))
                 self._tasks[other_key].failed = True
+        self._hold(task_id, st.verified, st.seen_records)
 
-    def _retain(self, task_id: str, chunks: list[tuple[Chunk, bytes]]) -> None:
-        self._retained[task_id] = chunks
-        while len(self._retained) > self.config.retained_outputs:
-            self._retained.popitem(last=False)
+    # ------------------------------------------------ output acknowledgement
+    def _hold(
+        self, task_id: str, chunks: list[tuple[Chunk, bytes]], total: int
+    ) -> None:
+        """Mark the task completed here and keep its output until every OP
+        it went to has acknowledged it; acks that came first count."""
+        if task_id in self._completed_tasks:
+            # a repeat completion holds nothing new: its attempt goes with
+            # the task's release, or now if that already happened
+            if task_id not in self._unacked:
+                self._release(task_id)
+            return
+        self._completed_tasks.add(task_id)
+        tenant = self._task_meta.get(task_id, ("", 0.0))[0]
+        waiting = set(self.topo.outputs_for(tenant))
+        waiting -= self._early_acks.pop(task_id, set())
+        self._unacked[task_id] = (chunks, total, waiting)
+        if not waiting:
+            self._release(task_id)
+
+    def _release(self, task_id: str) -> None:
+        """Every OP has the task's output: drop its records, every attempt."""
+        self._unacked.pop(task_id, None)
+        for attempt in self._attempts.get(task_id, ()):
+            st = self._tasks[(task_id, attempt)]
+            st.verified.clear()
+            st.raw_chunks.clear()
+            st.last_record = None
+
+    def on_OutputAckMsg(self, msg: OutputAckMsg) -> None:
+        """An OP accepted every chunk of the task."""
+        if msg.sender not in self.topo.output_pids:
+            return  # an ack drops data bound for its sender: OPs only
+        held = self._unacked.get(msg.task_id)
+        if held is None:
+            if msg.task_id not in self._completed_tasks:
+                self._early_acks.setdefault(msg.task_id, set()).add(msg.sender)
+            return
+        waiting = held[2]
+        waiting.discard(msg.sender)
+        if not waiting:
+            self._release(msg.task_id)
 
     def _forward_output(
         self,
@@ -557,10 +601,9 @@ class Verifier(WorkerBase):
                 )
             )
             if self.is_leader:
-                # the new leader re-sends retained verified outputs so OP
-                # obtains the chunk data the negligent leader withheld
-                for task_id, chunks in self._retained.items():
-                    total = sum(len(c.records) for c, _ in chunks)
+                # the new leader re-sends every output an OP has not yet
+                # acknowledged: the chunk data a negligent leader withheld
+                for task_id, (chunks, total, _) in self._unacked.items():
                     self._forward_output(
                         task_id, chunks, total, force_leader=True
                     )
@@ -578,10 +621,11 @@ class Verifier(WorkerBase):
                 index=msg.index,
             )
         )
-        # Re-share our *verified* chunk for that index even when the OP's
-        # quoted digest differs — a Byzantine leader may have fed the OP a
-        # bogus digest, and receivers validate any share against their own
-        # non-equivocable σ(C) regardless.
+        # Re-share our *verified* chunk for that index (``st.verified``, the
+        # list ``_unacked`` holds) even when the OP's quoted digest differs
+        # — a Byzantine leader may have fed the OP a bogus digest, and
+        # receivers validate any share against their own non-equivocable
+        # σ(C) regardless.
         for attempt in self._attempts.get(msg.task_id, ()):
             key = (msg.task_id, attempt)
             st = self._tasks[key]
@@ -753,6 +797,5 @@ class Verifier(WorkerBase):
         )
 
     def _fallback_emit(self, task_id: str, pairs, total: int) -> None:
-        self._completed_tasks.add(task_id)
-        self._retain(task_id, pairs)
         self._forward_output(task_id, pairs, total)
+        self._hold(task_id, pairs, total)

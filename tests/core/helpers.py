@@ -59,3 +59,20 @@ def expected_record_data(task_id: str, i: int) -> int:
     """The datum SyntheticApp must produce at position i of a task."""
     raw = hashlib.sha256(f"{task_id}:{i}".encode()).digest()
     return int.from_bytes(raw[:8], "big")
+
+
+def held_chunks(verifier, task_id=None) -> list:
+    """Chunks ``verifier`` still holds, for ``task_id`` or for every task:
+    output awaiting the OP's acknowledgement, plus every attempt's
+    verified and buffered chunks."""
+    held = [
+        chunk
+        for tid, (chunks, _, _) in verifier._unacked.items()
+        if task_id in (None, tid)
+        for chunk, _ in chunks
+    ]
+    for (tid, _), st in verifier._tasks.items():
+        if task_id in (None, tid):
+            held += [chunk for chunk, _ in st.verified]
+            held += [m.chunk for m in st.raw_chunks.values()]
+    return held

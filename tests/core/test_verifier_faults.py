@@ -1,7 +1,10 @@
 """Byzantine verifier and output-process tests (Sec 5.2.2 machinery)."""
 
 
+from repro import api
+from repro.adversary import Action, Campaign, FaultSpec, Phase
 from repro.apps.synthetic import SyntheticApp
+from repro.bench.workloads import synthetic_bench
 from repro.core.faults import (
     BogusDigestFault,
     FalseAccusationFault,
@@ -53,6 +56,54 @@ class TestNegligentLeader:
         assert all(
             "e" not in c.blacklist for c in cluster.coordinators
         )
+
+
+class TestNegligentLeaderBacklog:
+    """The sub-cluster leader turns negligent at t=0.05 under a burst
+    (10 × 1 KiB records per task, 0.5 ms apart, 1 ms compute), so it
+    withholds far more outputs than any fixed window would keep.  The
+    leader elected after it must re-forward every output the OP has not
+    acknowledged, or the tasks withheld early never complete."""
+
+    @staticmethod
+    def burst(n, n_tasks):
+        campaign = Campaign(
+            name="negligent-leader-backlog",
+            phases=(
+                Phase(
+                    at=0.05,
+                    actions=(
+                        Action(
+                            op="set",
+                            select="cluster:0[0:1]",
+                            fault=FaultSpec("verifier", "negligent-leader"),
+                        ),
+                    ),
+                ),
+            ),
+        )
+        workload = synthetic_bench(
+            n_tasks, records_per_task=10, compute_cost=1e-3, rate=2000.0
+        )
+        return api.run(
+            api.DeploymentSpec(
+                workload=workload,
+                n=n,
+                seed=100,
+                deadline=600.0,
+                faults=campaign,
+            )
+        )
+
+    def test_n4_every_task_of_200_completes(self):
+        result = self.burst(4, 200)
+        assert result.tasks_completed == 200
+        assert result.records == 2000
+
+    def test_n7_every_task_of_400_completes(self):
+        result = self.burst(7, 400)
+        assert result.tasks_completed == 400
+        assert result.records == 4000
 
 
 class TestBogusDigest:

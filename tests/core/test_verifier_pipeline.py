@@ -1,14 +1,21 @@
 """Verifier pipeline behaviours that integration runs don't pin down:
-digest gating, out-of-order chunk buffering, count deferral, retained
-output resends, and role-switch epochs."""
+digest gating, out-of-order chunk buffering, count deferral, output held
+until the OP acknowledges it, leader resends, and role-switch epochs."""
 
+from dataclasses import replace
+
+import pytest
 
 from repro.apps.synthetic import SyntheticApp, make_compute_task
-from repro.core import build_osiris_cluster
-from repro.core.messages import ChunkDigestMsg, ChunkMsg, RoleSwitchMsg
+from repro.core import OsirisConfig, build_osiris_cluster
+from repro.core.messages import (
+    ChunkDigestMsg,
+    ChunkMsg,
+    OutputAckMsg,
+    RoleSwitchMsg,
+)
 from repro.core.tasks import Assignment, Chunk, Record
-from repro.crypto.digest import digest
-from tests.core.helpers import compute_workload, fast_config
+from tests.core.helpers import compute_workload, fast_config, held_chunks
 
 
 def deploy(n_tasks=4, seed=50, **kwargs):
@@ -107,32 +114,89 @@ class TestRoleSwitchEpochs:
         assert not verifier.executor_mode
 
 
+def ack(verifier, sender, task_id):
+    msg = OutputAckMsg(vp_index=verifier.cluster.index, task_id=task_id)
+    msg.sender = sender
+    verifier.on_OutputAckMsg(msg)
+
+
 class TestRetention:
-    def test_completed_outputs_retained_bounded(self):
-        config = fast_config(retained_outputs=5)
-        app = SyntheticApp(records_per_task=2, compute_cost=1e-3)
+    """A verifier holds a task's output until every OP it went to has
+    acknowledged it, and not after."""
+
+    @staticmethod
+    def sharded_run(pre_ack=None):
+        """Two shards, t0/t1 tasks, ``op1`` crashed before the start: its
+        tenant's tasks are verified but never acknowledged.  ``pre_ack``
+        is a task ``op1`` acks before anything runs."""
+        app = SyntheticApp(records_per_task=4, compute_cost=2e-3)
+        workload = [
+            (at, replace(task, tenant=f"t{i % 2}"))
+            for i, (at, task) in enumerate(compute_workload(8))
+        ]
         cluster = build_osiris_cluster(
             app,
-            workload=iter(compute_workload(20)),
+            workload=iter(workload),
             n_workers=10,
             k=2,
-            seed=51,
-            config=config,
+            seed=53,
+            config=fast_config(),
+            shards=2,
         )
+        cluster.worker("op1").crash()
+        if pre_ack is not None:
+            for v in cluster.all_verifiers:
+                ack(v, "op1", pre_ack)
         cluster.start()
         cluster.run(until=30.0)
-        for v in cluster.verifiers:
-            assert len(v._retained) <= 5
+        to_op1 = {
+            task.task_id
+            for _, task in workload
+            if cluster.topo.outputs_for(task.tenant) == ("op1",)
+        }
+        return cluster, to_op1
 
-    def test_retained_chunks_match_task_output(self):
-        cluster = deploy(n_tasks=3)
+    def test_acknowledged_tasks_hold_no_chunks(self):
+        cluster = deploy(n_tasks=6)
         cluster.start()
         cluster.run(until=30.0)
-        verifier = cluster.verifiers[0]
-        for task_id, chunks in verifier._retained.items():
-            for chunk, sigma in chunks:
-                assert digest(chunk) == sigma
-                assert chunk.task_id == task_id
+        assert cluster.metrics.tasks_completed == 6
+        for v in cluster.all_verifiers:
+            assert v._unacked == {} and held_chunks(v) == []
+            assert all(st.last_record is None for st in v._tasks.values())
+
+    def test_sharded_output_held_until_its_own_op_acks(self):
+        cluster, to_op1 = self.sharded_run()
+        assert to_op1 and cluster.metrics.tasks_completed == 8 - len(to_op1)
+        holders = [v for v in cluster.all_verifiers if v._unacked]
+        assert holders
+        for v in holders:
+            assert set(v._unacked) <= to_op1  # op0's tasks are released
+        v = holders[0]
+        task_id = next(iter(v._unacked))
+        ack(v, "op0", task_id)  # not the OP this tenant's output went to
+        assert task_id in v._unacked and held_chunks(v, task_id)
+        ack(v, "op1", task_id)
+        assert task_id not in v._unacked and held_chunks(v, task_id) == []
+
+    def test_ack_before_completion_releases_on_completion(self):
+        cluster, to_op1 = self.sharded_run(pre_ack="c1")
+        assert "c1" in to_op1
+        assert any("c1" in v._completed_tasks for v in cluster.all_verifiers)
+        for v in cluster.all_verifiers:
+            assert "c1" not in v._unacked and held_chunks(v, "c1") == []
+        assert any(v._unacked for v in cluster.all_verifiers)
+
+    def test_ack_from_an_executor_pid_is_ignored(self):
+        cluster, _ = self.sharded_run()
+        v = next(v for v in cluster.all_verifiers if v._unacked)
+        task_id = next(iter(v._unacked))
+        ack(v, cluster.topo.executor_pids[0], task_id)
+        assert task_id in v._unacked and held_chunks(v, task_id)
+
+    def test_retained_outputs_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            OsirisConfig(retained_outputs=128)
 
 
 class TestLeaderResend:

@@ -14,6 +14,7 @@ from repro.core.input_output import OutputProcess
 from repro.core.worker import WorkerBase
 from repro.crypto import KeyRegistry, digest
 from repro.net import Network, SubCluster, SynchronyModel, Topology
+from repro.runtime.core import ProtocolCore
 from repro.runtime.des import DesHost
 from repro.sim import Simulator
 
@@ -118,11 +119,20 @@ class TestStateUpdateQuorum:
         assert worker.store.applied_ts == 0
 
 
-def make_op():
+def make_op_env():
+    """An OP, plus bare endpoints for the sub-cluster its chunks come
+    from (the members it acknowledges completed tasks to)."""
     sim, net, registry, topo, config, metrics, app = make_env()
     op = OutputProcess("op0", topo, config)
     net.register(DesHost(sim, net, op, cores=2))
-    return op, metrics, sim
+    members = [ProtocolCore(pid) for pid in topo.cluster(1).members]
+    for core in members:
+        net.register(DesHost(sim, net, core, cores=1))
+    return op, metrics, sim, members
+
+
+def make_op():
+    return make_op_env()[:3]
 
 
 def chunk_msg(sender, task_id="t1", index=0, final=True, records=2, data_tag="x"):
@@ -218,3 +228,13 @@ class TestOutputAcceptance:
         dup.sender = "v0"
         op.on_VerifiedChunkMsg(dup)
         assert metrics.records_accepted == 2
+
+    def test_completed_task_acknowledged_once_to_its_subcluster(self):
+        op, metrics, sim, members = make_op_env()
+        data = chunk_msg("v3")
+        op.on_VerifiedChunkMsg(data)
+        op.on_VerifiedDigestMsg(digest_msg("v4", data))
+        op.on_VerifiedDigestMsg(digest_msg("v5", data))  # after completion
+        sim.run(until=1.0)
+        assert metrics.tasks_completed == 1
+        assert [core.unhandled_messages for core in members] == [1, 1, 1]

@@ -17,11 +17,11 @@ _COUNTS = (
 #: frontier changes them, so any drift fails here rather than merely
 #: running slower.
 PINNED = {
-    "default": (618, 656, 11, 848, 231, 39, 3474),
-    "no-stutter": (778, 905, 11, 1749, 0, 100, 7274),
-    "delays-0": (40, 39, 1, 0, 19, 0, 248),
-    "executor:equivocate-chunks": (604, 658, 9, 848, 177, 55, 3625),
-    "verifier:bogus-digest": (626, 664, 11, 854, 217, 39, 3685),
+    "default": (706, 757, 11, 1006, 237, 52, 4539),
+    "no-stutter": (873, 1027, 11, 2054, 0, 120, 8902),
+    "delays-0": (43, 42, 1, 0, 19, 0, 301),
+    "executor:equivocate-chunks": (687, 757, 9, 1006, 182, 71, 4676),
+    "verifier:bogus-digest": (692, 736, 11, 876, 217, 45, 4286),
     "executor:silent": (2097, 2153, 17, 391, 850, 56, 2847),
 }
 
