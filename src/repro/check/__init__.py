@@ -19,8 +19,9 @@ Invariants (see DESIGN.md "Substrate sanitizer" for the catalogue):
   and the occupancy conservation law ``busy_seconds == completed +
   consumed-by-cancelled`` once a bank drains.
 * **Conservation** — every committed record delivered exactly once
-  (``classify_output == NONE`` against a post-run recompute), no
-  committed equivocation within a slot or across output processes, and
+  (a post-run recompute of A(s, t), cut along the committed record
+  counts, reproduces every committed chunk digest), no committed
+  equivocation within a slot or across output processes, and
   trace/counter agreement at the OPs.
 
 Entry points: ``Sanitizer`` (attach to a deployment via

@@ -9,15 +9,17 @@ duplicated, nothing dropped.  This checker enforces that end to end:
   at one OP, and the two acceptance event streams (``ChunkAccepted`` /
   ``RecordsAccepted``) agree record for record;
 * post-run (auditor): each accepted slot has exactly one quorum-endorsed
-  digest whose chunk data is present (≥2 would be *committed
-  equivocation* within a sub-cluster; 0 means the OP accepted without a
-  derivable quorum), accepted digests agree across output processes, OP
-  counters match the trace, and — the strongest check — for every
-  completed compute task the concatenated accepted records are
-  recomputed from the coordinator's replica at the task's snapshot and
-  classified with :func:`~repro.core.failure_model.classify_output`,
-  which must return ``NONE`` (on honest *and* faulty runs: committed
-  output is correct or the protocol is broken).
+  digest whose chunk data arrived, and it is the accepted one (≥2
+  would be *committed equivocation* within a sub-cluster; none means
+  the OP accepted without a derivable quorum), accepted digests agree
+  across output processes, OP counters match the trace, and — the
+  strongest check — for every completed compute task A(s, t) is
+  recomputed from the coordinator's replica at the task's snapshot,
+  cut along the committed record counts, and every piece's σ must be
+  the committed one, with the counts summing to ``len(A(s, t))`` (on
+  honest *and* faulty runs: committed output is correct or the
+  protocol is broken).  The OP keeps only σ and a count per accepted
+  chunk, so no record is needed for this.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ class ConservationSink(Sink):
         baseline clusters (no verifier quorum machinery) get only the
         live checks.  The counter-vs-trace cross-checks below need the
         event streams only this sink sees; the trace-free safety
-        invariants (quorum endorsement, cross-OP agreement, output
-        classification) are shared with the :mod:`repro.mc` explorer
+        invariants (quorum endorsement, cross-OP agreement, committed
+        output against A(s, t)) are shared with the :mod:`repro.mc` explorer
         via :func:`repro.check.invariants.audit_safety`.
         """
         report = self.report

@@ -16,29 +16,35 @@ and ``.outputs`` (OutputProcess cores) — satisfied both by the DES
 
 Invariant names are stable and shared with the live checkers:
 
-* ``committed-equivocation`` — two quorum-endorsed digests with data
-  present in one chunk slot, or two OPs committing different digests
-  for the same slot;
-* ``accept-without-quorum`` — an accepted slot with no quorum-endorsed
-  digest whose chunk data is present;
+* ``committed-equivocation`` — two quorum-endorsed digests whose
+  chunk data arrived in one chunk slot, or two OPs committing different
+  digests for the same slot;
+* ``accept-without-quorum`` — an accepted slot whose accepted digest is
+  not quorum-endorsed or whose chunk data never arrived;
 * ``accept-conservation`` — an OP's acceptance counters disagree with
-  its accepted-slot state.  This is the *structural* exactly-once
+  its accepted-slot state (slot count, and the sum of the accepted
+  slots' record counts).  This is the *structural* exactly-once
   commit check: unlike the sink's event-stream double-accept check it
   needs no trace, and it holds in a state regardless of which schedule
   reached it — which is what makes it usable under the explorer's
   state-fingerprint merging;
 * ``completion-without-accept`` — a task marked completed whose slots
   ``0..final_index`` are not all accepted;
-* ``output-failure`` — a completed compute task whose committed records
-  do not classify as ``OutputFailure.NONE`` against A(s, t) recomputed
-  from the coordinator's replica at the task's snapshot.
+* ``output-failure`` — a completed compute task whose committed chunks
+  are not A(s, t), recomputed from the coordinator's replica at the
+  task's snapshot.  The OP keeps only each accepted chunk's σ and
+  record count, so A(s, t) is cut along those counts into chunks and
+  every σ must match, and the counts must sum to ``len(A(s, t))``.
+  σ covers the records, the index and the final flag, so this is at
+  least as strict as ``classify_output(...) == NONE``: it also pins
+  order and chunk boundaries.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.failure_model import OutputFailure, classify_output
+from repro.core.tasks import Chunk
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.report import SanitizerReport
@@ -51,7 +57,7 @@ def audit_safety(cluster, report: "SanitizerReport") -> None:
 
     Appends one :class:`~repro.check.report.Violation` per finding to
     ``report`` and bumps ``report.outputs_recomputed`` for every task
-    whose committed output was recomputed and classified.
+    whose committed output was recomputed and compared.
     """
     expected_cache: dict[str, tuple] = {}
     coordinator = cluster.coordinators[0]
@@ -77,7 +83,7 @@ def audit_safety(cluster, report: "SanitizerReport") -> None:
                 winners = [
                     sigma
                     for sigma, endorsers in slot.endorsements.items()
-                    if len(endorsers) >= quorum and sigma in slot.data
+                    if len(endorsers) >= quorum and sigma in slot.arrived
                 ]
                 if len(winners) > 1:
                     report.add(
@@ -92,20 +98,20 @@ def audit_safety(cluster, report: "SanitizerReport") -> None:
                     countable = False
                     continue
                 if index in ot.accepted:
-                    if not winners:
+                    sigma = slot.winner
+                    if sigma not in winners:
                         report.add(
                             "accept-without-quorum",
                             op.pid,
                             -1.0,
-                            f"task {task_id}#{index} accepted but no "
-                            f"digest holds a quorum of {quorum} with "
-                            f"data present",
+                            f"task {task_id}#{index} accepted but its "
+                            f"digest does not hold a quorum of {quorum} "
+                            f"with data present",
                         )
                         countable = False
                         continue
-                    sigma = winners[0]
                     winners_by_index[index] = sigma
-                    winner_records += len(slot.data[sigma].records)
+                    winner_records += slot.records
                     prev = committed.get((task_id, index))
                     if prev is not None and prev != sigma:
                         report.add(
@@ -162,7 +168,8 @@ def _audit_output(
     cluster, coordinator, op, task_id, ot, winners_by_index,
     expected_cache, report,
 ) -> None:
-    """Recompute A(s, t) and classify the committed record sequence."""
+    """Recompute A(s, t), cut it along the committed record counts and
+    compare every chunk's σ with the committed one."""
     if not ot.completed:
         return
     entry = coordinator.outstanding.get(task_id)
@@ -171,25 +178,35 @@ def _audit_output(
     task = entry.task
     if not task.opcode.has_compute or task.timestamp < 0:
         return
-    observed: list = []
-    for index in sorted(ot.accepted):
-        sigma = winners_by_index.get(index)
-        if sigma is None:
-            return  # already reported above; classification would lie
-        observed.extend(ot.slots[index].data[sigma].records)
+    indices = sorted(ot.accepted)
+    if any(i not in winners_by_index for i in indices):
+        return  # already reported above; a comparison would lie
     if task_id not in expected_cache:
         view = coordinator.store.view(task.timestamp)
-        expected_cache[task_id] = cluster.app.compute(view, task).records
+        records = cluster.app.compute(view, task).records
+        expected_cache[task_id] = tuple(records)
     expected = expected_cache[task_id]
     report.outputs_recomputed += 1
-    failure = classify_output(observed, expected)
-    if failure != OutputFailure.NONE:
-        report.add(
-            "output-failure",
-            op.pid,
-            -1.0,
-            f"task {task_id} committed output classifies as "
-            f"{failure!r} against A(s, t) recomputed at ts="
-            f"{task.timestamp} ({len(observed)} observed vs "
-            f"{len(expected)} expected records)",
-        )
+    observed = sum(ot.slots[i].records for i in indices)
+    diverging = None
+    start = 0
+    for i in indices:
+        count = ot.slots[i].records
+        final = i == ot.final_index
+        piece = Chunk(task_id, i, expected[start:start + count], final)
+        start += count
+        if piece.sigma != winners_by_index[i]:
+            diverging = i
+            break
+    if diverging is None:
+        if observed == len(expected):
+            return
+        diverging = max(indices, default=0)  # every σ matched: cut short
+    report.add(
+        "output-failure",
+        op.pid,
+        -1.0,
+        f"task {task_id} committed output diverges from A(s, t) "
+        f"recomputed at ts={task.timestamp} at chunk #{diverging} "
+        f"({observed} observed vs {len(expected)} expected records)",
+    )

@@ -39,7 +39,7 @@ class SanitizerReport:
     spans_checked: int = 0
     #: CPU banks audited post-run.
     banks_audited: int = 0
-    #: Tasks whose committed output was recomputed and classified.
+    #: Tasks whose committed output was recomputed and compared with A(s, t).
     outputs_recomputed: int = 0
 
     #: Cap on stored violations: a systematically broken substrate would

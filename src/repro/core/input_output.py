@@ -140,10 +140,24 @@ class InputProcess(ProtocolCore):
 
 @dataclass
 class _ChunkSlot:
+    """One ``(task, index)`` position of a task's output at the OP.
+
+    Chunk data is held in ``pending`` only until the slot is accepted;
+    from then on the slot keeps the winning σ and its record count.
+    ``arrived`` remembers every σ whose data came, before and after
+    acceptance, so "a quorum *and* the data" stays checkable.
+    """
+
     endorsements: dict[bytes, set[str]] = field(default_factory=dict)
-    data: dict[bytes, Chunk] = field(default_factory=dict)
-    accepted: bool = False
+    pending: dict[bytes, Chunk] = field(default_factory=dict)
+    arrived: set[bytes] = field(default_factory=set)
+    winner: Optional[bytes] = None
+    records: int = 0
     reports: int = 0
+
+    @property
+    def accepted(self) -> bool:
+        return self.winner is not None
 
 
 @dataclass
@@ -200,7 +214,10 @@ class OutputProcess(ProtocolCore):
         if got is None or msg.chunk is None:
             return
         ot, slot = got
-        slot.data[msg.chunk.sigma] = msg.chunk
+        sigma = msg.chunk.sigma
+        slot.arrived.add(sigma)
+        if not slot.accepted:
+            slot.pending[sigma] = msg.chunk
         slot.endorsements.setdefault(msg.digest, set()).add(msg.sender)
         self._try_accept(msg.task_id, ot, msg.index, slot)
 
@@ -217,7 +234,7 @@ class OutputProcess(ProtocolCore):
         """The acceptance rule: the first quorum-endorsed digest with data."""
         quorum = self.topo.cluster(ot.vp_index).quorum
         for sigma, endorsers in slot.endorsements.items():
-            if len(endorsers) >= quorum and sigma in slot.data:
+            if len(endorsers) >= quorum and sigma in slot.arrived:
                 return sigma
         return None
 
@@ -231,19 +248,21 @@ class OutputProcess(ProtocolCore):
             # not acceptable yet: something is late or someone is lying
             self._arm_wait_timer(task_id, index)
             return
-        chunk = slot.data[sigma]
-        slot.accepted = True
+        count = len(slot.pending[sigma].records)
+        # from here on the slot is its σ and count: no chunk is kept
+        slot.winner, slot.records = sigma, count
+        slot.pending.clear()
         ot.accepted.add(index)
         self.cancel_timer(f"op-wait-{task_id}-{index}")
         self.chunks_accepted += 1
-        self.records_accepted += len(chunk.records)
+        self.records_accepted += count
         if self.wants(CATEGORY_TASK):
             self.emit(
                 RecordsAccepted(
                     time=self.now,
                     pid=self.pid,
                     task_id=task_id,
-                    count=len(chunk.records),
+                    count=count,
                 )
             )
         if self.wants(CATEGORY_CHUNK):
@@ -253,24 +272,22 @@ class OutputProcess(ProtocolCore):
                     pid=self.pid,
                     task_id=task_id,
                     index=index,
-                    records=len(chunk.records),
+                    records=count,
                 )
             )
         self._check_complete(task_id, ot)
 
     def commit_record(self) -> dict:
         """What this OP committed: ``completed`` task ids, and per
-        accepted slot ``"task:index"`` the :meth:`_winner` digest (hex,
-        in ``chunks``) and its record count (``records``)."""
+        accepted slot ``"task:index"`` the accepted digest (hex, in
+        ``chunks``) and its record count (``records``)."""
         chunks: dict[str, str] = {}
         records: dict[str, int] = {}
         for task_id, ot in self._tasks.items():
             for index, slot in ot.slots.items():
-                # None only under an accept-without-quorum bug (sanitizer)
-                sigma = self._winner(ot, slot) if slot.accepted else None
-                if sigma is not None:
-                    chunks[f"{task_id}:{index}"] = sigma.hex()
-                    records[f"{task_id}:{index}"] = len(slot.data[sigma].records)
+                if slot.accepted:
+                    chunks[f"{task_id}:{index}"] = slot.winner.hex()
+                    records[f"{task_id}:{index}"] = slot.records
         completed = sorted(t for t, ot in self._tasks.items() if ot.completed)
         return {"completed": completed, "chunks": chunks, "records": records}
 

@@ -9,11 +9,12 @@ from repro.bench.workloads import synthetic_bench
 from repro.check.conservation import ConservationSink
 from repro.check.report import SanitizerReport
 from repro.core.config import OsirisConfig
+from repro.core.tasks import chunk_records
 from repro.runtime.deploy import build_osiris_cluster
 from repro.obs.events import ChunkAccepted, TaskCompleted
 
 
-def sanitized_cluster(n_tasks=6, n=5, seed=3):
+def sanitized_cluster(n_tasks=6, n=5, seed=3, chunk_bytes=None):
     wl = synthetic_bench(n_tasks)
     cluster = build_osiris_cluster(
         wl.app,
@@ -21,8 +22,8 @@ def sanitized_cluster(n_tasks=6, n=5, seed=3):
         n_workers=n,
         seed=seed,
         config=OsirisConfig(
-            f=1, chunk_bytes=wl.chunk_bytes, suspect_timeout=60.0,
-            cores_per_node=1,
+            f=1, chunk_bytes=chunk_bytes or wl.chunk_bytes,
+            suspect_timeout=60.0, cores_per_node=1,
         ),
         sanitize=True,
     )
@@ -41,6 +42,19 @@ def committed_slot(cluster):
             quorum = cluster.topo.cluster(ot.vp_index).quorum
             return op, task_id, ot, ot.slots[index], quorum
     raise AssertionError("no committed slot in the run")
+
+
+def committed_chunk(cluster, task_id, index):
+    """The chunk the OP committed at ``task_id#index``, rebuilt from
+    A(s, t): the OP keeps only its σ and record count."""
+    coordinator = cluster.coordinators[0]
+    task = coordinator.outstanding[task_id].task
+    view = coordinator.store.view(task.timestamp)
+    records = list(cluster.app.compute(view, task).records)
+    chunk = chunk_records(task_id, records, cluster.config.chunk_bytes)[index]
+    slot = cluster.outputs[0]._tasks[task_id].slots[index]
+    assert chunk.sigma == slot.winner and len(chunk.records) == slot.records
+    return chunk
 
 
 class TestHonestRuns:
@@ -86,19 +100,36 @@ class TestAuditedState:
         op, task_id, ot, slot, quorum = committed_slot(cluster)
         fake = b"\x00" * 32
         slot.endorsements[fake] = {f"v{i}" for i in range(quorum)}
-        slot.data[fake] = next(iter(slot.data.values()))
+        slot.arrived.add(fake)
         report = cluster.sanitizer.audit(cluster)
         assert "committed-equivocation" in report.invariants_hit()
 
     def test_dropped_record_classifies_as_output_failure(self):
         cluster = sanitized_cluster()
         op, task_id, ot, slot, quorum = committed_slot(cluster)
-        sigma, chunk = next(
-            (s, c)
-            for s, c in slot.data.items()
-            if len(slot.endorsements.get(s, ())) >= quorum
-        )
+        chunk = committed_chunk(cluster, task_id, min(ot.accepted))
         assert chunk.records, "winning chunk should carry records"
-        slot.data[sigma] = replace(chunk, records=chunk.records[:-1])
+        # the quorum endorsed, and the OP committed, the chunk less its
+        # last record
+        short = replace(chunk, records=chunk.records[:-1])
+        slot.endorsements[short.sigma] = slot.endorsements.pop(chunk.sigma)
+        slot.arrived = {short.sigma}
+        slot.winner, slot.records = short.sigma, len(short.records)
         report = cluster.sanitizer.audit(cluster)
         assert "output-failure" in report.invariants_hit()
+
+    def test_record_shifted_between_chunks_is_output_failure(self):
+        # 10 records of 1 KiB in chunks of 4 KiB: counts 4, 4, 2
+        cluster = sanitized_cluster(chunk_bytes=4096)
+        op, task_id, ot, slot, quorum = committed_slot(cluster)
+        first, second = ot.slots[0], ot.slots[1]
+        assert (first.records, second.records) == (4, 4)
+        # one record moves from chunk 0's count to chunk 1's: every σ,
+        # every counter and the task's total are unchanged
+        first.records -= 1
+        second.records += 1
+        report = cluster.sanitizer.audit(cluster)
+        assert report.invariants_hit() == {"output-failure"}
+        (violation,) = report.violations
+        assert f"task {task_id} " in violation.detail
+        assert "at chunk #0 (10 observed vs 10 expected" in violation.detail

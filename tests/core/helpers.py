@@ -6,6 +6,7 @@ import hashlib
 
 from repro.apps.synthetic import SyntheticApp, make_compute_task
 from repro.core import OsirisConfig, build_osiris_cluster
+from repro.core.tasks import Chunk
 
 
 def fast_config(**overrides) -> OsirisConfig:
@@ -76,3 +77,26 @@ def held_chunks(verifier, task_id=None) -> list:
             held += [chunk for chunk, _ in st.verified]
             held += [m.chunk for m in st.raw_chunks.values()]
     return held
+
+
+def op_held_chunks(op) -> list:
+    """Chunks the output process ``op`` still holds in any chunk slot of
+    any task, whatever the slot's field that holds them is called."""
+    return [
+        value
+        for ot in op._tasks.values()
+        for slot in ot.slots.values()
+        for held in vars(slot).values()
+        if isinstance(held, dict)
+        for value in held.values()
+        if isinstance(value, Chunk)
+    ]
+
+
+def audited_outputs(cluster) -> int:
+    """Run the sanitizer's post-run audit of a cluster built with
+    ``sanitize=True``, assert it is clean, and return how many committed
+    task outputs it recomputed and compared against A(s, t)."""
+    report = cluster.sanitizer.audit(cluster)
+    assert report.ok, report.summary()
+    return report.outputs_recomputed

@@ -18,31 +18,18 @@ from repro.core.faults import (
     SlowFault,
     TruncateOutputFault,
 )
-from tests.core.helpers import expected_record_data, run_cluster
+from tests.core.helpers import audited_outputs, run_cluster
 
 
 def assert_safety(cluster, n_tasks, records_per_task=5):
     """OP accepted exactly A(s,t) for every completed task: no corrupt,
-    duplicated or missing record ever reached downstream."""
+    duplicated or missing record ever reached downstream.  The cluster
+    is built with ``sanitize=True``; its audit cuts A(s, t) along the
+    committed record counts and compares every committed σ."""
     m = cluster.metrics
     assert m.tasks_completed == n_tasks
     assert m.records_accepted == n_tasks * records_per_task
-    op = cluster.outputs[0]
-    for task_id, ot in op._tasks.items():
-        if not ot.completed:
-            continue
-        records = [
-            r
-            for i in sorted(ot.accepted)
-            for sigma, chunk in ot.slots[i].data.items()
-            if ot.slots[i].accepted and sigma in ot.slots[i].endorsements
-            and len(ot.slots[i].endorsements[sigma]) >= 2
-            for r in chunk.records
-        ]
-        keys = [r.key for r in records]
-        assert keys == sorted(set(keys)), task_id
-        for r in records:
-            assert r.data == expected_record_data(task_id, r.key[0])
+    assert audited_outputs(cluster) == n_tasks * len(cluster.outputs)
 
 
 FAULTS = {
@@ -66,6 +53,7 @@ class TestOutputFailureDetection:
             seed=11,
             until=60.0,
             faults={"e0": FAULTS[name]()},
+            sanitize=True,
         )
         assert_safety(cluster, 10)
         assert len(cluster.metrics.faults_detected) >= 1, name
@@ -146,6 +134,7 @@ class TestTimeoutFaults:
             until=60.0,
             seed=12,
             faults={"e0": SilentFault()},
+            sanitize=True,
         )
         assert_safety(cluster, 10)
         assert len(cluster.metrics.reassignments) >= 1
@@ -158,6 +147,7 @@ class TestTimeoutFaults:
             until=60.0,
             seed=13,
             faults={"e0": SlowFault(delay=3.0)},
+            sanitize=True,
         )
         assert_safety(cluster, 10)
         assert len(cluster.metrics.reassignments) >= 1
@@ -195,6 +185,7 @@ class TestAllExecutorsFaulty:
             seed=15,
             until=120.0,
             faults=faults,
+            sanitize=True,
         )
         assert_safety(cluster, 6)
 
@@ -233,5 +224,6 @@ class TestSafetyProperty:
             seed=seed,
             until=120.0,
             faults=faults,
+            sanitize=True,
         )
         assert_safety(cluster, 6)

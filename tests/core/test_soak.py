@@ -1,11 +1,14 @@
-"""Verifier memory is bounded by the work in flight, not by the run's
-history: once the OP has acknowledged a task, no verifier holds any of
-its records, in any attempt."""
+"""Verifier and OP memory is bounded by the work in flight, not by the
+run's history: once the OP has acknowledged a task, no verifier holds
+any of its records, in any attempt; and once a chunk slot is accepted,
+the OP keeps only its σ and record count."""
+
+import pytest
 
 from repro import api
 from repro.bench.workloads import synthetic_bench
 from repro.core.faults import ExecutorFault
-from tests.core.helpers import held_chunks
+from tests.core.helpers import held_chunks, op_held_chunks
 
 
 class WithholdFinalOnce(ExecutorFault):
@@ -48,11 +51,16 @@ def soak(n_tasks: int):
     return cluster
 
 
+@pytest.fixture(scope="module")
+def soaked():
+    """The 300- and 1200-task soak runs, shared by both checks."""
+    return {n_tasks: soak(n_tasks) for n_tasks in (300, 1200)}
+
+
 class TestVerifierSoak:
-    def test_held_records_do_not_grow_with_the_task_count(self):
+    def test_held_records_do_not_grow_with_the_task_count(self, soaked):
         held = {}
-        for n_tasks in (300, 1200):
-            cluster = soak(n_tasks)
+        for n_tasks, cluster in soaked.items():
             assert cluster.metrics.tasks_completed == n_tasks
             reassigned = {
                 task_id
@@ -66,3 +74,19 @@ class TestVerifierSoak:
                 for v in cluster.all_verifiers
             ]
         assert held == {300: [0, 0, 0], 1200: [0, 0, 0]}
+
+
+class TestOutputSoak:
+    def test_op_holds_no_records_once_every_task_completed(self, soaked):
+        held = {}
+        for n_tasks, cluster in soaked.items():
+            (op,) = cluster.outputs
+            assert all(ot.completed for ot in op._tasks.values())
+            # what was committed is still known, as σ and counts
+            commits = op.commit_record()
+            assert len(commits["completed"]) == n_tasks
+            assert sum(commits["records"].values()) == 4 * n_tasks
+            held[n_tasks] = sum(
+                len(chunk.records) for chunk in op_held_chunks(op)
+            )
+        assert held == {300: 0, 1200: 0}

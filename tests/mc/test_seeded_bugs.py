@@ -44,13 +44,14 @@ def _weak_try_accept(self, task_id, ot, index, slot):
     if slot.accepted:
         return
     for sigma, endorsers in slot.endorsements.items():
-        if len(endorsers) >= 1 and sigma in slot.data:
-            chunk = slot.data[sigma]
-            slot.accepted = True
+        if len(endorsers) >= 1 and sigma in slot.pending:
+            slot.winner = sigma
+            slot.records = len(slot.pending.pop(sigma).records)
+            slot.pending.clear()
             ot.accepted.add(index)
             self.cancel_timer(f"op-wait-{task_id}-{index}")
             self.chunks_accepted += 1
-            self.records_accepted += len(chunk.records)
+            self.records_accepted += slot.records
             self._check_complete(task_id, ot)
             return
     self._arm_wait_timer(task_id, index)

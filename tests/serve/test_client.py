@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.tasks import Opcode, Task
 from repro.errors import ServeError
-from repro.serve import AsyncClient, Client, drive_open_loop
+from repro.serve import AsyncClient, Client, bench, drive_open_loop
 from repro.serve.frames import (
     ADMITTED,
     ServerHello,
@@ -112,10 +112,32 @@ class TestSocketOptions:
         assert asyncio.run(scenario()) == 1
 
 
+class RecordingClock:
+    """Stands in for ``repro.serve.bench.time``: every ``monotonic``
+    reading is logged with the name of the thread that took it."""
+
+    sleep = staticmethod(time.sleep)
+
+    def __init__(self) -> None:
+        self.readings: list[tuple[str, float]] = []
+
+    def monotonic(self) -> float:
+        now = time.monotonic()
+        self.readings.append((threading.current_thread().name, now))
+        return now
+
+    def of(self, thread: str) -> list[float]:
+        return [at for name, at in self.readings if name == thread]
+
+
 class TestOpenLoopDriver:
-    def test_completion_stamped_when_task_done_arrives(self, gateway):
+    def test_completion_stamped_when_task_done_arrives(
+        self, gateway, monkeypatch
+    ):
         # one lane, submissions 20 ms apart: a completion read only after
         # the lane finished offering would be charged the rest of the span
+        clock = RecordingClock()
+        monkeypatch.setattr(bench, "time", clock)
         items = [(0.02 * i, _task(i)) for i in range(8)]
         report = drive_open_loop(
             gateway.address, items, time_scale=1.0, n_clients=1,
@@ -123,8 +145,13 @@ class TestOpenLoopDriver:
         )
         assert report.completed == 8
         assert len(report.latencies) == 8
-        assert max(report.latencies) < 0.015, report.latencies
         assert report.horizon >= 0.14
+        # on drive_open_loop's own clock: the receiver stamped every TaskDone,
+        # and the first stamp precedes the lane's last reading (taken
+        # once it finished offering, ~140 ms after the first submission)
+        stamps = clock.of("bench-done-0")
+        assert len(stamps) == 8, clock.readings
+        assert stamps[0] < clock.of("bench-lane-0")[-1], clock.readings
 
     def test_edge_is_latency_minus_cluster_latency(self, gateway):
         items = [(0.01 * i, _task(i)) for i in range(6)]
