@@ -3,9 +3,9 @@
 Exercises the three hot paths the batched-dispatch refactor targets, at
 sizes small enough for CI: event churn through the kernel heap/lane,
 multicast fan-out through the flyweight send path, and byte-meter ingest
-through the lazy vectorized fold.  The standalone CLI
-(``python -m repro.bench kernel``) runs the same benchmarks at full size
-and writes ``BENCH_kernel.json``.
+through the lazy vectorized fold.  The performance ledger
+(``benchmarks/ledger/micro.py``) times the same three functions on every
+change; these tests pin the operation counts each one performs.
 """
 
 from repro.bench.microbench import (

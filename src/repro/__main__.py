@@ -4,7 +4,7 @@ One dispatcher over the per-subsystem CLIs — each subcommand forwards
 the remaining argv to that package's ``main()``:
 
 =========  ====================================================
-bench      paper figures, traces, kernel micro-benchmarks
+bench      paper figures and traces
 adversary  fault campaigns: run one, or the whole attack matrix
 check      sanitizer / conservation audits over a spec
 live       OS-process runs and DES-vs-live cross-validation
@@ -61,7 +61,7 @@ def _serve(argv) -> int:
 
 
 _COMMANDS: dict[str, tuple[Callable, str]] = {
-    "bench": (_bench, "paper figures, traces, kernel micro-benchmarks"),
+    "bench": (_bench, "paper figures and traces"),
     "adversary": (_adversary, "fault campaigns and the attack matrix"),
     "check": (_check, "sanitizer / conservation audits"),
     "live": (_live, "OS-process runs and cross-validation"),

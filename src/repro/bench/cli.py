@@ -21,12 +21,6 @@ Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``::
 
     python -m repro.bench trace --scenario anomaly-mm --n 8
 
-The ``kernel`` subcommand times the DES hot paths in isolation (event
-churn, multicast fan-out, meter ingest) and writes the artifact the CI
-perf-smoke job compares against::
-
-    python -m repro.bench kernel --fig5b --json BENCH_kernel.json
-
 Benchmarks under ``benchmarks/`` remain the canonical reproduction (they
 also assert the shapes); this runner trades assertions for speed and is
 sized for interactive use.
@@ -42,11 +36,9 @@ from typing import Callable
 from repro import api
 from repro.adversary.campaign import FaultSpec
 from repro.bench.analytic import rsm_parallel_tasks, table1
-from repro.bench.microbench import run_kernel_microbench
 from repro.bench.reporting import (
     print_figure,
     print_table,
-    write_microbench_json,
     write_sweep_json,
 )
 from repro.baselines.store_models import (
@@ -339,79 +331,6 @@ def _trace_main(argv) -> int:
     return 0
 
 
-# -------------------------------------------------------------------- kernel
-def _kernel_main(argv) -> int:
-    """``python -m repro.bench kernel``: kernel-layer microbenchmarks.
-
-    Times the DES hot paths in isolation (event churn, multicast
-    fan-out, ByteMeter ingest) and optionally the fig5b sweep end to
-    end, writing the machine-readable artifact for the CI perf-smoke
-    job with ``--json``.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench kernel",
-        description="Kernel hot-path microbenchmarks (wall-clock).",
-    )
-    parser.add_argument(
-        "--events", type=int, default=200_000,
-        help="events to dispatch in the churn bench (default 200000)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=32,
-        help="cluster size for the multicast bench (default 32)",
-    )
-    parser.add_argument(
-        "--rounds", type=int, default=1_000,
-        help="multicast rounds (default 1000)",
-    )
-    parser.add_argument(
-        "--samples", type=int, default=1_000_000,
-        help="meter ingest samples (default 1000000)",
-    )
-    parser.add_argument(
-        "--fig5b", action="store_true",
-        help="also run the fig5b sweep (uncached, serial) and record "
-        "its wall time in the artifact",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the microbenchmark artifact to PATH",
-    )
-    args = parser.parse_args(argv)
-    results = run_kernel_microbench(
-        events=args.events,
-        n_nodes=args.nodes,
-        rounds=args.rounds,
-        samples=args.samples,
-    )
-    print_table(
-        "Kernel microbenchmarks",
-        ["bench", "ops", "wall (s)", "ops/sec"],
-        [
-            (r.name, r.ops, f"{r.wall_seconds:.3f}", f"{r.ops_per_sec:,.0f}")
-            for r in results
-        ],
-    )
-    extras = {}
-    if args.fig5b:
-        _, build_spec = SWEEPS["fig5b"]
-        spec = build_spec(
-            argparse.Namespace(
-                figure="fig5b", sizes=[4, 8, 16], tasks=120, seed=1
-            )
-        )
-        outcome = run_sweep(spec, jobs=1, cache=None)
-        extras["fig5b_sweep"] = {
-            "points": len(spec),
-            "wall_seconds": outcome.wall_seconds,
-        }
-        print(f"\nfig5b sweep: {len(spec)} points, {outcome.wall_seconds:.2f}s")
-    if args.json:
-        write_microbench_json(args.json, results, extras)
-        print(f"wrote microbenchmark artifact to {args.json}")
-    return 0
-
-
 #: Analytic figures: closed-form models, printed directly (no sweep).
 ANALYTIC: dict[str, Callable] = {
     "fig2a": _fig2a,
@@ -438,8 +357,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "trace":
         return _trace_main(argv[1:])
-    if argv and argv[0] == "kernel":
-        return _kernel_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate a paper figure interactively "

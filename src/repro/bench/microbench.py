@@ -13,10 +13,11 @@ substrate paths directly, with no protocol on top:
 * **meter ingest** — :class:`ByteMeter` ingest plus the lazy binning
   flush on first read.
 
-Wall-clock numbers are host-dependent; the CI perf-smoke job compares
-them against a committed reference with a generous (2×) budget, so only
-genuine hot-path regressions fail the build.  The simulated workload
-itself is deterministic — only the wall time varies between hosts.
+The performance ledger (``benchmarks/ledger/micro.py``) reports them as
+``sim.event_churn_ops_per_s``, ``net.multicast_fanout_ops_per_s`` and
+``net.meter_ingest_ops_per_s``.  Wall-clock numbers are host-dependent;
+the simulated workload itself is deterministic — only the wall time
+varies between hosts.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "bench_event_churn",
     "bench_multicast_fanout",
     "bench_meter_ingest",
-    "run_kernel_microbench",
 ]
 
 
@@ -149,17 +149,3 @@ def bench_meter_ingest(samples: int = 1_000_000) -> MicrobenchResult:
     assert meter.total == samples * 1500
     assert series, "binning flush produced no series"
     return MicrobenchResult("meter-ingest", samples, wall)
-
-
-def run_kernel_microbench(
-    events: int = 200_000,
-    n_nodes: int = 32,
-    rounds: int = 1_000,
-    samples: int = 1_000_000,
-) -> list[MicrobenchResult]:
-    """Run the full kernel microbenchmark suite."""
-    return [
-        bench_event_churn(events=events),
-        bench_multicast_fanout(n_nodes=n_nodes, rounds=rounds),
-        bench_meter_ingest(samples=samples),
-    ]

@@ -20,14 +20,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exp -> bench)
 __all__ = [
     "format_result_row",
     "format_tenant_rows",
-    "microbench_artifact",
     "print_figure",
     "print_series",
     "print_table",
     "ratio",
     "sweep_artifact",
     "write_sweep_json",
-    "write_microbench_json",
 ]
 
 
@@ -148,31 +146,4 @@ def write_sweep_json(path: str, outcome: "SweepOutcome") -> None:
     """Write the sweep artifact to ``path`` (pretty, sorted keys)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(sweep_artifact(outcome), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def microbench_artifact(
-    results: Iterable, extras: dict | None = None
-) -> dict:
-    """JSON-able artifact for a kernel microbenchmark run
-    (the BENCH_kernel.json body).
-
-    ``results`` are :class:`repro.bench.microbench.MicrobenchResult`
-    instances; ``extras`` merges additional top-level sections (e.g. an
-    end-to-end sweep wall time measured in the same invocation).
-    """
-    body = {"microbench": [r.to_dict() for r in results]}
-    if extras:
-        body.update(extras)
-    return body
-
-
-def write_microbench_json(
-    path: str, results: Iterable, extras: dict | None = None
-) -> None:
-    """Write the microbenchmark artifact to ``path`` (pretty, sorted)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            microbench_artifact(results, extras), fh, indent=2, sort_keys=True
-        )
         fh.write("\n")

@@ -1,8 +1,12 @@
 """BFT consensus for task linearization.
 
-:class:`ConsensusMember` implements the 2f+1 Fast&Robust-style protocol
-over non-equivocating multicast used by VP_CO (and by the RCP baseline's
-coordinator).  Clients use :class:`ConsensusClient`.
+:class:`ConsensusMember` is the one replicated log — request pool,
+batching, in-order commit, view change — and certifies slots with the
+2f+1 Fast&Robust-style protocol over non-equivocating multicast used by
+VP_CO (and by the RCP baseline's coordinator).  :class:`PbftMember`
+subclasses it for 3f+1 groups on plain channels and certifies slots
+with PBFT's prepare and commit rounds instead.  Clients use
+:class:`ConsensusClient`.
 """
 
 from repro.consensus.fast_robust import ConsensusClient, ConsensusMember

@@ -29,11 +29,18 @@ Protocol sketch
   its own, re-proposes them at their original sequence numbers, and
   resumes batching.  Any batch displaced by a stale-view drop or a slot
   overwrite is *reclaimed* into the pending pool rather than lost.
+
+The log is written once: :class:`~repro.consensus.pbft.PbftMember`
+subclasses :class:`ConsensusMember` and replaces only how a slot gets
+certified (its message types, quorum, slot votes, broadcast and phase
+handlers).  The request pool, batching, reclaim, in-order commit, the
+progress timer and the view change with its state transfer and gap fill
+serve both engines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from repro.crypto.digest import digest
@@ -52,8 +59,13 @@ class _Slot:
     view: int
     batch: tuple
     batch_digest: bytes
+    #: the votes that commit the slot once ``quorum`` of them match
     acks: set[str] = field(default_factory=set)
     committed: bool = False
+
+    def reset_votes(self) -> None:
+        """Forget this view's votes: the new view's leader re-proposes."""
+        self.acks = set()
 
 
 class ConsensusMember:
@@ -74,6 +86,12 @@ class ConsensusMember:
         at the door, Algorithm 3 line 3).  Items failing validation are
         dropped from batches; must be deterministic.
     """
+
+    #: the leader's signed proposal message
+    proposal_type = CsPropose
+    #: messages this engine handles, each by ``_on_<name in lower case>``
+    handled = (CsRequest, CsPropose, CsAck, CsViewChange)
+    slot_type = _Slot
 
     def __init__(
         self,
@@ -100,6 +118,9 @@ class ConsensusMember:
         self.batch_delay = batch_delay
         self.base_view_timeout = base_view_timeout
         self.max_batch = max_batch
+        #: matching votes that commit a slot, and view-change votes that
+        #: move the group on
+        self.quorum = group.quorum
 
         self.view = 0
         self.committed_seq = 0
@@ -115,7 +136,7 @@ class ConsensusMember:
         self._flush_armed = False
         self.commits = 0
 
-        for cls in (CsRequest, CsPropose, CsAck, CsViewChange):
+        for cls in self.handled:
             host.register_handler(
                 cls.__name__, getattr(self, "_on_" + cls.__name__.lower())
             )
@@ -200,8 +221,8 @@ class ConsensusMember:
 
     def _propose(self, view: int, seq: int, batch: tuple) -> None:
         bd = digest([rid for rid, _, _ in batch])
-        sig = self.signer.sign(CsPropose.signed_payload(view, seq, bd))
-        msg = CsPropose(view=view, seq=seq, batch=batch, sig=sig)
+        sig = self.signer.sign(self.proposal_type.signed_payload(view, seq, bd))
+        msg = self.proposal_type(view=view, seq=seq, batch=batch, sig=sig)
         self.host.run_ctrl_job(sign_cost(1), self._broadcast_propose, msg)
 
     def _broadcast_propose(self, msg: CsPropose) -> None:
@@ -230,9 +251,17 @@ class ConsensusMember:
             CsPropose.signed_payload(msg.view, msg.seq, bd), msg.sig
         ):
             return
+        if self._install(msg, bd):
+            self.host.run_ctrl_job(
+                verify_cost(1) + sign_cost(1), self._send_ack, msg.view, msg.seq, bd
+            )
+
+    def _install(self, msg: CsPropose, bd: bytes) -> bool:
+        """Make ``msg``'s batch slot ``msg.seq``; False if that slot has
+        already committed (a re-proposal after a view change)."""
         slot = self._slots.get(msg.seq)
         if slot is not None and slot.committed:
-            return  # re-proposal of a committed slot after view change
+            return False
         if slot is not None and slot.batch_digest != bd:
             # overwritten by the new view's leader: keep the displaced
             # requests alive
@@ -246,37 +275,41 @@ class ConsensusMember:
             kept = tuple(item for item in msg.batch if self.validate(item[1]))
         else:
             kept = msg.batch
-        self._slots[msg.seq] = _Slot(
-            view=msg.view,
-            batch=kept,
-            batch_digest=bd,
-            acks=(
-                slot.acks
-                if slot is not None
-                and slot.view == msg.view
-                and slot.batch_digest == bd
-                else set()
-            ),
-        )
+        if slot is not None and slot.view == msg.view and slot.batch_digest == bd:
+            self._slots[msg.seq] = replace(slot, batch=kept)  # keeps the votes
+        else:
+            self._slots[msg.seq] = self.slot_type(
+                view=msg.view, batch=kept, batch_digest=bd
+            )
         self._top_seq = max(self._top_seq, msg.seq)
-        self.host.run_ctrl_job(
-            verify_cost(1) + sign_cost(1), self._send_ack, msg.view, msg.seq, bd
-        )
+        return True
 
     def _send_ack(self, view: int, seq: int, bd: bytes) -> None:
-        sig = self.signer.sign(CsAck.signed_payload(view, seq, bd))
-        ack = CsAck(view=view, seq=seq, batch_digest=bd, sig=sig)
-        self._multicast(ack)
-        self._record_ack(self.host.pid, view, seq, bd)
+        self._vote(CsAck, self._record_ack, view, seq, bd)
+
+    def _vote(
+        self, cls: type, record: Callable, view: int, seq: int, bd: bytes
+    ) -> None:
+        """Sign a ``cls`` vote for slot ``seq``, send it to the group and
+        count our own through ``record``."""
+        sig = self.signer.sign(cls.signed_payload(view, seq, bd))
+        self._multicast(cls(view=view, seq=seq, batch_digest=bd, sig=sig))
+        record(self.host.pid, view, seq, bd)
+
+    def _valid_vote(self, msg: CsAck) -> bool:
+        """``msg`` is a slot vote signed by the group member that sent it."""
+        return (
+            msg.sender in self.group.members
+            and msg.sig is not None
+            and self.registry.verify(
+                type(msg).signed_payload(msg.view, msg.seq, msg.batch_digest),
+                msg.sig,
+            )
+        )
 
     def _on_csack(self, msg: CsAck) -> None:
-        if msg.sender not in self.group.members:
-            return
-        if msg.sig is None or not self.registry.verify(
-            CsAck.signed_payload(msg.view, msg.seq, msg.batch_digest), msg.sig
-        ):
-            return
-        self._record_ack(msg.sender, msg.view, msg.seq, msg.batch_digest)
+        if self._valid_vote(msg):
+            self._record_ack(msg.sender, msg.view, msg.seq, msg.batch_digest)
 
     def _record_ack(self, pid: str, view: int, seq: int, bd: bytes) -> None:
         slot = self._slots.get(seq)
@@ -292,7 +325,7 @@ class ConsensusMember:
             slot = self._slots.get(self.committed_seq + 1)
             if slot is None or slot.committed:
                 return
-            if len(slot.acks) < self.group.quorum:
+            if len(slot.acks) < self.quorum:
                 return
             slot.committed = True
             self.committed_seq += 1
@@ -367,7 +400,7 @@ class ConsensusMember:
     def _record_vc(self, pid: str, new_view: int, slots: tuple) -> None:
         votes = self._vc_votes.setdefault(new_view, {})
         votes[pid] = slots
-        if len(votes) >= self.group.quorum and new_view > self.view:
+        if len(votes) >= self.quorum and new_view > self.view:
             self._enter_view(new_view)
 
     def _merge_reported_slots(self, new_view: int) -> None:
@@ -382,7 +415,9 @@ class ConsensusMember:
                     continue
                 if mine is not None and mine.batch_digest != bd:
                     self._reclaim(mine.batch)
-                self._slots[seq] = _Slot(view=view, batch=batch, batch_digest=bd)
+                self._slots[seq] = self.slot_type(
+                    view=view, batch=batch, batch_digest=bd
+                )
                 self._top_seq = max(self._top_seq, seq)
 
     def _enter_view(self, new_view: int) -> None:
@@ -406,7 +441,7 @@ class ConsensusMember:
                 if slot.committed:
                     continue
                 slot.view = self.view
-                slot.acks = set()
+                slot.reset_votes()
                 self._propose(self.view, seq, slot.batch)
             # fill any gaps in the slot space with empty batches so
             # commit order stays contiguous
@@ -420,7 +455,7 @@ class ConsensusMember:
             # re-propose
             for slot in self._slots.values():
                 if not slot.committed:
-                    slot.acks = set()
+                    slot.reset_votes()
         self._arm_progress_timer()
 
 

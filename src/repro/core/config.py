@@ -73,7 +73,6 @@ class OsirisConfig:
     min_verifier_clusters: int = 1
     cores_per_node: int = 7
     non_equivocation: bool = True
-    consensus_batch_delay: float = 0.5e-3
     consensus_view_timeout: float = 50e-3
     admission_queue: int | None = None
     admission_rate: float | None = None

@@ -89,7 +89,6 @@ class Coordinator(Verifier):
             group=self.topo.coordinator,
             on_commit=self._on_commit,
             validate=self._validate,
-            batch_delay=self.config.consensus_batch_delay,
             base_view_timeout=self.config.consensus_view_timeout,
         )
         # deterministic replicated state (driven only by commits)

@@ -44,6 +44,18 @@ class TestCrossValidation:
         _, _, mismatches = cross_validate(_mm_spec(8), time_scale=_TIME_SCALE)
         assert mismatches == []
 
+    def test_mm_n8_without_non_equivocation(self):
+        """Plain channels: VP_CO runs 3f+1 PBFT in both backends, and the
+        live children must commit what the DES does."""
+        from repro.consensus import PbftMember
+
+        spec = _mm_spec(8, config={"non_equivocation": False})
+        des, _, mismatches = cross_validate(spec, time_scale=_TIME_SCALE)
+        assert mismatches == []
+        assert des.commits
+        coordinators = des.extra["cluster"].coordinators
+        assert all(isinstance(c.consensus, PbftMember) for c in coordinators)
+
     def test_fig7a_campaign(self):
         """All executors turn Byzantine mid-run under both backends; the
         committed record contents must still coincide (detection and

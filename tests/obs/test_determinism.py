@@ -140,6 +140,52 @@ class TestStaticFaultGoldenTrace:
         assert hashlib.sha256(text.encode()).hexdigest() == expected["sha256"]
 
 
+class TestPbftGoldenTrace:
+    """Without non-equivocation VP_CO runs 3f+1 PBFT; its normal case,
+    and the suspect votes and reassignments a faulty executor sends
+    through it, are pinned to a committed fingerprint."""
+
+    FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "pbft_mm_n8.json"
+
+    @staticmethod
+    def faults(name):
+        from repro.adversary import FaultSpec
+
+        return {
+            "fault-free": None,
+            "executor-fault": {"e0": FaultSpec("executor", "omit-record")},
+        }[name]
+
+    @pytest.mark.parametrize("name", ["fault-free", "executor-fault"])
+    def test_pbft_trace_matches_committed_fingerprint(self, name):
+        from repro import api
+        from repro.bench import anomaly_bench
+
+        fixture = json.loads(self.FIXTURE.read_text())
+        expected = fixture["specs"][name]
+        buf = io.StringIO()
+        api.run(
+            api.DeploymentSpec(
+                workload=anomaly_bench(
+                    fixture["profile"],
+                    n_tasks=fixture["n_tasks"],
+                    seed=fixture["seed"],
+                ),
+                n=fixture["n"],
+                seed=fixture["seed"],
+                config=fixture["config"],
+                faults=self.faults(name),
+                sinks=[JsonlTraceSink(buf)],
+            )
+        )
+        text = buf.getvalue()
+        assert '"consensus-commit"' in text
+        if name == "executor-fault":
+            assert '"task-reassigned"' in text
+        assert len(text.splitlines()) == expected["lines"]
+        assert hashlib.sha256(text.encode()).hexdigest() == expected["sha256"]
+
+
 class TestInstrumentationNeutrality:
     def metrics_fingerprint(self, cluster):
         m = cluster.metrics
