@@ -2,9 +2,10 @@
 
 The executor-side analogue of the paper's SCIP configuration that
 "appends a proof of optimality or infeasibility to each record" [21].
-The solver explores the LP-relaxation tree (scipy HiGHS for node LPs),
-branching on the most fractional integer variable, and records the tree
-as a :class:`CertNode` certificate:
+The solver explores the LP-relaxation tree (HiGHS node LPs through
+:func:`~repro.apps.planning.mip.solve_lp`), branching on the most
+fractional integer variable, and records the tree as a
+:class:`CertNode` certificate:
 
 * every **internal** node stores its branching variable/value, so the
   verifier can confirm the leaves partition the root domain;
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
-from repro.apps.planning.mip import MipInstance
+from repro.apps.planning.mip import MipInstance, solve_lp
 from repro.errors import ApplicationError
 
 __all__ = ["CertNode", "SolveResult", "BranchAndBoundSolver"]
@@ -86,15 +86,6 @@ class BranchAndBoundSolver:
         self.max_nodes = max_nodes
 
     # ------------------------------------------------------------ node LPs
-    def _solve_lp(self, inst: MipInstance, lower, upper):
-        return linprog(
-            inst.c,
-            A_ub=inst.a_ub,
-            b_ub=inst.b_ub,
-            bounds=list(zip(lower, upper)),
-            method="highs",
-        )
-
     @staticmethod
     def _extract_duals(res, inst: MipInstance) -> Optional[dict]:
         """Map HiGHS marginals to our certificate convention:
@@ -129,7 +120,7 @@ class BranchAndBoundSolver:
                 raise ApplicationError(
                     f"{inst.name}: node budget {self.max_nodes} exhausted"
                 )
-            res = self._solve_lp(inst, lower, upper)
+            res = solve_lp(inst, lower, upper)
             lp_solves += 1
             if res.status == 2:  # infeasible subproblem
                 return CertNode(kind="infeasible")

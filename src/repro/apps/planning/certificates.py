@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.apps.planning.branch_bound import CertNode
-from repro.apps.planning.mip import MipInstance
+from repro.apps.planning.mip import MipInstance, solve_lp
 
 __all__ = ["CertificateVerifier", "VerifyOutcome"]
 
@@ -157,13 +156,7 @@ class CertificateVerifier:
         if state["resolves"] >= self.max_lp_resolves:
             return False, "too-many-resolves"
         state["resolves"] += 1
-        res = linprog(
-            inst.c,
-            A_ub=inst.a_ub,
-            b_ub=inst.b_ub,
-            bounds=list(zip(lower, upper)),
-            method="highs",
-        )
+        res = solve_lp(inst, lower, upper)
         if res.status == 2:
             return True, "ok"
         if objective is None:

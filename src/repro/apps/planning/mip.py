@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ApplicationError
 
-__all__ = ["MipInstance", "instance_suite"]
+__all__ = ["MipInstance", "instance_suite", "solve_lp"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,25 @@ class MipInstance:
 
     def objective(self, x: np.ndarray) -> float:
         return float(self.c @ np.asarray(x, dtype=float))
+
+
+def solve_lp(inst: MipInstance, lower, upper):
+    """The LP relaxation of ``inst`` over the box [lower, upper], by HiGHS.
+
+    SciPy is imported here, on the first solve, not at module load: only
+    this application uses it, and every other process that imports the
+    package (DES runs, live nodes, the serve gateway) would otherwise
+    load its ~300 modules for nothing.
+    """
+    from scipy.optimize import linprog
+
+    return linprog(
+        inst.c,
+        A_ub=inst.a_ub,
+        b_ub=inst.b_ub,
+        bounds=list(zip(lower, upper)),
+        method="highs",
+    )
 
 
 def _knapsack(rng: np.random.Generator, n: int, idx: int) -> MipInstance:

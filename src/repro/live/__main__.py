@@ -12,7 +12,7 @@ exits non-zero on any commit-outcome mismatch or invariant violation —
 the shape the CI live-smoke job drives under a hard timeout.  ``split``
 runs a live burst with thread-CPU timers around each child's codec,
 delivery and receive calls and prints the milliseconds per task each
-costs (:mod:`repro.live.cpusplit`).
+costs, and each node's peak RSS (:mod:`repro.live.cpusplit`).
 """
 
 from __future__ import annotations

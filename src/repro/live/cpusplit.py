@@ -16,13 +16,16 @@ rest of the main thread (timers, jobs, the flushes' pipe writes, the
 loop); ``process`` also counts the up queue's feeder thread, which
 pickles and writes the events and reports the main thread put.  Each
 timer costs two ``thread_time`` reads, a few microseconds per message,
-charged to the category it wraps.
+charged to the category it wraps.  ``rss MB`` is the node's peak
+resident set (``ru_maxrss``) at exit, pages shared with the parent it
+forked from included; it is not divided by the task count.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 import tempfile
 import time
 from typing import Any, Callable
@@ -108,6 +111,10 @@ def _instrument(out_dir: str) -> Callable[[], None]:
                         **split.acc,
                         "thread": time.thread_time(),
                         "process": time.process_time(),
+                        # Linux reports ru_maxrss in KiB
+                        "rss_mb": resource.getrusage(
+                            resource.RUSAGE_SELF
+                        ).ru_maxrss / 1024,
                     },
                     fh,
                 )
@@ -129,7 +136,7 @@ def _instrument(out_dir: str) -> Callable[[], None]:
 
 def measure(spec, time_scale: float) -> dict[str, dict[str, float]]:
     """Run ``spec`` (``backend="live"``) instrumented; per pid, CPU
-    milliseconds per committed task by category."""
+    milliseconds per committed task by category, and peak RSS in MB."""
     from repro.api import run
 
     with tempfile.TemporaryDirectory() as out_dir:
@@ -147,7 +154,8 @@ def measure(spec, time_scale: float) -> dict[str, dict[str, float]]:
             row["other"] = raw["thread"] - sum(row.values())
             row["process"] = raw["process"]
             table[name[: -len(".json")]] = {
-                k: v * 1e3 / tasks for k, v in row.items()
+                **{k: v * 1e3 / tasks for k, v in row.items()},
+                "rss_mb": raw["rss_mb"],
             }
     return table
 
@@ -155,10 +163,14 @@ def measure(spec, time_scale: float) -> dict[str, dict[str, float]]:
 def render(table: dict[str, dict[str, float]]) -> str:
     """The table as text, one row per node plus the total."""
     cols = (*CATEGORIES, "other", "process")
-    total = {c: sum(row[c] for row in table.values()) for c in cols}
-    lines = ["ms/task " + "".join(f"{c:>9}" for c in cols)]
+    total = {c: sum(row[c] for row in table.values()) for c in (*cols, "rss_mb")}
+    lines = ["ms/task " + "".join(f"{c:>9}" for c in cols) + "   rss MB"]
     for pid, row in (*table.items(), ("total", total)):
-        lines.append(f"{pid:<8}" + "".join(f"{row[c]:9.3f}" for c in cols))
+        lines.append(
+            f"{pid:<8}"
+            + "".join(f"{row[c]:9.3f}" for c in cols)
+            + f"{row['rss_mb']:9.1f}"
+        )
     share = (total["encode"] + total["decode"]) / max(total["process"], 1e-12)
     lines.append(f"codec share of process CPU: {share:.1%}")
     return "\n".join(lines)

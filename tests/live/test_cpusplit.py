@@ -18,9 +18,12 @@ def test_nested_timers_charge_each_category_exclusively(monkeypatch):
 
 def test_render_totals_and_codec_share():
     row = {"encode": 1.0, "decode": 2.0, "deliver": 0.5, "recv": 0.5,
-           "other": 1.0, "process": 6.0}
+           "other": 1.0, "process": 6.0, "rss_mb": 40.0}
     text = cpusplit.render({"v0": row, "v1": row})
-    assert "total" in text
+    head, v0, v1, total, _ = text.splitlines()
+    assert head.split()[-3:] == ["process", "rss", "MB"]
+    assert v0.split()[-2:] == ["6.000", "40.0"]
+    assert total.split()[0] == "total" and total.split()[-1] == "80.0"
     assert text.endswith("codec share of process CPU: 50.0%")
 
 
@@ -31,3 +34,4 @@ def test_a_small_burst_reports_every_node():
     total = {c: sum(row[c] for row in table.values()) for c in cpusplit.CATEGORIES}
     assert total["encode"] > 0 and total["decode"] > 0
     assert all(row["process"] > 0 for row in table.values())
+    assert all(row["rss_mb"] > 0 for row in table.values())
