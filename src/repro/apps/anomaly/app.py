@@ -13,13 +13,14 @@ network (Fig 1).  The verification operators are exactly Algorithm 2:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.apps.anomaly.graph import GraphView, MultiVersionGraph
-from repro.apps.anomaly.matcher import EdgeAnchoredMatcher
 from repro.apps.anomaly.patterns import Pattern
 from repro.core.api import ComputeResult, CountResult, VerifiableApplication
 from repro.core.tasks import Opcode, Record, Task
+
+if TYPE_CHECKING:
+    from repro.apps.anomaly.graph import GraphView, MultiVersionGraph
 
 __all__ = ["AnomalyApp", "make_link_task"]
 
@@ -76,6 +77,11 @@ class AnomalyApp(VerifiableApplication):
         verify_step_cost: float = 1e-6,
         record_bytes: Optional[int] = None,
     ) -> None:
+        # the graph and matcher modules (and with them numpy) load when an
+        # app is built, not when the package is imported for its task
+        # factories
+        from repro.apps.anomaly.matcher import EdgeAnchoredMatcher
+
         self.base_edges = list(base_edges)
         self.pattern = pattern
         self.matcher = EdgeAnchoredMatcher(
@@ -92,6 +98,8 @@ class AnomalyApp(VerifiableApplication):
         # identical base state either way, but sorting + boxing the base
         # adjacency happens once per deployment instead of once per node
         if self._state_template is None:
+            from repro.apps.anomaly.graph import MultiVersionGraph
+
             self._state_template = MultiVersionGraph(self.base_edges)
         return self._state_template.clone()
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-import numpy as np
-
 from repro.apps.anomaly.app import make_link_task
 from repro.core.tasks import Task
 from repro.errors import BenchmarkError
@@ -39,6 +37,8 @@ def power_law_graph(
     """
     if n <= m:
         raise BenchmarkError(f"need n > m (n={n}, m={m})")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     edges: list[tuple[int, int]] = []
     # seed clique of m+1 vertices so early attachments have targets
@@ -79,6 +79,8 @@ def link_update_stream(
     an unbounded fraction of the total work, which makes capacity
     measurements hostage to one straggler.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     existing = set((min(u, v), max(u, v)) for u, v in base_edges)
     degree: dict[int, int] = {}

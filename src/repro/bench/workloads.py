@@ -33,9 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 from repro.apps.anomaly import AnomalyApp, anomaly_workload, link_update_stream
-from repro.apps.planning import PlanningApp, instance_suite, make_planning_task
 from repro.apps.synthetic import SyntheticApp, make_compute_task, make_update_task
-from repro.apps.video import VideoApp, frame_stream, make_cluster_task, make_frame_task
 from repro.core.api import VerifiableApplication
 from repro.core.tasks import Task
 from repro.errors import BenchmarkError
@@ -301,6 +299,12 @@ def planning_bench(
     node_cost: float = 2e-2,
 ) -> BenchWorkload:
     """Motion Planning bench: tasks cycle through the 107-instance suite."""
+    from repro.apps.planning import (
+        PlanningApp,
+        instance_suite,
+        make_planning_task,
+    )
+
     suite = instance_suite(count=107, seed=seed)
     app = PlanningApp(instances=suite, node_cost=node_cost)
 
@@ -328,6 +332,13 @@ def video_bench(
 ) -> BenchWorkload:
     """Video Analysis bench: frame updates interleaved with clustering
     tasks at the paper's update:compute ratio shape."""
+    from repro.apps.video import (
+        VideoApp,
+        frame_stream,
+        make_cluster_task,
+        make_frame_task,
+    )
+
     app = VideoApp(eval_cost=eval_cost)
     n_frames = n_compute * frames_per_compute + window
 

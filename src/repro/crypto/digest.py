@@ -13,15 +13,18 @@ they are seen.  Anything else (numpy scalars, subclasses of the built-in
 types) takes the general ``isinstance`` chain.  Both routes produce the
 same bytes.  :func:`digest` is pure and keeps no memo: the one cache of
 a digest is :attr:`repro.core.tasks.Chunk.sigma`, per chunk object.
+
+This module never imports numpy.  A value can only be a numpy scalar or
+array if numpy is loaded, so the chain looks its types up in
+``sys.modules`` and skips them while numpy is absent.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.errors import CryptoError
 
@@ -104,8 +107,8 @@ def _enc_frozenset(value: frozenset, out: list[bytes]) -> None:
     out.append(b"S")
 
 
-def _enc_ndarray(value: np.ndarray, out: list[bytes]) -> None:
-    arr = np.ascontiguousarray(value)
+def _enc_ndarray(value, out: list[bytes]) -> None:
+    arr = sys.modules["numpy"].ascontiguousarray(value)
     out.append(b"a")
     _enc_str(str(arr.dtype), out)
     _enc_seq(list(arr.shape), out)
@@ -137,34 +140,41 @@ _ENCODERS: dict[type, _Encoder] = {
 }
 
 # types the general chain claims before it looks for ``canonical()``: a
-# subclass of any of them never joins the table
-_CHAIN_TYPES = (
-    int, np.integer, float, np.floating, str, bytes,
-    list, tuple, dict, frozenset, np.ndarray,
-)
+# subclass of any of them never joins the table (numpy's three are added
+# while numpy is loaded; a class cannot derive from them otherwise)
+_CHAIN_TYPES = (int, float, str, bytes, list, tuple, dict, frozenset)
 
 
 def _encoder_for(value: Any) -> _Encoder:
     """Table miss: register ``canonical()`` classes, else the chain."""
     cls = type(value)
     if hasattr(cls, "canonical") and not issubclass(cls, _CHAIN_TYPES):
-        enc = _ENCODERS[cls] = _enc_canonical_of(cls)
-        return enc
+        np = sys.modules.get("numpy")
+        if np is None or not issubclass(
+            cls, (np.integer, np.floating, np.ndarray)
+        ):
+            enc = _ENCODERS[cls] = _enc_canonical_of(cls)
+            return enc
     return _encode_general
 
 
 def _encode_general(value: Any, out: list[bytes]) -> None:
     # numpy scalars, subclasses of the built-in types, and objects with
     # an instance-level ``canonical``
+    np = sys.modules.get("numpy")
     if value is None:
         out.append(b"N")
     elif value is True:
         out.append(b"T")
     elif value is False:
         out.append(b"F")
-    elif isinstance(value, (int, np.integer)):
+    elif isinstance(value, int) or (
+        np is not None and isinstance(value, np.integer)
+    ):
         _enc_int(int(value), out)
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float) or (
+        np is not None and isinstance(value, np.floating)
+    ):
         _enc_float(float(value), out)
     elif isinstance(value, str):
         _enc_str(value, out)
@@ -176,7 +186,7 @@ def _encode_general(value: Any, out: list[bytes]) -> None:
         _enc_dict(value, out)
     elif isinstance(value, frozenset):
         _enc_frozenset(value, out)
-    elif isinstance(value, np.ndarray):
+    elif np is not None and isinstance(value, np.ndarray):
         _enc_ndarray(value, out)
     elif hasattr(value, "canonical"):
         # Protocol objects expose `canonical()` returning plain containers.

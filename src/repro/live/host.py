@@ -59,6 +59,7 @@ import heapq
 import os
 import selectors
 import struct
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -469,18 +470,18 @@ def _reseed(seed: int, pid: str) -> None:
     stream.  Protocol cores consume no randomness, but application and
     library code reaching the global generators must not be correlated
     across processes — derive per-child seeds from (spec seed, pid).
+    numpy's global generator is seeded only if the parent had already
+    loaded numpy: nothing in this package reads it, and importing numpy
+    here would put it in every node's image.
     """
     import hashlib
     import random
 
     h = hashlib.sha256(f"{seed}:{pid}".encode()).digest()
     random.seed(h)
-    try:
-        import numpy as np
-
+    np = sys.modules.get("numpy")
+    if np is not None:
         np.random.seed(int.from_bytes(h[:4], "big"))
-    except ImportError:  # pragma: no cover - numpy is a core dependency
-        pass
 
 
 def child_main(

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol
 
-import numpy as np
-
 from repro.errors import NetworkError
 from repro.net.message import Message
 from repro.obs.events import LinkTransfer
@@ -89,7 +87,8 @@ class ByteMeter:
         bin indices plus a weighted ``bincount``, folding one value per
         *bin* into the dict instead of one per sample.  Bin sums are
         integers far below 2**53, so the float accumulation is exact and
-        the result matches the scalar fold bit for bit.
+        the result matches the scalar fold bit for bit.  numpy is imported
+        on that branch only.
         """
         pending_t = self._pending_t
         binned = self._binned
@@ -97,6 +96,8 @@ class ByteMeter:
             bs = self.bin_seconds
             get = binned.get
             if len(pending_t) > 64:
+                import numpy as np
+
                 idxs = (np.asarray(pending_t) // bs).astype(np.int64)
                 uniq, inv = np.unique(idxs, return_inverse=True)
                 sums = np.bincount(

@@ -10,10 +10,12 @@ applied, which the liveness tests use to show timeouts recover after GST.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import NetworkError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SynchronyModel"]
 

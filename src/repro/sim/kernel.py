@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from typing import Any, Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.bus import EventBus
 from repro.obs.events import KernelEventFired
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["EventHandle", "Simulator"]
 
@@ -141,9 +142,13 @@ class Simulator:
         """Return the named child RNG (created on first use).
 
         Child streams are independent (``spawn_key`` derived from the name)
-        and stable across runs for a fixed seed.
+        and stable across runs for a fixed seed.  numpy is imported here,
+        on the first call, so a process that never asks for a stream
+        never loads it.
         """
         if name not in self._rngs:
+            import numpy as np
+
             # stable digest, NOT hash(): Python string hashing is salted
             # per process, which would silently break cross-run determinism
             key = int.from_bytes(

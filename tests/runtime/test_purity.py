@@ -2,8 +2,10 @@
 ``repro.consensus`` may import the DES kernel or the simulated network.
 Binding to a substrate happens exclusively in ``repro.runtime`` (DesHost
 and the deployment builder).  Heavy or unrelated dependencies load only
-where they are used: SciPy on the planning app's first LP, and neither
-numpy nor the protocol cores in the serve client."""
+where they are used: SciPy on the planning app's first LP, numpy where
+arrays are built (the DES's RNG streams, the anomaly graph, the video
+and planning apps), and neither numpy nor the protocol cores in the
+serve client."""
 
 import ast
 import pathlib
@@ -112,6 +114,84 @@ class TestLazyDependencies:
                 assert calls.count("solve") == 83, calls.count("solve")
                 assert calls.count("verify") == 1, calls.count("verify")
                 assert "scipy.optimize" in sys.modules
+                """
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import repro.api",
+            "import repro.bench",
+            "import repro.live",
+            # the gateway's import set: importing repro.serve alone
+            # loaded no numpy before either
+            "import repro.serve; from repro.api import serve",
+            # the import set of the benchmark's drivers
+            "from repro.apps.anomaly import AnomalyApp, anomaly_workload, "
+            "link_update_stream, make_link_task; "
+            "import repro.bench.workloads, repro.bench.scenarios",
+        ],
+    )
+    def test_import_loads_no_numpy(self, statement):
+        run_fresh(
+            f"import sys; {statement}; "
+            "leaked = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'); "
+            "assert not leaked, leaked[:5]"
+        )
+
+    def test_arrays_still_load_numpy_where_they_are_built(self):
+        """Non-vacuity for the case above: building a DES deployment
+        (its RNG streams) and an anomaly app's graph state each load
+        numpy."""
+        run_fresh(
+            textwrap.dedent(
+                """
+                import sys
+                from repro import api
+
+                assert "numpy" not in sys.modules
+                api.build(api.DeploymentSpec(
+                    workload="synthetic", workload_params={"n_tasks": 4}, n=4
+                ))
+                assert "numpy" in sys.modules, "api.build loaded no numpy"
+                """
+            )
+        )
+        run_fresh(
+            textwrap.dedent(
+                """
+                import sys
+                from repro.apps.anomaly import AnomalyApp, clique
+
+                assert "numpy" not in sys.modules
+                app = AnomalyApp([(0, 1), (1, 2), (0, 2)], clique(3))
+                app.initial_state()
+                assert "numpy" in sys.modules, "graph state loaded no numpy"
+                """
+            )
+        )
+
+    def test_reseed_leaves_numpy_unloaded_and_seeds_it_per_node(self):
+        """A live child reseeds the global generators from (seed, pid);
+        numpy's only if the parent had loaded it."""
+        run_fresh(
+            textwrap.dedent(
+                """
+                import sys
+                from repro.live.host import _reseed
+
+                _reseed(7, "v0")
+                assert "numpy" not in sys.modules, "_reseed loaded numpy"
+
+                import numpy as np
+
+                _reseed(7, "v0")
+                first = np.random.random()
+                _reseed(7, "v0")
+                assert np.random.random() == first
+                _reseed(7, "v1")
+                assert np.random.random() != first
                 """
             )
         )
