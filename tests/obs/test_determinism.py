@@ -54,24 +54,26 @@ class TestByteIdenticalTraces:
 
 
 class TestGoldenTrace:
-    """Cross-session determinism: the fig5 MM n=8 trace is pinned to a
-    committed fingerprint, so any refactor that silently perturbs event
-    order, float formatting, or scheduling shows up as a digest change
-    — not just as a same-process equality that both runs could share."""
+    """Cross-session determinism: the fig5 MM n=8 trace of each system is
+    pinned to a committed fingerprint, so any refactor that silently
+    perturbs event order, float formatting, or scheduling shows up as a
+    digest change — not just as a same-process equality that both runs
+    could share."""
 
-    FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "fig5_mm_n8.json"
+    FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-    def test_fig5_mm_n8_trace_matches_committed_fingerprint(self):
+    def check(self, system, fixture):
         from repro import api
         from repro.bench import anomaly_bench
 
-        expected = json.loads(self.FIXTURE.read_text())
+        expected = json.loads((self.FIXTURES / fixture).read_text())
         buf = io.StringIO()
         api.run(
             api.DeploymentSpec(
                 workload=anomaly_bench("MM", n_tasks=expected["n_tasks"],
                                        seed=expected["seed"]),
                 n=8,
+                system=system,
                 seed=expected["seed"],
                 sinks=[JsonlTraceSink(buf)],
             )
@@ -84,6 +86,13 @@ class TestGoldenTrace:
             "same-seed trace diverged from the committed golden "
             "fingerprint — a refactor changed observable behaviour"
         )
+
+    def test_fig5_mm_n8_trace_matches_committed_fingerprint(self):
+        self.check("osiris", "fig5_mm_n8.json")
+
+    @pytest.mark.parametrize("system", ["zft", "rcp"])
+    def test_baseline_trace_matches_committed_fingerprint(self, system):
+        self.check(system, f"{system}_mm_n8.json")
 
 
 class TestStaticFaultGoldenTrace:
