@@ -9,9 +9,10 @@ replication.
 
 
 from repro.apps.synthetic import SyntheticApp, make_compute_task
-from repro.baselines import build_rcp_cluster, build_zft_cluster
+from repro.baselines import plan_rcp_cluster, plan_zft_cluster
 from repro.bench import osiris_parallel_tasks, print_table, table1
 from repro.core import OsirisConfig, build_osiris_cluster
+from repro.runtime.deploy import instantiate_plan_des
 
 
 class TestTable1:
@@ -52,10 +53,12 @@ class TestTable1:
         tasks = lambda: iter(
             [(i * 0.002, make_compute_task(i)) for i in range(n_tasks)]
         )
-        zft = build_zft_cluster(app, workload=tasks(), n_workers=9, seed=3)
+        zft = instantiate_plan_des(plan_zft_cluster(9, seed=3), app, tasks())
         zft.start()
         zft.run(until=30.0)
-        rcp = build_rcp_cluster(app, workload=tasks(), n_workers=9, f=1, seed=3)
+        rcp = instantiate_plan_des(
+            plan_rcp_cluster(9, OsirisConfig(f=1), seed=3), app, tasks()
+        )
         rcp.start()
         rcp.run(until=30.0)
         osiris = build_osiris_cluster(
@@ -74,8 +77,8 @@ class TestTable1:
         """ZFT and OsirisBFT execute each task once; RCP executes it
         2f+1 times — measured, not assumed."""
         zft, rcp, osiris, n = self._run_all()
-        assert sum(w.tasks_executed for w in zft.workers) == n
-        assert sum(w.tasks_executed for w in rcp.workers) == n * 3
+        assert sum(w.tasks_executed for w in zft.executors) == n
+        assert sum(w.tasks_executed for w in rcp.executors) == n * 3
         executed = sum(e.engine.tasks_executed for e in osiris.executors)
         executed += sum(v.engine.tasks_executed for v in osiris.all_verifiers)
         assert executed == n

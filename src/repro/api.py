@@ -1,18 +1,15 @@
 """Unified deployment façade: one frozen spec, one build path, one runner.
 
-Historically each entry point grew its own kwargs plumbing — every
-scenario runner re-declared ``seed``/``deadline``/``sinks``/``sanitize``,
-and the sweep engine translated its points into those kwargs by hand.
-This module replaces all of that with a single value type:
-
 * :class:`DeploymentSpec` — everything one run depends on (system,
   workload, topology, config overrides, faults *or* an adversary
   campaign, sinks, sanitizer), as one frozen dataclass.
 * :func:`build` — spec → wired :class:`~repro.runtime.deploy.OsirisCluster`
-  (campaign installed, sinks attached, not yet started).
+  (campaign installed, sinks attached, not yet started).  OsirisBFT and
+  both baselines are planned as one
+  :class:`~repro.runtime.plan.ClusterPlan` each and instantiated the
+  same way.
 * :func:`run` — spec → measured
-  :class:`~repro.bench.scenarios.ScenarioResult`, for OsirisBFT and both
-  baselines.
+  :class:`~repro.bench.scenarios.ScenarioResult`.
 * :func:`serve` — spec (``backend="live"``) → started
   :class:`~repro.serve.Gateway`: the deployment runs as real OS
   processes behind a TCP socket accepting client-submitted tasks, with
@@ -22,10 +19,6 @@ This module replaces all of that with a single value type:
   :class:`~repro.adversary.campaign.FaultSpec` mapping, a
   :class:`~repro.adversary.campaign.Campaign`, campaign JSON) into a
   :class:`FaultPlan`.
-
-The legacy per-system entry points (``run_osiris``/``run_zft``/
-``run_rcp``) are gone; every caller builds a spec.  Results are
-bit-identical to the shim era (the golden-trace tests pin this).
 """
 
 from __future__ import annotations
@@ -54,6 +47,8 @@ _SCALARS = (str, int, float, bool, type(None))
 
 #: Systems a spec can run, in the canonical sweep order.
 SYSTEMS = ("zft", "osiris", "rcp")
+#: each system's name in results
+_LABELS = {"zft": "ZFT", "osiris": "OsirisBFT", "rcp": "RCP"}
 
 
 def _kv(params: Mapping[str, Any] | Iterable | None) -> tuple[tuple[str, Any], ...]:
@@ -347,17 +342,28 @@ class DeploymentSpec:
 
 
 # ------------------------------------------------------------------- build
-def _osiris_config(spec: DeploymentSpec, workload: BenchWorkload) -> OsirisConfig:
+def _config(spec: DeploymentSpec, workload: BenchWorkload) -> OsirisConfig:
     """Scenario-default config overlaid with the spec's overrides (the
     long base timeout keeps graceful burst runs free of reassignment
-    churn; failure specs override it)."""
+    churn; failure specs override it).  A baseline reads only ``f`` (RCP),
+    the chunk size and the cores per node, so it accepts no other
+    override."""
+    overrides = dict(spec.config)
+    if spec.system != "osiris":
+        other = sorted(set(overrides) - {"cores_per_node"})
+        if other:
+            raise BenchmarkError(
+                f"config overrides are OsirisBFT-only (baselines accept just "
+                f"cores_per_node); got {other} for {spec.system!r}"
+            )
     base = dict(
-        f=spec.f,
         chunk_bytes=workload.chunk_bytes,
         suspect_timeout=60.0,
         cores_per_node=1,
     )
-    base.update(dict(spec.config))
+    if spec.system != "zft":  # ZFT tolerates no fault: f is not read
+        base["f"] = spec.f
+    base.update(overrides)
     return OsirisConfig(**base)
 
 
@@ -368,23 +374,19 @@ def _bandwidth(spec: DeploymentSpec) -> float:
 def build(spec: DeploymentSpec, time_scale: Optional[float] = None):
     """Build (don't start) the deployment a spec describes.
 
-    Both backends instantiate the one
+    Every backend instantiates the one
     :class:`~repro.runtime.plan.ClusterPlan` :func:`_plan` derives from
     the spec.  ``backend="des"`` (the default) returns a wired
-    :class:`~repro.runtime.deploy.OsirisCluster`: the campaign (if any)
-    is installed — its phase timers scheduled, its trigger sink and a
+    :class:`~repro.runtime.deploy.OsirisCluster` for any of the three
+    systems: the campaign (if any) is installed — its phase timers
+    scheduled, its trigger sink and a
     :class:`~repro.adversary.recovery.RecoverySink` attached — and the
     spec's sinks are attached last.
 
-    ``backend="live"`` returns an unstarted
+    ``backend="live"`` (OsirisBFT only) returns an unstarted
     :class:`~repro.live.runtime.LiveRuntime`; ``time_scale`` (wall
     seconds per simulated second, default 0.25) is live-only.
     """
-    if spec.system != "osiris":
-        raise BenchmarkError(
-            f"build() wires OsirisBFT deployments only; use run() for "
-            f"{spec.system!r}"
-        )
     if spec.backend == "live":
         return _build_live(spec, time_scale)
     _des_has_no_time_scale(time_scale)
@@ -392,7 +394,7 @@ def build(spec: DeploymentSpec, time_scale: Optional[float] = None):
 
     workload = spec.resolve_workload()
     cluster = instantiate_plan_des(
-        _plan(spec, _osiris_config(spec, workload)),
+        _plan(spec, _config(spec, workload)),
         workload.app,
         workload.stream,
     )
@@ -415,7 +417,7 @@ def _build_live(spec: DeploymentSpec, time_scale: Optional[float]):
 
     workload = spec.resolve_workload()
     return LiveRuntime(
-        _plan(spec, _osiris_config(spec, workload)),
+        _plan(spec, _config(spec, workload)),
         workload.app,
         workload=workload,
         sinks=spec.sinks,
@@ -427,18 +429,26 @@ def _plan(spec: DeploymentSpec, config: OsirisConfig):
     """The :class:`~repro.runtime.plan.ClusterPlan` a deployment of
     ``spec`` runs under ``config`` — on the DES, on the live backend and
     behind the serve gateway."""
+    common = dict(
+        n_workers=spec.n,
+        config=config,
+        seed=spec.seed,
+        bandwidth=_bandwidth(spec),
+        capture=spec.capture,
+        sanitize=spec.sanitize,
+    )
+    if spec.system == "zft":
+        from repro.baselines.zft import plan_zft_cluster
+
+        return plan_zft_cluster(**common)
+    if spec.system == "rcp":
+        from repro.baselines.rcp import plan_rcp_cluster
+
+        return plan_rcp_cluster(**common)
     from repro.runtime.plan import plan_osiris_cluster
 
     return plan_osiris_cluster(
-        n_workers=spec.n,
-        k=spec.k,
-        seed=spec.seed,
-        config=config,
-        bandwidth=_bandwidth(spec),
-        faults=spec.faults,
-        capture=spec.capture,
-        sanitize=spec.sanitize,
-        shards=spec.shards,
+        **common, k=spec.k, faults=spec.faults, shards=spec.shards
     )
 
 
@@ -483,8 +493,7 @@ def _finish(
         throughput = metrics.p90_throughput()
         active = metrics.time_to_fraction(0.9)
         if active > 0 and net is not None:
-            # the legacy single-pipeline figure is op0's link; sharded
-            # runs report the aggregate over every output pipeline
+            # op0's link, or the aggregate over every output pipeline
             pids = output_pids if sharded else ("op0",)
             op_bw = sum(
                 net.nic(pid).ingress_meter.mean_rate(0.0, active)
@@ -529,18 +538,6 @@ def _finish(
     )
 
 
-def _attach_sanitizer(cluster):
-    """Attach a substrate sanitizer to an already-built baseline cluster
-    (the osiris builder wires its own via ``sanitize=True``).  No link
-    or CPU events fire before ``cluster.start()``, so the shadows still
-    observe the run from birth."""
-    from repro.check.sanitizer import Sanitizer  # lazy: optional layer
-
-    sanitizer = Sanitizer(cluster.net)
-    sanitizer.attach(cluster.bus)
-    return sanitizer
-
-
 def _audit_sanitizer(sanitizer, extra: dict, cluster=None) -> Optional[int]:
     """Run the post-run sanitizer audit.  Returns the violation count
     (``None`` when the run was unsanitized) for the result's typed
@@ -580,20 +577,21 @@ def _fold_recovery(cluster, extra: dict, sanitizer_violations) -> Optional[dict]
     return _recovery_scalars(report)
 
 
-def _run_osiris(spec: DeploymentSpec) -> ScenarioResult:
+def _run_des(spec: DeploymentSpec) -> ScenarioResult:
     workload = spec.resolve_workload()
     cluster = build(spec.with_(workload=workload))
     _drive(cluster, spec, workload)
 
     def busy():
-        execs = [e for e in cluster.executors]
-        verif = cluster.all_verifiers
-        busy_total = sum(e.cpu.busy_seconds for e in execs)
-        # role-switched verifiers execute too; count their engine work via
-        # cpu time (approximation: all their busy time)
-        switched = [v for v in verif if v.engine.tasks_executed > 0]
+        # executors (all of a baseline's workers) count; role-switched
+        # verifiers execute too, so count their engine work via cpu time
+        # (approximation: all their busy time)
+        busy_total = sum(e.cpu.busy_seconds for e in cluster.executors)
+        switched = [
+            v for v in cluster.all_verifiers if v.engine.tasks_executed > 0
+        ]
         busy_total += sum(v.cpu.busy_seconds for v in switched)
-        return busy_total, len(execs) + len(switched)
+        return busy_total, len(cluster.executors) + len(switched)
 
     extra = {
         "reassignments": len(cluster.metrics.reassignments),
@@ -604,13 +602,17 @@ def _run_osiris(spec: DeploymentSpec) -> ScenarioResult:
     violations = _audit_sanitizer(cluster.sanitizer, extra, cluster)
     recovery = _fold_recovery(cluster, extra, violations)
     return _finish(
-        "OsirisBFT", spec.n, spec.f, cluster.metrics, cluster.net, busy,
+        _LABELS[spec.system], spec.n, 0 if spec.system == "zft" else spec.f,
+        cluster.metrics, cluster.net, busy,
         cluster.config.cores_per_node, extra,
         horizon=cluster.sim.now,
         output_pids=tuple(cluster.topo.output_pids),
         sanitizer_violations=violations,
         recovery=recovery,
-        commits={op.pid: op.commit_record() for op in cluster.outputs},
+        commits=(
+            {op.pid: op.commit_record() for op in cluster.outputs}
+            if spec.system == "osiris" else {}
+        ),
     )
 
 
@@ -691,67 +693,6 @@ def _fold_live_result(spec: DeploymentSpec, rt, report) -> ScenarioResult:
     )
 
 
-def _baseline_cores(spec: DeploymentSpec) -> int:
-    cfg = dict(spec.config)
-    cores = cfg.pop("cores_per_node", 1)
-    if cfg:
-        raise BenchmarkError(
-            f"config overrides are OsirisBFT-only (baselines accept just "
-            f"cores_per_node); got {sorted(cfg)} for {spec.system!r}"
-        )
-    return cores
-
-
-def _run_baseline(spec: DeploymentSpec) -> ScenarioResult:
-    workload = spec.resolve_workload()
-    cores = _baseline_cores(spec)
-    bandwidth = _bandwidth(spec)
-    if spec.system == "zft":
-        from repro.baselines.zft import build_zft_cluster
-
-        cluster = build_zft_cluster(
-            workload.app,
-            workload=workload.stream,
-            n_workers=spec.n,
-            seed=spec.seed,
-            bandwidth=bandwidth,
-            chunk_bytes=workload.chunk_bytes,
-            cores_per_node=cores,
-        )
-        system, f = "ZFT", 0
-    else:
-        from repro.baselines.rcp import build_rcp_cluster
-
-        cluster = build_rcp_cluster(
-            workload.app,
-            workload=workload.stream,
-            n_workers=spec.n,
-            f=spec.f,
-            seed=spec.seed,
-            bandwidth=bandwidth,
-            chunk_bytes=workload.chunk_bytes,
-            cores_per_node=cores,
-        )
-        system, f = "RCP", spec.f
-    sanitizer = _attach_sanitizer(cluster) if spec.sanitize else None
-    for sink in spec.sinks:
-        cluster.bus.attach(sink)
-    _drive(cluster, spec, workload)
-
-    def busy():
-        return sum(w.cpu.busy_seconds for w in cluster.workers), len(
-            cluster.workers
-        )
-
-    extra = {"cluster": cluster}
-    violations = _audit_sanitizer(sanitizer, extra)
-    return _finish(
-        system, spec.n, f, cluster.metrics, cluster.net, busy, cores, extra,
-        horizon=cluster.sim.now,
-        sanitizer_violations=violations,
-    )
-
-
 def run(spec: DeploymentSpec, time_scale: Optional[float] = None) -> ScenarioResult:
     """Run the deployment a spec describes; returns the measured result.
 
@@ -765,9 +706,7 @@ def run(spec: DeploymentSpec, time_scale: Optional[float] = None) -> ScenarioRes
     if spec.backend == "live":
         return _run_live(spec, time_scale)
     _des_has_no_time_scale(time_scale)
-    if spec.system == "osiris":
-        return _run_osiris(spec)
-    return _run_baseline(spec)
+    return _run_des(spec)
 
 
 def serve(

@@ -10,27 +10,23 @@ only with f+1 matching copies from the same sub-cluster.
 Computation scalability is therefore ⌊n/(2f+1)⌋ (Fig 2a) — the
 bottleneck OsirisBFT removes.
 
-Roles are :class:`~repro.runtime.core.ProtocolCore` state machines; the
-builder binds each one to the DES via
-:class:`~repro.runtime.des.DesHost`.
+Roles are :class:`~repro.runtime.core.ProtocolCore` state machines;
+:func:`plan_rcp_cluster` lays them out as a
+:class:`~repro.runtime.plan.ClusterPlan`, which any backend instantiates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.consensus.fast_robust import ConsensusClient, ConsensusMember
-from repro.core.api import VerifiableApplication
-from repro.core.metrics import MetricsHub
+from repro.core.config import OsirisConfig
 from repro.core.tasks import Chunk, Task, chunk_records
 from repro.crypto.signatures import KeyRegistry, Signer, sign_cost
 from repro.errors import ProtocolError
-from repro.net.links import DEFAULT_BANDWIDTH, Network
 from repro.net.message import Message
-from repro.net.partial_synchrony import SynchronyModel
-from repro.net.topology import SubCluster
-from repro.obs.bus import EventBus
+from repro.net.topology import SubCluster, Topology
 from repro.obs.events import (
     CATEGORY_TASK,
     RecordsAccepted,
@@ -38,8 +34,7 @@ from repro.obs.events import (
     TaskSubmitted,
 )
 from repro.runtime.core import ProtocolCore
-from repro.runtime.des import DesHost
-from repro.sim.kernel import Simulator
+from repro.runtime.plan import ClusterPlan, plan_topology
 from repro.store.mvstore import MultiVersionStore
 
 __all__ = [
@@ -51,8 +46,7 @@ __all__ = [
     "RcpCoordinator",
     "RcpInput",
     "RcpOutput",
-    "RcpCluster",
-    "build_rcp_cluster",
+    "plan_rcp_cluster",
     "rcp_parallel_tasks",
 ]
 
@@ -415,98 +409,35 @@ class RcpInput(ProtocolCore):
         self._next()
 
 
-@dataclass
-class RcpCluster:
-    """Handles to an RCP deployment."""
-
-    sim: Simulator
-    net: Network
-    metrics: MetricsHub
-    bus: EventBus
-    clusters: list[SubCluster]
-    workers: list[RcpWorker]
-    inputs: list[RcpInput]
-    outputs: list[RcpOutput]
-    idle_workers: int
-
-    def start(self) -> None:
-        for ip in self.inputs:
-            ip.start()
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
-
-
-def build_rcp_cluster(
-    app: VerifiableApplication,
-    workload: Optional[Iterator[tuple[float, Task]]] = None,
-    n_workers: int = 9,
-    f: int = 1,
-    seed: int = 0,
-    synchrony: Optional[SynchronyModel] = None,
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    chunk_bytes: int = 1_000_000,
-    cores_per_node: int = 7,
-) -> RcpCluster:
-    """Wire an RCP deployment: ⌊n/(2f+1)⌋ sub-clusters, leftovers idle."""
+def plan_rcp_cluster(
+    n_workers: int = 9, config: Optional[OsirisConfig] = None, **plan
+) -> ClusterPlan:
+    """Lay out an RCP deployment: ⌊n/(2f+1)⌋ sub-clusters of 2f+1
+    workers, ``w0``… by sub-cluster (sub-cluster 0 coordinates), then
+    ``ip0`` and ``op0``; the leftover workers stay idle and get no node.
+    ``config`` gives f, the chunk size and the cores per worker; ``plan``
+    passes the remaining plan fields (seed, bandwidth, …) to
+    :func:`~repro.runtime.plan.plan_topology`."""
+    config = config or OsirisConfig()
+    f = config.f
     size = 2 * f + 1
     k = n_workers // size
     if k < 1:
         raise ProtocolError(
             f"RCP needs at least {size} workers for f={f}, got {n_workers}"
         )
-    sim = Simulator(seed=seed)
-    net = Network(sim, synchrony=synchrony or SynchronyModel(), bandwidth=bandwidth)
-    registry = KeyRegistry()
-    metrics = MetricsHub()
-    sim.bus.attach(metrics)
-
-    def deploy(core, cores):
-        net.register(DesHost(sim, net, core, cores=cores))
-        return core
-
-    clusters = [
-        SubCluster(
-            index=i,
-            members=tuple(f"w{i * size + j}" for j in range(size)),
-            f=f,
-        )
-        for i in range(k)
-    ]
-    coordinator = clusters[0]
-    workers: list[RcpWorker] = []
-    for cluster in clusters:
-        for pid in cluster.members:
-            cls = RcpCoordinator if cluster.index == 0 else RcpWorker
-            kwargs = dict(clusters=clusters) if cluster.index == 0 else {}
-            w = cls(
-                pid,
-                registry,
-                registry.register(pid),
-                app,
-                cluster,
-                coordinator,
-                ("op0",),
-                chunk_bytes,
-                **kwargs,
+    topo = Topology(
+        input_pids=("ip0",),
+        output_pids=("op0",),
+        executor_pids=(),
+        verifier_clusters=tuple(
+            SubCluster(
+                index=i,
+                members=tuple(f"w{i * size + j}" for j in range(size)),
+                f=f,
             )
-            deploy(w, cores_per_node)
-            workers.append(w)
-    ip = RcpInput(
-        "ip0", coordinator,
-        workload if workload is not None else iter(()),
+            for i in range(k)
+        ),
+        f=f,
     )
-    deploy(ip, 2)
-    op = RcpOutput("op0", clusters)
-    deploy(op, 2)
-    return RcpCluster(
-        sim=sim,
-        net=net,
-        metrics=metrics,
-        bus=sim.bus,
-        clusters=clusters,
-        workers=workers,
-        inputs=[ip],
-        outputs=[op],
-        idle_workers=n_workers - k * size,
-    )
+    return plan_topology("rcp", topo, config, **plan)

@@ -6,24 +6,21 @@ No signatures, no replication, no verification: the performance ceiling
 every BFT system is measured against.  The coordinator participates in
 execution too, so computation scalability is |WP| (Table 1).
 
-Roles are :class:`~repro.runtime.core.ProtocolCore` state machines; the
-builder binds each one to the DES via
-:class:`~repro.runtime.des.DesHost`.
+Roles are :class:`~repro.runtime.core.ProtocolCore` state machines;
+:func:`plan_zft_cluster` lays them out as a
+:class:`~repro.runtime.plan.ClusterPlan`, which any backend instantiates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.core.api import VerifiableApplication
-from repro.core.metrics import MetricsHub
+from repro.core.config import OsirisConfig
 from repro.core.tasks import Chunk, Task, chunk_records
 from repro.errors import ProtocolError
-from repro.net.links import DEFAULT_BANDWIDTH, Network
 from repro.net.message import Message
-from repro.net.partial_synchrony import SynchronyModel
-from repro.obs.bus import EventBus
+from repro.net.topology import SubCluster, Topology
 from repro.obs.events import (
     CATEGORY_TASK,
     RecordsAccepted,
@@ -31,8 +28,7 @@ from repro.obs.events import (
     TaskSubmitted,
 )
 from repro.runtime.core import ProtocolCore
-from repro.runtime.des import DesHost
-from repro.sim.kernel import Simulator
+from repro.runtime.plan import ClusterPlan, plan_topology
 from repro.store.mvstore import MultiVersionStore
 
 __all__ = [
@@ -44,8 +40,7 @@ __all__ = [
     "ZftCoordinator",
     "ZftInput",
     "ZftOutput",
-    "ZftCluster",
-    "build_zft_cluster",
+    "plan_zft_cluster",
 ]
 
 
@@ -215,77 +210,22 @@ class ZftOutput(ProtocolCore):
                 )
 
 
-@dataclass
-class ZftCluster:
-    """Handles to a ZFT deployment."""
-
-    sim: Simulator
-    net: Network
-    metrics: MetricsHub
-    bus: EventBus
-    coordinator: ZftCoordinator
-    workers: list[ZftWorker]
-    inputs: list[ZftInput]
-    outputs: list[ZftOutput]
-
-    def start(self) -> None:
-        for ip in self.inputs:
-            ip.start()
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
-
-
-def build_zft_cluster(
-    app: VerifiableApplication,
-    workload: Optional[Iterator[tuple[float, Task]]] = None,
-    n_workers: int = 8,
-    seed: int = 0,
-    synchrony: Optional[SynchronyModel] = None,
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    chunk_bytes: int = 1_000_000,
-    cores_per_node: int = 7,
-) -> ZftCluster:
-    """Wire a ZFT deployment: 1 coordinator + (n-1) plain workers, all
-    executing."""
+def plan_zft_cluster(
+    n_workers: int = 8, config: Optional[OsirisConfig] = None, **plan
+) -> ClusterPlan:
+    """Lay out a ZFT deployment: ``w0`` (the coordinator, a sub-cluster
+    of one with f=0), then the plain workers ``w1``…, ``ip0`` and
+    ``op0``.  Every worker executes; ``config`` gives the chunk size and
+    the cores per worker, its ``f`` is not read.  ``plan`` passes the
+    remaining plan fields (seed, bandwidth, …) to
+    :func:`~repro.runtime.plan.plan_topology`."""
     if n_workers < 1:
         raise ProtocolError("ZFT needs at least one worker")
-    sim = Simulator(seed=seed)
-    net = Network(sim, synchrony=synchrony or SynchronyModel(), bandwidth=bandwidth)
-    metrics = MetricsHub()
-    sim.bus.attach(metrics)
-
-    def deploy(core, cores):
-        net.register(DesHost(sim, net, core, cores=cores))
-        return core
-
-    worker_pids = [f"w{i}" for i in range(n_workers)]
-    coordinator = ZftCoordinator(
-        "w0",
-        app,
-        ("op0",),
-        chunk_bytes,
-        worker_pids=worker_pids,
+    topo = Topology(
+        input_pids=("ip0",),
+        output_pids=("op0",),
+        executor_pids=tuple(f"w{i}" for i in range(1, n_workers)),
+        verifier_clusters=(SubCluster(index=0, members=("w0",), f=0),),
+        f=0,
     )
-    deploy(coordinator, cores_per_node)
-    workers: list[ZftWorker] = [coordinator]
-    for pid in worker_pids[1:]:
-        w = ZftWorker(pid, app, ("op0",), chunk_bytes)
-        deploy(w, cores_per_node)
-        workers.append(w)
-    ip = ZftInput(
-        "ip0", "w0", workload if workload is not None else iter(())
-    )
-    deploy(ip, 2)
-    op = ZftOutput("op0")
-    deploy(op, 2)
-    return ZftCluster(
-        sim=sim,
-        net=net,
-        metrics=metrics,
-        bus=sim.bus,
-        coordinator=coordinator,
-        workers=workers,
-        inputs=[ip],
-        outputs=[op],
-    )
+    return plan_topology("zft", topo, config or OsirisConfig(), **plan)

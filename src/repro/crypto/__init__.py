@@ -1,4 +1,4 @@
-"""Cryptographic substrate: digests, signatures, Merkle commitments.
+"""Cryptographic substrate: digests and signatures.
 
 Real hash functions (SHA-256/HMAC) with structurally-enforced key
 ownership stand in for the paper's Ed25519-style signatures; simulated
@@ -8,7 +8,6 @@ crypto work like the C++ implementation's dedicated crypto cores.
 """
 
 from repro.crypto.digest import canonical_bytes, digest, digest_hex
-from repro.crypto.merkle import MerkleTree, merkle_root, verify_inclusion
 from repro.crypto.signatures import (
     SIGN_COST,
     VERIFY_COST,
@@ -21,7 +20,6 @@ from repro.crypto.signatures import (
 
 __all__ = [
     "KeyRegistry",
-    "MerkleTree",
     "SIGN_COST",
     "Signature",
     "Signer",
@@ -29,8 +27,6 @@ __all__ = [
     "canonical_bytes",
     "digest",
     "digest_hex",
-    "merkle_root",
     "sign_cost",
     "verify_cost",
-    "verify_inclusion",
 ]

@@ -3,7 +3,7 @@
 A :class:`Topology` names the processes of a deployment and their role
 partition: input/output processes, the coordinator verifier sub-cluster
 VP_CO, additional verifier sub-clusters VP_i, and the executor pool EP.
-Deployment builders (:mod:`repro.runtime.deploy`, the baselines) construct
+The plan functions (:mod:`repro.runtime.plan`, the baselines') construct
 one and hand it to every process so that role membership is common
 knowledge — matching the paper's static membership assumption.
 """

@@ -12,7 +12,7 @@ on one of two runtimes (the contract is documented on
   guarded-job rules, CPU lanes, capture) over a substrate that supplies
   a clock, a transport, two CPU banks and an event sink.
   :class:`~repro.runtime.des.DesHost` is the discrete-event substrate
-  every deployment builder uses (bit-identical traces);
+  every DES deployment uses (bit-identical traces);
   :class:`~repro.live.host.LiveHost` runs one core per OS process.
 * :class:`~repro.runtime.testing.TestRuntime` — the one in-memory
   backend, with no Simulator and no Network: unit tests drive it by
@@ -20,8 +20,8 @@ on one of two runtimes (the contract is documented on
   :func:`~repro.runtime.replay.replay` re-runs a single core on it
   from a bus-captured inbox (post-mortem debugging).
 
-The deployment builder for the full OsirisBFT cluster lives in
-:mod:`repro.runtime.deploy`.
+:mod:`repro.runtime.plan` lays out a deployment of any of the three
+systems; :mod:`repro.runtime.deploy` instantiates it on the DES.
 """
 
 from repro.runtime.core import ProtocolCore

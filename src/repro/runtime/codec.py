@@ -63,12 +63,13 @@ has no body, so :func:`decode_json` rejects both tags).  Only the mesh
 frames; replay logs, signatures, served frames and the up queue write
 text.
 
-The base class registry is built lazily on first use: the message
-modules of the baselines import their deployment builders, which import
-the DES backend, so an import-time registry would be cyclic.  Layers
-above the runtime (observability, the live backend, the gateway) extend
-the registry with :func:`register` / :func:`register_enum` instead of
-being imported from here.
+The base class registry is built lazily on first use, so importing the
+codec loads no protocol module: the serve client imports it through
+:mod:`repro.serve.frames` and never loads a core.  Building it loads
+the message modules (the baselines' with their cores and plans) and no
+backend.  Layers above the runtime (observability, the live backend,
+the gateway) extend the registry with :func:`register` /
+:func:`register_enum` instead of being imported from here.
 """
 
 from __future__ import annotations

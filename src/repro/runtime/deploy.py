@@ -2,7 +2,8 @@
 
 Layout decisions (topology, role assignment, the pid → fault map) live
 in :mod:`repro.runtime.plan`; this module instantiates a computed
-:class:`~repro.runtime.plan.ClusterPlan` on the simulated substrate.
+:class:`~repro.runtime.plan.ClusterPlan` — OsirisBFT's or a baseline's —
+on the simulated substrate.
 Every role is a pure :class:`~repro.runtime.core.ProtocolCore`; this is
 the only place where cores meet the simulator — each one is wrapped in
 a :class:`~repro.runtime.des.DesHost` immediately after construction
@@ -48,7 +49,8 @@ __all__ = [
 
 @dataclass
 class OsirisCluster:
-    """Handles to a wired deployment (role lists hold the *cores*)."""
+    """Handles to a wired deployment of any of the three systems (role
+    lists hold the *cores*; a baseline's workers are its executors)."""
 
     sim: Simulator
     net: Network
@@ -72,6 +74,8 @@ class OsirisCluster:
     #: set when built with a campaign (the attached
     #: ``repro.adversary.RecoverySink``)
     recovery: Optional[object] = None
+    #: the plan's system: "osiris", "zft" or "rcp"
+    system: str = "osiris"
 
     def start(self) -> None:
         """Begin streaming the workload."""
@@ -191,6 +195,7 @@ def instantiate_plan_des(
         coordinators=by_role["coordinator"],
         hosts=hosts,
         sanitizer=sanitizer,
+        system=plan.system,
     )
     if plan.campaign is not None:
         from repro.adversary.engine import install_campaign
@@ -259,7 +264,7 @@ def build_osiris_cluster(
     shards:
         Tenant-routed IP/OP pipeline count over the shared verifier
         fleet; ``workload`` is demultiplexed across the per-shard
-        inputs by each task's tenant key.  1 = legacy single pipeline.
+        inputs by each task's tenant key.
     """
     plan = plan_osiris_cluster(
         n_workers=n_workers,

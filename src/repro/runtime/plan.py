@@ -2,12 +2,14 @@
 
 Splitting a deployment into *plan* and *instantiate* phases is what lets
 the DES backend and the live OS-process backend share one construction
-path: :func:`plan_osiris_cluster` computes everything that is pure
-decision-making — topology and role layout, sub-cluster membership,
-the pid → fault strategy map, per-node CPU-bank widths, capture set —
-and returns a :class:`ClusterPlan`; each backend then walks
-:attr:`ClusterPlan.nodes` **in order** and asks :meth:`ClusterPlan.make_core`
-for the pure protocol core of each pid.
+path: :func:`plan_osiris_cluster` (and the baselines'
+:func:`~repro.baselines.zft.plan_zft_cluster` and
+:func:`~repro.baselines.rcp.plan_rcp_cluster`) computes everything that
+is pure decision-making — topology and role layout, sub-cluster
+membership, the pid → fault strategy map, per-node CPU-bank widths,
+capture set — and returns a :class:`ClusterPlan`; each backend then
+walks :attr:`ClusterPlan.nodes` **in order** and asks
+:meth:`ClusterPlan.make_core` for the pure protocol core of each pid.
 
 :func:`install_fault` is the one place a fault strategy meets a core:
 ``make_core`` builds the honest core and installs the pid's static fault
@@ -16,10 +18,11 @@ the same way at run time.
 
 Two invariants matter:
 
-* Node order is canonical (verifier clusters ascending with VP_CO first,
-  then executors, inputs, outputs).  The DES backend binds hosts in this
-  order, which fixes the event-seq numbering of the cores' birth timers
-  — the golden trace fixtures pin it.
+* Node order is canonical (sub-clusters ascending with the coordinator's
+  first, then executors, inputs, outputs; see :func:`plan_topology`).
+  The DES backend binds hosts in this order, which fixes the event-seq
+  numbering of the cores' birth timers — the golden trace fixtures pin
+  it.
 * ``make_core`` is deterministic given (plan, pid): key material comes
   from :class:`~repro.crypto.signatures.KeyRegistry`'s per-pid seeded
   derivation, so a live child process can rebuild its own registry and
@@ -50,6 +53,7 @@ __all__ = [
     "NodeSpec",
     "ClusterPlan",
     "plan_osiris_cluster",
+    "plan_topology",
     "default_cluster_count",
     "install_fault",
 ]
@@ -92,7 +96,7 @@ class NodeSpec:
     pid: str
     role: str  # coordinator | verifier | executor | input | output
     cores: int
-    cluster_index: Optional[int] = None  # verifier roles only
+    cluster_index: Optional[int] = None  # sub-cluster members only
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,9 @@ class ClusterPlan:
     campaign: Optional[object] = None
     capture: frozenset = frozenset()
     sanitize: bool = False
+    #: "osiris", "zft" or "rcp": which system's cores :meth:`make_core`
+    #: builds; set by the system's plan function, not by a caller
+    system: str = "osiris"
 
     def node(self, pid: str) -> NodeSpec:
         for spec in self.nodes:
@@ -133,6 +140,12 @@ class ClusterPlan:
         deterministic either way.  ``workload`` is only consumed by the
         primary input role; see :func:`plan_osiris_cluster`.
         """
+        if spec.role == "input" and workload is None:
+            workload = iter(())
+        if self.system == "zft":
+            return self._zft_core(spec, app, workload)
+        if self.system == "rcp":
+            return self._rcp_core(spec, app, registry, workload)
         topo, config = self.topo, self.config
         if spec.role in ("coordinator", "verifier"):
             cluster = topo.verifier_clusters[spec.cluster_index]
@@ -156,12 +169,7 @@ class ClusterPlan:
                 config,
             )
         elif spec.role == "input":
-            core = InputProcess(
-                spec.pid,
-                topo,
-                workload if workload is not None else iter(()),
-                config=config,
-            )
+            core = InputProcess(spec.pid, topo, workload, config=config)
         elif spec.role == "output":
             core = OutputProcess(spec.pid, topo, config)
         else:  # pragma: no cover
@@ -170,6 +178,50 @@ class ClusterPlan:
         if fault is not None:
             install_fault(core, topo, spec.pid, fault)
         return core
+
+    # The baselines load only when a plan of theirs builds a core, so an
+    # OsirisBFT node never imports them.  Their workers are all executor
+    # nodes; sub-cluster 0 (ZFT's w0 alone) is the coordinator.
+    def _zft_core(self, spec, app, workload) -> ProtocolCore:
+        from repro.baselines import zft
+
+        topo, chunk_bytes = self.topo, self.config.chunk_bytes
+        if spec.role == "input":
+            return zft.ZftInput(spec.pid, topo.coordinator.members[0], workload)
+        if spec.role == "output":
+            return zft.ZftOutput(spec.pid)
+        if spec.cluster_index == 0:
+            return zft.ZftCoordinator(
+                spec.pid,
+                app,
+                topo.output_pids,
+                chunk_bytes,
+                worker_pids=topo.coordinator.members + topo.executor_pids,
+            )
+        return zft.ZftWorker(spec.pid, app, topo.output_pids, chunk_bytes)
+
+    def _rcp_core(self, spec, app, registry, workload) -> ProtocolCore:
+        from repro.baselines import rcp
+
+        topo = self.topo
+        clusters = list(topo.verifier_clusters)
+        if spec.role == "input":
+            return rcp.RcpInput(spec.pid, topo.coordinator, workload)
+        if spec.role == "output":
+            return rcp.RcpOutput(spec.pid, clusters)
+        args = (
+            spec.pid,
+            registry,
+            registry.register(spec.pid),
+            app,
+            clusters[spec.cluster_index],
+            topo.coordinator,
+            topo.output_pids,
+            self.config.chunk_bytes,
+        )
+        if spec.cluster_index == 0:
+            return rcp.RcpCoordinator(*args, clusters=clusters)
+        return rcp.RcpWorker(*args)
 
 
 def default_cluster_count(n_workers: int, config: OsirisConfig) -> int:
@@ -254,25 +306,51 @@ def plan_osiris_cluster(
             f"faults name {missing}, which the layout does not have"
         )
 
+    return plan_topology(
+        "osiris",
+        topo,
+        config,
+        seed=seed,
+        synchrony=synchrony,
+        bandwidth=bandwidth,
+        faults=fault_plan.strategies(),
+        campaign=fault_plan.campaign,
+        capture=capture,
+        sanitize=sanitize,
+    )
+
+
+def plan_topology(
+    system: str,
+    topo: Topology,
+    config: OsirisConfig,
+    seed: int = 0,
+    synchrony: Optional[SynchronyModel] = None,
+    bandwidth: float = DEFAULT_BANDWIDTH,
+    capture: Iterable[str] = (),
+    sanitize: bool = False,
+    **fields,
+) -> ClusterPlan:
+    """The plan of ``system`` over ``topo``, its nodes in canonical order:
+    sub-clusters ascending (the coordinator's first), executors, inputs,
+    outputs.  OsirisBFT's sub-clusters verify; every worker of a
+    baseline executes, so its sub-cluster members are executor nodes
+    too.  Workers get ``config.cores_per_node`` cores, IP/OP nodes two.
+    """
+    cores = config.cores_per_node
     nodes: list[NodeSpec] = []
     for cluster in topo.verifier_clusters:
-        role = "coordinator" if cluster.index == 0 else "verifier"
+        role = "executor"
+        if system == "osiris":
+            role = "coordinator" if cluster.index == 0 else "verifier"
         for pid in cluster.members:
-            nodes.append(
-                NodeSpec(
-                    pid=pid,
-                    role=role,
-                    cores=config.cores_per_node,
-                    cluster_index=cluster.index,
-                )
-            )
+            nodes.append(NodeSpec(pid, role, cores, cluster.index))
     for pid in topo.executor_pids:
-        nodes.append(NodeSpec(pid=pid, role="executor", cores=config.cores_per_node))
+        nodes.append(NodeSpec(pid, "executor", cores))
     for pid in topo.input_pids:
-        nodes.append(NodeSpec(pid=pid, role="input", cores=2))
+        nodes.append(NodeSpec(pid, "input", 2))
     for pid in topo.output_pids:
-        nodes.append(NodeSpec(pid=pid, role="output", cores=2))
-
+        nodes.append(NodeSpec(pid, "output", 2))
     return ClusterPlan(
         topo=topo,
         config=config,
@@ -280,8 +358,8 @@ def plan_osiris_cluster(
         bandwidth=bandwidth,
         synchrony=synchrony or SynchronyModel(),
         nodes=tuple(nodes),
-        faults=fault_plan.strategies(),
-        campaign=fault_plan.campaign,
         capture=frozenset(capture),
         sanitize=sanitize,
+        system=system,
+        **fields,
     )

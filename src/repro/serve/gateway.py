@@ -130,7 +130,7 @@ class Gateway:
         port: int = 0,
         time_scale: float = 0.25,
     ) -> None:
-        from repro.api import _osiris_config, _plan
+        from repro.api import _config, _plan
         from repro.live.runtime import LiveRuntime
 
         if spec.system != "osiris":
@@ -149,7 +149,7 @@ class Gateway:
         self._port = port
         self.time_scale = time_scale
         workload = spec.resolve_workload()
-        cfg = _osiris_config(spec, workload)
+        cfg = _config(spec, workload)
         # admission knobs move from the IP to the gateway: the plan's
         # children run with them stripped so the policy applies once
         plan_cfg = dataclasses.replace(

@@ -5,16 +5,26 @@ import pytest
 from repro.apps.synthetic import SyntheticApp, make_compute_task, make_update_task
 from repro.baselines import (
     basil_updates_per_sec,
-    build_rcp_cluster,
-    build_zft_cluster,
     kauri_updates_per_sec,
+    plan_rcp_cluster,
+    plan_zft_cluster,
     rcp_parallel_tasks,
 )
+from repro.core import OsirisConfig
 from repro.errors import BenchmarkError, ProtocolError
+from repro.runtime.deploy import instantiate_plan_des
 
 
 def app():
     return SyntheticApp(records_per_task=5, compute_cost=5e-3)
+
+
+def run(plan, tasks, application=None, until=10.0):
+    """Instantiate ``plan`` on the DES and run ``tasks`` through it."""
+    c = instantiate_plan_des(plan, application or app(), iter(tasks))
+    c.start()
+    c.run(until=until)
+    return c
 
 
 def compute_tasks(n, period=0.005):
@@ -33,39 +43,30 @@ def mixed_tasks(n):
 
 class TestZft:
     def test_all_tasks_complete(self):
-        c = build_zft_cluster(app(), workload=iter(compute_tasks(30)), n_workers=8)
-        c.start()
-        c.run(until=10.0)
+        c = run(plan_zft_cluster(8), compute_tasks(30))
         assert c.metrics.tasks_completed == 30
         assert c.metrics.records_accepted == 150
 
     def test_no_replication(self):
-        c = build_zft_cluster(app(), workload=iter(compute_tasks(30)), n_workers=8)
-        c.start()
-        c.run(until=10.0)
-        assert sum(w.tasks_executed for w in c.workers) == 30
+        c = run(plan_zft_cluster(8), compute_tasks(30))
+        assert sum(w.tasks_executed for w in c.executors) == 30
 
     def test_all_workers_participate(self):
-        c = build_zft_cluster(app(), workload=iter(compute_tasks(32)), n_workers=8)
-        c.start()
-        c.run(until=10.0)
-        assert all(w.tasks_executed > 0 for w in c.workers)
+        c = run(plan_zft_cluster(8), compute_tasks(32))
+        assert all(w.tasks_executed > 0 for w in c.executors)
 
     def test_single_node_deployment(self):
-        c = build_zft_cluster(app(), workload=iter(compute_tasks(5)), n_workers=1)
-        c.start()
-        c.run(until=10.0)
+        c = run(plan_zft_cluster(1), compute_tasks(5))
         assert c.metrics.tasks_completed == 5
 
     def test_state_updates_reach_all_workers(self):
-        c = build_zft_cluster(app(), workload=iter(mixed_tasks(10)), n_workers=4)
-        c.start()
-        c.run(until=10.0)
-        assert all(w.store.applied_ts == 10 for w in c.workers)
+        c = run(plan_zft_cluster(4), mixed_tasks(10))
+        assert len(c.executors) == 4
+        assert all(w.store.applied_ts == 10 for w in c.executors)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ProtocolError):
-            build_zft_cluster(app(), n_workers=0)
+            plan_zft_cluster(0)
 
     def test_latency_lower_than_osiris(self):
         """ZFT has no verification in the critical path: its latency
@@ -73,9 +74,7 @@ class TestZft:
         from repro.core import build_osiris_cluster
         from tests.core.helpers import fast_config
 
-        z = build_zft_cluster(app(), workload=iter(compute_tasks(20)), n_workers=10)
-        z.start()
-        z.run(until=10.0)
+        z = run(plan_zft_cluster(10), compute_tasks(20))
         o = build_osiris_cluster(
             app(),
             workload=iter(compute_tasks(20)),
@@ -90,47 +89,37 @@ class TestZft:
 
 class TestRcp:
     def test_all_tasks_complete(self):
-        c = build_rcp_cluster(app(), workload=iter(compute_tasks(30)), n_workers=9)
-        c.start()
-        c.run(until=10.0)
+        c = run(plan_rcp_cluster(9), compute_tasks(30))
         assert c.metrics.tasks_completed == 30
         assert c.metrics.records_accepted == 150
 
     def test_computation_replicated_2f_plus_1_times(self):
-        c = build_rcp_cluster(
-            app(), workload=iter(compute_tasks(30)), n_workers=9, f=1
-        )
-        c.start()
-        c.run(until=10.0)
-        assert sum(w.tasks_executed for w in c.workers) == 30 * 3
+        c = run(plan_rcp_cluster(9, OsirisConfig(f=1)), compute_tasks(30))
+        assert sum(w.tasks_executed for w in c.executors) == 30 * 3
 
     def test_f2_replication_factor(self):
-        c = build_rcp_cluster(
-            app(), workload=iter(compute_tasks(10)), n_workers=10, f=2
-        )
-        c.start()
-        c.run(until=10.0)
+        c = run(plan_rcp_cluster(10, OsirisConfig(f=2)), compute_tasks(10))
         assert c.metrics.tasks_completed == 10
-        assert sum(w.tasks_executed for w in c.workers) == 10 * 5
+        assert sum(w.tasks_executed for w in c.executors) == 10 * 5
 
     def test_leftover_workers_idle(self):
-        c = build_rcp_cluster(app(), n_workers=11, f=1)
-        assert c.idle_workers == 2
-        assert len(c.workers) == 9
+        plan = plan_rcp_cluster(11, OsirisConfig(f=1))
+        workers = [n.pid for n in plan.nodes if n.role == "executor"]
+        assert workers == [f"w{i}" for i in range(9)]
+        assert 11 - len(workers) == 2
 
     def test_too_few_workers_rejected(self):
         with pytest.raises(ProtocolError):
-            build_rcp_cluster(app(), n_workers=2, f=1)
+            plan_rcp_cluster(2, OsirisConfig(f=1))
 
     def test_state_updates_reach_all_members(self):
-        c = build_rcp_cluster(app(), workload=iter(mixed_tasks(8)), n_workers=9)
-        c.start()
-        c.run(until=10.0)
-        assert all(w.store.applied_ts == 8 for w in c.workers)
+        c = run(plan_rcp_cluster(9), mixed_tasks(8))
+        assert len(c.executors) == 9
+        assert all(w.store.applied_ts == 8 for w in c.executors)
 
     def test_one_crashed_replica_tolerated(self):
-        c = build_rcp_cluster(app(), workload=iter(compute_tasks(12)), n_workers=9)
-        c.workers[4].crash()  # member of cluster 1
+        c = instantiate_plan_des(plan_rcp_cluster(9), app(), iter(compute_tasks(12)))
+        c.worker("w4").crash()  # member of cluster 1
         c.start()
         c.run(until=10.0)
         assert c.metrics.tasks_completed == 12
@@ -150,9 +139,7 @@ class TestOsirisBeatsRcp:
 
         heavy = SyntheticApp(records_per_task=5, compute_cost=50e-3)
         n, tasks = 12, compute_tasks(60, period=0.001)
-        r = build_rcp_cluster(heavy, workload=iter(list(tasks)), n_workers=n)
-        r.start()
-        r.run(until=60.0)
+        r = run(plan_rcp_cluster(n), tasks, heavy, until=60.0)
         o = build_osiris_cluster(
             heavy,
             workload=iter(list(tasks)),

@@ -1,5 +1,6 @@
-"""Protocol cores are substrate-free: no module under ``repro.core`` or
-``repro.consensus`` may import the DES kernel or the simulated network.
+"""Protocol cores are substrate-free: no module under ``repro.core``,
+``repro.consensus`` or ``repro.baselines`` may import the DES kernel or
+the simulated network.
 Binding to a substrate happens exclusively in ``repro.runtime`` (DesHost
 and the deployment builder).  Heavy or unrelated dependencies load only
 where they are used: SciPy on the planning app's first LP, numpy where
@@ -15,6 +16,7 @@ import textwrap
 
 import pytest
 
+import repro.baselines
 import repro.consensus
 import repro.core
 
@@ -49,7 +51,7 @@ def imported_names(path):
 class TestCorePurity:
     def test_no_kernel_or_link_imports_in_protocol_modules(self):
         offenders = []
-        for package in (repro.core, repro.consensus):
+        for package in (repro.core, repro.consensus, repro.baselines):
             for path in module_files(package):
                 for name in imported_names(path):
                     if name.startswith(FORBIDDEN_PREFIXES):
@@ -66,6 +68,26 @@ class TestCorePurity:
             "import sys; import repro.core, repro.consensus; "
             "assert 'repro.sim.kernel' not in sys.modules, 'kernel leaked'; "
             "assert 'repro.net.links' not in sys.modules, 'links leaked'"
+        )
+
+    def test_live_node_loads_no_baseline_or_des_backend(self):
+        """A plan imports a baseline only to build its cores, so a live
+        OsirisBFT node loads none until its wire registry is built; that
+        imports the baselines' messages (with their cores and plans) but
+        no DES module."""
+        run_fresh(
+            textwrap.dedent(
+                """
+                import sys
+                import repro.runtime.plan, repro.live.host
+                from repro.runtime import codec
+
+                assert "repro.baselines" not in sys.modules
+                assert "RcpAssign" in codec.registered_types()
+                for name in ("repro.runtime.des", "repro.core.metrics"):
+                    assert name not in sys.modules, name
+                """
+            )
         )
 
 
