@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.baselines.zft import ZftInput
 from repro.consensus.fast_robust import ConsensusClient, ConsensusMember
 from repro.core.config import OsirisConfig
 from repro.core.tasks import Chunk, Task, chunk_records
@@ -31,7 +32,6 @@ from repro.obs.events import (
     CATEGORY_TASK,
     RecordsAccepted,
     TaskCompleted,
-    TaskSubmitted,
 )
 from repro.runtime.core import ProtocolCore
 from repro.runtime.plan import ClusterPlan, plan_topology
@@ -381,32 +381,16 @@ class RcpOutput(ProtocolCore):
         )
 
 
-class RcpInput(ProtocolCore):
+class RcpInput(ZftInput):
+    """ZFT's workload stream, submitted through consensus to the
+    coordinator sub-cluster."""
+
     def __init__(self, pid, coordinator: SubCluster, workload):
-        super().__init__(pid)
+        super().__init__(pid, coordinator, workload)
         self.client = ConsensusClient(self, coordinator)
-        self._workload = iter(workload)
 
-    def start(self) -> None:
-        self._next()
-
-    def _next(self) -> None:
-        try:
-            at, task = next(self._workload)
-        except StopIteration:
-            return
-        self.schedule(max(0.0, at - self.now), self._fire, task)
-
-    def _fire(self, task: Task) -> None:
-        if not self.crashed:
-            if self.wants(CATEGORY_TASK):
-                self.emit(
-                    TaskSubmitted(
-                        time=self.now, pid=self.pid, task_id=task.task_id
-                    )
-                )
-            self.client.submit(task, size=task.size_bytes)
-        self._next()
+    def _submit(self, task: Task) -> None:
+        self.client.submit(task, size=task.size_bytes)
 
 
 def plan_rcp_cluster(

@@ -158,9 +158,13 @@ class ZftCoordinator(ZftWorker):
 
 
 class ZftInput(ProtocolCore):
-    def __init__(self, pid, coordinator_pid, workload):
+    """Streams the workload's tasks to ``coordinator``, each at its
+    submit time.  RCP's input reuses the loop and overrides only
+    :meth:`_submit`."""
+
+    def __init__(self, pid, coordinator, workload):
         super().__init__(pid)
-        self.coordinator_pid = coordinator_pid
+        self.coordinator = coordinator
         self._workload = iter(workload)
 
     def start(self) -> None:
@@ -181,8 +185,11 @@ class ZftInput(ProtocolCore):
                         time=self.now, pid=self.pid, task_id=task.task_id
                     )
                 )
-            self.send(self.coordinator_pid, ZftSubmit(task=task))
+            self._submit(task)
         self._next()
+
+    def _submit(self, task: Task) -> None:
+        self.send(self.coordinator, ZftSubmit(task=task))
 
 
 class ZftOutput(ProtocolCore):
