@@ -336,6 +336,8 @@ def plan_topology(
     outputs.  OsirisBFT's sub-clusters verify; every worker of a
     baseline executes, so its sub-cluster members are executor nodes
     too.  Workers get ``config.cores_per_node`` cores, IP/OP nodes two.
+    A ``capture`` pid with no node raises
+    :class:`~repro.errors.ProtocolError`.
     """
     cores = config.cores_per_node
     nodes: list[NodeSpec] = []
@@ -351,6 +353,12 @@ def plan_topology(
         nodes.append(NodeSpec(pid, "input", 2))
     for pid in topo.output_pids:
         nodes.append(NodeSpec(pid, "output", 2))
+    capture = frozenset(capture)
+    missing = sorted(capture - {node.pid for node in nodes})
+    if missing:
+        raise ProtocolError(
+            f"capture names {missing}, which the plan has no node for"
+        )
     return ClusterPlan(
         topo=topo,
         config=config,
@@ -358,7 +366,7 @@ def plan_topology(
         bandwidth=bandwidth,
         synchrony=synchrony or SynchronyModel(),
         nodes=tuple(nodes),
-        capture=frozenset(capture),
+        capture=capture,
         sanitize=sanitize,
         system=system,
         **fields,
