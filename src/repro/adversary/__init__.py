@@ -2,7 +2,8 @@
 
 Compose fault strategies into time-scheduled phases and adaptive
 bus-driven triggers, run them against any deployment via
-:mod:`repro.api`, and score robustness with :class:`RecoverySink`.
+:mod:`repro.api`, and score robustness with
+:meth:`RecoveryReport.from_metrics` over the deployment's metrics hub.
 """
 
 from repro.adversary.campaign import (
@@ -15,11 +16,7 @@ from repro.adversary.campaign import (
 )
 from repro.adversary.engine import CampaignController, install_campaign
 from repro.adversary.library import BUILTIN
-from repro.adversary.recovery import (
-    RECOVERY_FRACTION,
-    RecoveryReport,
-    RecoverySink,
-)
+from repro.adversary.recovery import RECOVERY_FRACTION, RecoveryReport
 
 __all__ = [
     "Action",
@@ -30,7 +27,6 @@ __all__ = [
     "Phase",
     "RECOVERY_FRACTION",
     "RecoveryReport",
-    "RecoverySink",
     "Trigger",
     "install_campaign",
     "resolve_selector",

@@ -50,8 +50,8 @@ def _emit(line: str) -> None:
 def format_result_row(res: ScenarioResult) -> str:
     """One aligned, printable table row for a scenario result.
 
-    Legacy (closed-loop) results render exactly as before; results
-    carrying SLO measurements grow a latency-percentile/goodput segment.
+    Closed-loop results render the base columns only; results carrying
+    SLO measurements grow a latency-percentile/goodput segment.
     """
     row = (
         f"{res.system:<10} n={res.n:<3} f={res.f} "

@@ -48,7 +48,7 @@ class ScenarioResult:
     executor_utilization: float
     peak_throughput: float
     extra: dict = field(default_factory=dict)
-    # SLO fields (PR 8): defaulted so legacy dicts/shims round-trip
+    # SLO fields: defaulted, so a dict written without them round-trips
     p50_latency: float = 0.0
     p999_latency: float = 0.0
     #: accepted records/sec over the run horizon — unlike ``throughput``

@@ -25,7 +25,6 @@ _EXPORTS = {
     "repro.core.executor": "ExecutionEngine Executor",
     "repro.core.failure_model": "OutputFailure classify_output operators_accept",
     "repro.core.input_output": "InputProcess OutputProcess",
-    "repro.core.metrics": "MetricsHub",
     "repro.core.tasks": "Assignment Chunk Opcode Record Task chunk_records",
     "repro.core.verifier": "Verifier",
     "repro.runtime.deploy": "OsirisCluster build_osiris_cluster default_cluster_count",

@@ -20,9 +20,9 @@ the deployment's *substrate services* for the duration of the run:
 * **observability pump** — children forward every emitted trace event
   over a shared up-queue; the parent decodes and re-emits them on a
   regular :class:`~repro.obs.bus.EventBus`, so the existing sinks
-  (:class:`~repro.core.metrics.MetricsHub`, JSONL writers,
-  :class:`~repro.check.conservation.ConservationSink`,
-  :class:`~repro.adversary.recovery.RecoverySink`) run unmodified;
+  (:class:`~repro.obs.metrics.MetricsHub`, which also records a
+  campaign's injection for the recovery report, JSONL writers,
+  :class:`~repro.check.conservation.ConservationSink`) run unmodified;
 * **adversary clock** — timed campaign phases are scheduled against the
   shared wall-clock epoch; when a phase comes due the parent resolves
   its selectors and ships :class:`~repro.live.wire.CtrlAction`
@@ -202,7 +202,7 @@ class LiveRuntime:
         self.workload = workload
         self.time_scale = time_scale
         self.bus = EventBus()
-        from repro.core.metrics import MetricsHub
+        from repro.obs.metrics import MetricsHub
 
         self.metrics = MetricsHub()
         self.bus.attach(self.metrics)
@@ -215,12 +215,6 @@ class LiveRuntime:
             # banks; live runs get its event-stream conservation checks
             self.sanitizer_report = SanitizerReport()
             self.bus.attach(ConservationSink(self.sanitizer_report))
-        self.recovery = None
-        if plan.campaign is not None:
-            from repro.adversary.recovery import RecoverySink
-
-            self.recovery = RecoverySink()
-            self.bus.attach(self.recovery)
         for sink in sinks:
             self.bus.attach(sink)
         self._ran = False

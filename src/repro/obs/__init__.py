@@ -4,8 +4,10 @@ This package is the instrumentation spine of the reproduction.  The DES
 kernel owns one :class:`EventBus` per deployment (``sim.bus``); every
 layer emits typed :mod:`~repro.obs.events` through it, guarded by the
 O(1) :meth:`EventBus.wants` check so untraced runs pay (almost) nothing.
-``MetricsHub`` consumes the same stream as a sink, as do the JSONL and
-Chrome ``trace_event`` exporters.
+The JSONL and Chrome ``trace_event`` exporters consume the stream as
+sinks, as does :class:`repro.obs.metrics.MetricsHub`, the one metrics
+sink of every backend.  The hub is not imported here: a live child
+loads this package for its events and never needs the hub.
 """
 
 from repro.obs.bus import EventBus, Sink

@@ -11,8 +11,9 @@
   transfers as async ("b"/"e") pairs, everything else as instant ("i")
   markers.  Timestamps are microseconds of simulated time.
 
-``MetricsHub`` (:mod:`repro.core.metrics`) is the fourth sink, kept in
-``repro.core`` because the benchmark query API lives there.
+``MetricsHub`` (:mod:`repro.obs.metrics`) is the fourth sink: the
+deployment's throughput, latency and fault counters and the source of a
+campaign's recovery report.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from repro.core.config import OsirisConfig
 from repro.core.coordinator import Coordinator
 from repro.core.executor import Executor
 from repro.core.input_output import InputProcess, OutputProcess
-from repro.core.metrics import MetricsHub
 from repro.core.tasks import Task
 from repro.core.verifier import Verifier
 from repro.crypto.signatures import KeyRegistry
@@ -31,6 +30,7 @@ from repro.net.links import DEFAULT_BANDWIDTH, Network
 from repro.net.partial_synchrony import SynchronyModel
 from repro.net.topology import Topology, shard_of_tenant
 from repro.obs.bus import EventBus
+from repro.obs.metrics import MetricsHub
 from repro.runtime.des import DesHost
 from repro.runtime.plan import (
     ClusterPlan,
@@ -71,9 +71,6 @@ class OsirisCluster:
     #: set when built with a campaign (the installed
     #: ``repro.adversary.CampaignController``)
     campaign: Optional[object] = None
-    #: set when built with a campaign (the attached
-    #: ``repro.adversary.RecoverySink``)
-    recovery: Optional[object] = None
     #: the plan's system: "osiris", "zft" or "rcp"
     system: str = "osiris"
 
@@ -199,11 +196,7 @@ def instantiate_plan_des(
     )
     if plan.campaign is not None:
         from repro.adversary.engine import install_campaign
-        from repro.adversary.recovery import RecoverySink
 
-        # recovery first, so it observes even t=0 phase injections
-        cluster.recovery = RecoverySink()
-        sim.bus.attach(cluster.recovery)
         cluster.campaign = install_campaign(plan.campaign, cluster)
     return cluster
 
@@ -246,8 +239,8 @@ def build_osiris_cluster(
         JSON), or a pre-normalized plan.  Each static fault is installed
         on its pid's core by :func:`repro.runtime.plan.install_fault`; a
         campaign is installed on the built cluster (phase timers
-        scheduled, trigger sink and a
-        :class:`~repro.adversary.recovery.RecoverySink` attached).
+        scheduled, trigger sink attached); the metrics hub records its
+        injection for the recovery report.
     sinks:
         Event sinks attached to the bus *before* any core is built, so
         they observe construction-time events too.

@@ -36,9 +36,9 @@ class TestPhases:
         for e in cluster.executors:
             assert isinstance(e.engine.fault, SilentFault)
         assert cluster.campaign.first_injection_at == 0.0
-        # the RecoverySink is attached before install, so it saw the t=0 set
-        assert cluster.recovery.injected_at == 0.0
-        assert cluster.recovery.actions_applied == len(cluster.executors)
+        # the metrics hub is attached before install, so it saw the t=0 set
+        assert cluster.metrics.injected_at == 0.0
+        assert cluster.metrics.actions_applied == len(cluster.executors)
 
     def test_scheduled_phase_applies_at_its_time(self):
         campaign = Campaign(

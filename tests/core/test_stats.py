@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.stats import StreamingPercentiles
+from repro.obs.stats import StreamingPercentiles
 
 latencies = st.lists(
     st.floats(

@@ -3,7 +3,7 @@ OutputProcess acceptance logic (driven directly, no full pipeline)."""
 
 
 from repro.apps.synthetic import SyntheticApp
-from repro.core import MetricsHub, Opcode, OsirisConfig, Record, Task
+from repro.core import Opcode, OsirisConfig, Record, Task
 from repro.core.messages import (
     StateUpdateMsg,
     VerifiedChunkMsg,
@@ -14,6 +14,7 @@ from repro.core.input_output import OutputProcess
 from repro.core.worker import WorkerBase
 from repro.crypto import KeyRegistry, digest
 from repro.net import Network, SubCluster, SynchronyModel, Topology
+from repro.obs.metrics import MetricsHub
 from repro.runtime.core import ProtocolCore
 from repro.runtime.des import DesHost
 from repro.sim import Simulator

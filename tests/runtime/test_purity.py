@@ -84,10 +84,20 @@ class TestCorePurity:
 
                 assert "repro.baselines" not in sys.modules
                 assert "RcpAssign" in codec.registered_types()
-                for name in ("repro.runtime.des", "repro.core.metrics"):
+                for name in ("repro.runtime.des", "repro.obs.metrics"):
                     assert name not in sys.modules, name
                 """
             )
+        )
+
+    def test_obs_package_leaves_the_metrics_hub_unloaded(self):
+        """Every live child imports ``repro.obs`` through its events
+        module; the metrics hub is a parent-side sink and must not come
+        with the package."""
+        run_fresh(
+            "import sys; import repro.obs, repro.live.host; "
+            "assert 'repro.obs.metrics' not in sys.modules, 'hub leaked'; "
+            "assert 'repro.obs.stats' not in sys.modules, 'stats leaked'"
         )
 
 
