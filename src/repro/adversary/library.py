@@ -2,13 +2,16 @@
 
 Each factory returns a frozen :class:`~repro.adversary.campaign.Campaign`
 with sensible defaults; the :data:`BUILTIN` registry maps names to
-zero-argument factories for the CLI (``python -m repro.adversary list``)
-and the attack-matrix benchmarks.
+zero-argument factories for the CLI (``python -m repro adversary list``)
+and the attack-matrix benchmarks; :func:`resolve_campaign` is how every
+command turns a campaign argument into a :class:`Campaign`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import inspect
+from pathlib import Path
+from typing import Callable, Optional
 
 from repro.adversary.campaign import (
     Action,
@@ -17,6 +20,7 @@ from repro.adversary.campaign import (
     Phase,
     Trigger,
 )
+from repro.errors import ReproError
 
 __all__ = [
     "fig7a",
@@ -27,6 +31,7 @@ __all__ = [
     "turncoat",
     "coup",
     "BUILTIN",
+    "resolve_campaign",
 ]
 
 
@@ -195,3 +200,28 @@ BUILTIN: dict[str, Callable[[], Campaign]] = {
     "turncoat": turncoat,
     "coup": coup,
 }
+
+
+def resolve_campaign(
+    ref: str, at: Optional[float] = None, lenient: bool = False
+) -> Campaign:
+    """A :data:`BUILTIN` name (re-timed to ``at`` when given) or a JSON
+    file path, as a campaign.  A built-in that takes no ``at`` rejects
+    one, unless ``lenient`` keeps its default timing instead (the
+    attack matrix re-times what it can)."""
+    factory = BUILTIN.get(ref)
+    if factory is not None:
+        if at is None:
+            return factory()
+        if "at" in inspect.signature(factory).parameters:
+            return factory(at=at)
+        if lenient:
+            return factory()
+        raise ReproError(f"campaign {ref!r} does not take an --at override")
+    path = Path(ref)
+    if path.is_file():
+        return Campaign.from_json(path.read_text())
+    raise ReproError(
+        f"unknown campaign {ref!r}: not a built-in "
+        f"({', '.join(sorted(BUILTIN))}) and not a JSON file"
+    )

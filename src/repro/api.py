@@ -276,7 +276,7 @@ class DeploymentSpec:
 
     def descriptor(self) -> dict[str, Any]:
         """Canonical JSON-able form — the sweep cache identity, the fuzz
-        reproducer and the input of ``python -m repro.check point``.
+        reproducer and the input of ``python -m repro check point``.
 
         Requires the fully-declarative shape: a named workload and
         static faults given as :class:`~repro.adversary.campaign.FaultSpec`

@@ -2,7 +2,7 @@
 
 Besides the human-readable tables, this module writes the machine-
 readable sweep artifact (``BENCH_sweep.json``) produced by
-``python -m repro.bench <figure> --json PATH``: the sweep spec, the
+``python -m repro bench <figure> --out PATH``: the sweep spec, the
 code version the results were computed under, per-point results with
 wall-clock and cache provenance, and aggregate cache statistics.
 """

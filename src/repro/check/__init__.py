@@ -26,7 +26,7 @@ Invariants (see DESIGN.md "Substrate sanitizer" for the catalogue):
 
 Entry points: ``Sanitizer`` (attach to a deployment via
 ``build_osiris_cluster(..., sanitize=True)`` or the bench scenario
-runners) and ``python -m repro.check fuzz`` (randomized sweeps with
+runners) and ``python -m repro check fuzz`` (randomized sweeps with
 failing-point shrinking).
 """
 

@@ -15,7 +15,7 @@ generation uses one ``random.Random(seed)`` stream and the DES itself is
 seeded from each point — so a CI failure replays locally with the same
 two numbers.
 
-Entry points: :func:`run_fuzz` (library) and ``python -m repro.check
+Entry points: :func:`run_fuzz` (library) and ``python -m repro check
 fuzz --budget N --seed S`` (CLI, exits non-zero on failures).
 """
 

@@ -311,7 +311,7 @@ class OutputProcess(ProtocolCore):
                 )
                 if ot.tenant:
                     # tenant-tagged runs additionally get the SLO record;
-                    # legacy traces never see this event (byte-identity)
+                    # untenanted traces never see it (byte-identity)
                     self.emit(
                         TaskOutcome(
                             time=self.now,

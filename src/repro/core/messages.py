@@ -110,8 +110,8 @@ class VerifiedChunkMsg(Message):
     chunk: Optional[Chunk] = None
     digest: bytes = b""
     total_records: int = 0
-    #: tenant metadata for the OP's SLO accounting; "" on legacy
-    #: (untenanted) traffic.  Deliberately excluded from payload_bytes —
+    #: tenant metadata for the OP's SLO accounting; "" on untenanted
+    #: traffic.  Deliberately excluded from payload_bytes —
     #: it rides in the 96-byte header allowance.
     tenant: str = ""
     submitted_at: float = 0.0

@@ -58,7 +58,7 @@ class Task:
     submitted_at: float = 0.0
     size_bytes: int = 64
     #: Owning tenant in multi-tenant deployments; "" means untenanted
-    #: (the single-pipeline legacy shape).  Deliberately excluded from
+    #: (every task of an unsharded, single-tenant deployment).  Deliberately excluded from
     #: ``canonical()`` so tenancy metadata never perturbs digests or
     #: coordinator signatures.
     tenant: str = ""

@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro.live split [--n-tasks 400] [--n 4] [--seed 0]
+    python -m repro live split [--tasks 400] [--n 4] [--seed 0]
 
 runs one live burst (:func:`burst_spec`) with thread-CPU timers around
 four things every child's main thread does per message — encode

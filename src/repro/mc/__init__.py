@@ -9,7 +9,7 @@ CHESS-style delay bounding enumerates delivery orders and audits the
 sanitizer's safety invariants (via the
 shared :mod:`repro.check.invariants`) in every reachable terminal
 state.  Violations shrink to minimal schedules serialized as JSON
-reproducers; ``python -m repro.mc`` exposes ``explore``, ``replay``
+reproducers; ``python -m repro mc`` exposes ``explore``, ``replay``
 and ``stats``.
 """
 

@@ -18,7 +18,7 @@ schedule still reaches a violating state.
 
 The JSON reproducer (:class:`McReproducer`) carries the model, the
 shrunk trace and the expected invariants, and replays via
-``python -m repro.mc replay`` — the same pattern as ``check.fuzz``
+``python -m repro mc replay`` — the same pattern as ``check.fuzz``
 point reproducers.
 """
 

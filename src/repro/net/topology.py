@@ -73,7 +73,7 @@ class Topology:
     verifier_clusters: tuple[SubCluster, ...]
     f: int
     #: Number of tenant-routed IP/OP pipelines sharing the verifier
-    #: fleet.  1 (default) is the legacy single-pipeline layout; when
+    #: fleet.  1 (default) is the unsharded single-pipeline layout; when
     #: > 1, pipeline i is (input_pids[i], output_pids[i]) and completed
     #: output for a tenant is delivered only to its shard's OP.
     shards: int = 1
@@ -135,9 +135,9 @@ class Topology:
     def outputs_for(self, tenant: str) -> tuple[str, ...]:
         """Output pids a completion for ``tenant`` must be delivered to.
 
-        Unsharded topologies (and untenanted tasks, which can only come
-        from legacy workloads) broadcast to every OP — the exact legacy
-        path.  Sharded topologies route to the tenant's single OP.
+        Unsharded topologies, and untenanted tasks (``tenant == ""``)
+        on any topology, broadcast to every OP.  Sharded topologies
+        route a tenant's tasks to its single OP.
         """
         if self.shards <= 1 or not tenant:
             return tuple(self.output_pids)

@@ -199,8 +199,9 @@ class TaskOutcome(TraceEvent):
     """Tenant-tagged completion: OP-side SLO record for one task.
 
     Emitted *in addition to* :class:`TaskCompleted`, and only for tasks
-    carrying a tenant (i.e. multi-tenant/open-loop runs) — legacy traces
-    never contain it, keeping golden fixtures byte-identical.
+    carrying a tenant (i.e. multi-tenant/open-loop runs) — traces of
+    untenanted runs (``tenant == ""``) never contain it, keeping golden
+    fixtures byte-identical.
     """
 
     category: ClassVar[str] = CATEGORY_TASK

@@ -4,34 +4,35 @@ import json
 
 import pytest
 
-from repro.bench.cli import ANALYTIC, FIGURES, SWEEPS, TRACE_SCENARIOS, main
+from repro.__main__ import FIGURES, main
+from repro.bench.figures import ANALYTIC, SWEEPS, TRACE_SCENARIOS
 
 
 class TestCli:
     def test_fig2a_prints_table(self, capsys):
-        assert main(["fig2a"]) == 0
+        assert main(["bench", "fig2a"]) == 0
         out = capsys.readouterr().out
         assert "Fig 2a" in out
         assert "125" in out
 
     def test_table1_with_f(self, capsys):
-        assert main(["table1", "--f", "2"]) == 0
+        assert main(["bench", "table1", "--f", "2"]) == 0
         out = capsys.readouterr().out
         assert "2f+1 = 5" in out
 
     def test_fig5a_models(self, capsys):
-        assert main(["fig5a", "--sizes", "4", "8"]) == 0
+        assert main(["bench", "fig5a", "--sizes", "4", "8"]) == 0
         out = capsys.readouterr().out
         assert "Kauri" in out and "Basil" in out
 
     def test_small_sweep_runs(self, capsys):
-        assert main(["fig6c", "--sizes", "4", "--tasks", "20", "--no-cache"]) == 0
+        assert main(["bench", "fig6c", "--sizes", "4", "--tasks", "20", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "OsirisBFT" in out and "ZFT" in out
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
-            main(["fig99"])
+            main(["bench", "fig99"])
 
     def test_every_registered_figure_has_runner(self):
         assert set(FIGURES) == set(ANALYTIC) | set(SWEEPS)
@@ -91,7 +92,7 @@ class TestSweepSpecs:
 
     def test_jobs_flag_must_be_positive(self):
         with pytest.raises(SystemExit):
-            main(["fig5b", "--jobs", "0"])
+            main(["bench", "fig5b", "--jobs", "0"])
 
 
 class TestJsonArtifact:
@@ -99,8 +100,8 @@ class TestJsonArtifact:
         path = tmp_path / "BENCH_sweep.json"
         assert main(
             [
-                "fig5b", "--sizes", "4", "--tasks", "8",
-                "--no-cache", "--json", str(path),
+                "bench", "fig5b", "--sizes", "4", "--tasks", "8",
+                "--no-cache", "--out", str(path),
             ]
         ) == 0
         doc = json.loads(path.read_text())
@@ -117,7 +118,7 @@ class TestJsonArtifact:
     def test_second_run_hits_cache(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_EXP_CACHE_DIR", str(tmp_path / "cache"))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["fig5b", "--sizes", "4", "--tasks", "8", "--json"]
+        argv = ["bench", "fig5b", "--sizes", "4", "--tasks", "8", "--out"]
         assert main(argv + [str(a)]) == 0
         assert main(argv + [str(b)]) == 0
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
@@ -129,9 +130,9 @@ class TestJsonArtifact:
 
     def test_jobs4_artifact_bit_identical_to_serial(self, tmp_path, capsys):
         serial, fanned = tmp_path / "serial.json", tmp_path / "jobs4.json"
-        base = ["fig5b", "--sizes", "4", "8", "--tasks", "8", "--no-cache"]
-        assert main(base + ["--json", str(serial)]) == 0
-        assert main(base + ["--jobs", "4", "--json", str(fanned)]) == 0
+        base = ["bench", "fig5b", "--sizes", "4", "8", "--tasks", "8", "--no-cache"]
+        assert main(base + ["--out", str(serial)]) == 0
+        assert main(base + ["--jobs", "4", "--out", str(fanned)]) == 0
         ds = json.loads(serial.read_text())
         df = json.loads(fanned.read_text())
         assert [p["result"] for p in ds["points"]] == [
@@ -147,7 +148,7 @@ class TestTraceSubcommand:
         prefix = str(tmp_path / "t")
         rc = main(
             [
-                "trace",
+                "bench", "trace",
                 "--scenario", "synthetic",
                 "--n", "8",
                 "--tasks", "12",
@@ -164,7 +165,7 @@ class TestTraceSubcommand:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
-            main(["trace", "--scenario", "nope"])
+            main(["bench", "trace", "--scenario", "nope"])
 
     def test_every_registered_scenario_has_runner(self):
         for name, fn in TRACE_SCENARIOS.items():

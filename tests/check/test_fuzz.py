@@ -109,14 +109,14 @@ class TestShrink:
 
 class TestCli:
     def test_fuzz_subcommand_exits_zero_on_clean_sweep(self, capsys):
-        from repro.check.__main__ import main
+        from repro.__main__ import main
 
-        assert main(["fuzz", "--budget", "2", "--seed", "7"]) == 0
+        assert main(["check", "fuzz", "--budget", "2", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "2 points" in out
 
     def test_point_subcommand_replays_a_descriptor(self, capsys):
-        from repro.check.__main__ import main
+        from repro.__main__ import main
 
         point = DeploymentSpec(
             workload="synthetic",
@@ -124,7 +124,7 @@ class TestCli:
             n=4,
             seed=1,
         )
-        assert main(["point", json.dumps(point.descriptor())]) == 0
+        assert main(["check", "point", json.dumps(point.descriptor())]) == 0
         assert "0 violation(s)" in capsys.readouterr().out
         # static executor and verifier faults plus a campaign replay too
         faulty = DeploymentSpec(
@@ -142,5 +142,5 @@ class TestCli:
                 campaign=silent_minority(at=1.0, count=1),
             ),
         )
-        assert main(["point", json.dumps(faulty.descriptor())]) == 0
+        assert main(["check", "point", json.dumps(faulty.descriptor())]) == 0
         assert "0 violation(s)" in capsys.readouterr().out

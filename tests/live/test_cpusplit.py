@@ -1,4 +1,4 @@
-"""``python -m repro.live split``: exclusive per-category thread CPU."""
+"""``python -m repro live split``: exclusive per-category thread CPU."""
 
 import pytest
 

@@ -29,7 +29,7 @@ from repro.mc import (
     reproduce,
     shrink_trace,
 )
-from repro.mc.__main__ import main as mc_main
+from repro.__main__ import main as mc_main
 
 
 def _weak_is_valid(self, view, record, task):
@@ -87,7 +87,7 @@ class TestSeededValidationHole:
             hit, report = reproduce(back)
             assert hit, report.summary()
             # the CLI replay path agrees (exit 0 = reproduced)
-            assert mc_main(["replay", rep.to_json()]) == 0
+            assert mc_main(["mc", "replay", rep.to_json()]) == 0
 
     def test_fixed_cores_do_not_reproduce_it(self):
         # sanity against vacuous reproducers: on the real (fixed)
@@ -104,7 +104,7 @@ class TestSeededValidationHole:
         )
         hit, report = reproduce(rep)
         assert not hit, report.summary()
-        assert mc_main(["replay", rep.to_json()]) == 1
+        assert mc_main(["mc", "replay", rep.to_json()]) == 1
 
 
 class TestSeededAcceptanceRace:
@@ -123,7 +123,7 @@ class TestSeededAcceptanceRace:
                 McReproducer.from_dict(json.loads(rep.to_json()))
             )
             assert hit, report.summary()
-            assert mc_main(["replay", rep.to_json()]) == 0
+            assert mc_main(["mc", "replay", rep.to_json()]) == 0
 
     def test_fixed_cores_do_not_reproduce_it(self):
         model = McModel(n=3, tasks=1)

@@ -1,9 +1,14 @@
-"""The unified ``python -m repro <subcommand>`` dispatcher forwards to
-the per-package CLIs and fails loudly on anything else."""
+"""``python -m repro <command>`` is the one command line: one parser
+over every package, one deployment-flag table and one error convention."""
+
+import importlib.util
+import subprocess
+import sys
 
 import pytest
 
 from repro.__main__ import _COMMANDS, main
+from repro.adversary.library import BUILTIN
 
 
 class TestDispatch:
@@ -23,12 +28,12 @@ class TestDispatch:
 
     @pytest.mark.parametrize("name", sorted(_COMMANDS))
     def test_each_subcommand_forwards_to_a_real_cli(self, name, capsys):
-        # --help is handled by each sub-CLI's argparse: SystemExit(0)
-        # proves the forward resolved an actual parser, not a stub
+        # --help is handled by the command's subparser: SystemExit(0)
+        # proves the command has a real parser, not a stub
         with pytest.raises(SystemExit) as exc:
             main([name, "--help"])
         assert exc.value.code == 0
-        assert capsys.readouterr().out  # the sub-CLI printed its help
+        assert capsys.readouterr().out  # the command printed its help
 
 
 class TestServeRunAdmissionFlags:
@@ -49,11 +54,10 @@ class TestServeRunAdmissionFlags:
         [("--admission-queue", "admission_queue"),
          ("--admission-rate", "admission_rate")],
     )
-    def test_explicit_zero_fails_loudly(self, no_fork, flag, knob):
-        from repro.errors import ProtocolError
-
-        with pytest.raises(ProtocolError, match=knob):
-            main(["serve", "run", flag, "0", "--duration", "0"])
+    def test_explicit_zero_fails_loudly(self, no_fork, flag, knob, capsys):
+        assert main(["serve", "run", flag, "0", "--duration", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and knob in err
 
     def test_omitted_flags_leave_admission_off(self, monkeypatch):
         from repro import api
@@ -74,3 +78,87 @@ class TestServeRunAdmissionFlags:
             main(["serve", "run", "--admission-queue", "3"])
         assert seen[0].config == ()
         assert seen[1].config == (("admission_queue", 3),)
+
+
+class TestOneEntryPoint:
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_no_per_package_main(self, name):
+        assert importlib.util.find_spec(f"repro.{name}.__main__") is None
+
+    def test_help_loads_nothing_beyond_the_package(self):
+        # every handler imports what it runs lazily; the parser alone
+        # must not pull in any subsystem
+        probe = (
+            "import runpy, sys\n"
+            "sys.argv = ['repro', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro')),"
+            " file=sys.stderr)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        )
+        assert "usage: python -m repro" in out.stdout
+        assert out.stderr.strip() == "['repro']"
+
+    def test_parser_names_the_bench_registries(self):
+        # the names live in the parser so that --help imports nothing
+        from repro.__main__ import FIGURES, TRACES
+        from repro.bench.figures import ANALYTIC, SWEEPS, TRACE_SCENARIOS
+
+        assert set(FIGURES) == set(ANALYTIC) | set(SWEEPS)
+        assert set(TRACES) == set(TRACE_SCENARIOS)
+
+
+class TestLiveCampaigns:
+    """``live run``/``live crossval --campaign`` take every name the
+    campaign library lists, through the one resolver."""
+
+    @pytest.fixture
+    def specs(self, monkeypatch):
+        from repro.live import crossval
+
+        seen = []
+
+        class Ran(Exception):
+            pass
+
+        def capture(spec, time_scale):
+            seen.append(spec)
+            raise Ran
+
+        monkeypatch.setattr(crossval, "cross_validate", capture)
+
+        def spec_for(*argv):
+            with pytest.raises(Ran):
+                main(["live", "crossval", *argv])
+            return seen[-1]
+
+        return spec_for
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN))
+    def test_every_builtin_resolves(self, specs, name):
+        spec = specs("--campaign", name)
+        default = BUILTIN[name]()
+        assert spec.campaign.name == default.name
+        assert spec.campaign.triggers == default.triggers
+        assert spec.backend == "des" and spec.sanitize
+
+    def test_at_retimes_the_campaign(self, specs):
+        spec = specs("--campaign", "fig7a", "--at", "3")
+        assert [phase.at for phase in spec.campaign.phases] == [3.0]
+        spec = specs("--campaign", "silent-minority")
+        assert [phase.at for phase in spec.campaign.phases] == [0.5]
+
+    def test_unknown_campaign_is_an_error(self, capsys):
+        assert main(["live", "crossval", "--campaign", "nope"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown campaign")
+
+    def test_live_only_rejections_are_errors(self, capsys):
+        # trigger campaigns are DES-only: the live spec refuses them
+        assert main(["live", "run", "--campaign", "turncoat"]) == 2
+        assert "DES-only" in capsys.readouterr().err
