@@ -554,11 +554,14 @@ def _mc_explore(args: argparse.Namespace) -> int:
 
     model, result = _mc_explore_model(args)
     stats = result.stats
+    # with --json, stdout carries the JSON document alone
+    out = sys.stderr if args.json else sys.stdout
     print(
         f"mc explore: {stats.states} states, {stats.transitions} "
         f"transitions, {stats.terminals} terminals, "
         f"{stats.violations} violation(s)"
-        f"{'' if stats.complete else ' [stopped early]'}"
+        f"{'' if stats.complete else ' [stopped early]'}",
+        file=out,
     )
     for i, violation in enumerate(result.violations):
         trace = violation.trace
@@ -572,19 +575,19 @@ def _mc_explore(args: argparse.Namespace) -> int:
             trace=list(trace),
             details=list(violation.details),
         )
-        print(f"\nviolation {i + 1}: {violation.invariants}")
+        print(f"\nviolation {i + 1}: {violation.invariants}", file=out)
         for detail in violation.details:
-            print(f"  {detail}")
+            print(f"  {detail}", file=out)
         if args.out:
             path = args.out if len(result.violations) == 1 else (
                 f"{args.out}.{i + 1}"
             )
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(rep.to_json())
-            print(f"reproducer written to {path}")
+            print(f"reproducer written to {path}", file=out)
         else:
-            print("reproducer (run with `python -m repro mc replay`):")
-            print(json.dumps(rep.to_dict()))
+            print("reproducer (run with `python -m repro mc replay`):", file=out)
+            print(json.dumps(rep.to_dict()), file=out)
     if args.json:
         json.dump(
             {

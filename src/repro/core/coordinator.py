@@ -67,7 +67,6 @@ class _TaskEntry:
     attempt: int = 0
     done: bool = False
     fallback: bool = False
-    expected_records: Optional[int] = None
 
 
 class Coordinator(Verifier):
@@ -102,7 +101,6 @@ class Coordinator(Verifier):
         # local observation state (quorum counting)
         self._suspect_votes: dict[tuple[str, int, bool], set[str]] = {}
         self._complete_votes: dict[str, set[str]] = {}
-        self._size_reports: dict[str, int] = {}
         from collections import defaultdict
 
         self._load_reports: dict[int, dict[str, tuple[float, int]]] = (
@@ -471,16 +469,9 @@ class Coordinator(Verifier):
         return utils[len(utils) // 2]
 
     def on_OutputSizeReport(self, msg: OutputSizeReport) -> None:
-        entry = self.outstanding.get(msg.task_id)
-        if entry is None:
-            return
-        if entry.vp_index >= 0 and msg.sender not in self.topo.cluster(
-            entry.vp_index
-        ).members:
-            return
-        self._size_reports.setdefault(msg.task_id, msg.count)
-        if entry.expected_records is None:
-            entry.expected_records = msg.count
+        """Handled so it is not counted as unhandled; nothing reads a
+        task's record count.  Dropping the message itself would change
+        the protocol traffic (ROADMAP item 11)."""
 
     # --------------------------------------------------- role-switch policy
     def _role_policy_tick(self) -> None:

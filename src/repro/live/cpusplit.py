@@ -19,16 +19,23 @@ timer costs two ``thread_time`` reads, a few microseconds per message,
 charged to the category it wraps.  ``rss MB`` is the node's peak
 resident set (``ru_maxrss``) at exit, pages shared with the parent it
 forked from included; it is not divided by the task count.
+
+A second table counts, per node and task, the loop's turns and the
+clock's fired continuations (timers, schedules, job completions and
+milestones), and gives the p50 and p99 lateness of the fired ones: wall
+milliseconds from the due time to the call.  Its ``all`` row pools the
+lateness of every node (:func:`lateness`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import tempfile
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 CATEGORIES = ("encode", "decode", "deliver", "recv")
 #: the codec calls of :mod:`repro.live.host`, by the category they count as
@@ -93,12 +100,28 @@ def _instrument(out_dir: str) -> Callable[[], None]:
     from repro.live import host
 
     split = _Split()
+    turns = [0]
+    late: list[float] = []  # wall seconds from due time to call
     saved = {
         **{name: getattr(host, name) for name, _ in _CODEC},
         "deliver": host.LiveHost.deliver,
         "_recv": host.LiveHost._recv,
+        "_next": host.LiveHost._next,
         "run": host.LiveHost.run,
+        "schedule_at": host._WallClock.schedule_at,
     }
+
+    def next_item(self, timeout: float) -> Any:
+        turns[0] += 1  # one call starts each turn of the loop
+        return saved["_next"](self, timeout)
+
+    def schedule_at(self, at: float, fn, *args: Any, handle=None):
+        def fire(*fire_args: Any) -> None:
+            if self.t0 is not None:  # a clock not started fires at 0
+                late.append(time.monotonic() - self.t0 - at * self.scale)
+            fn(*fire_args)
+
+        return saved["schedule_at"](self, at, fire, *args, handle=handle)
 
     def run(self) -> None:
         try:
@@ -115,6 +138,8 @@ def _instrument(out_dir: str) -> Callable[[], None]:
                         "rss_mb": resource.getrusage(
                             resource.RUSAGE_SELF
                         ).ru_maxrss / 1024,
+                        "turns": turns[0],
+                        "late": late,
                     },
                     fh,
                 )
@@ -123,20 +148,25 @@ def _instrument(out_dir: str) -> Callable[[], None]:
         setattr(host, name, split.timed(cat, saved[name]))
     host.LiveHost.deliver = split.timed("deliver", saved["deliver"])
     host.LiveHost._recv = split.timed("recv", saved["_recv"])
+    host.LiveHost._next = next_item
     host.LiveHost.run = run
+    host._WallClock.schedule_at = schedule_at
 
     def undo() -> None:
         for name, _ in _CODEC:
             setattr(host, name, saved[name])
-        for name in ("deliver", "_recv", "run"):
+        for name in ("deliver", "_recv", "_next", "run"):
             setattr(host.LiveHost, name, saved[name])
+        host._WallClock.schedule_at = saved["schedule_at"]
 
     return undo
 
 
 def measure(spec, time_scale: float) -> dict[str, dict[str, float]]:
     """Run ``spec`` (``backend="live"``) instrumented; per pid, CPU
-    milliseconds per committed task by category, and peak RSS in MB."""
+    milliseconds per committed task by category, peak RSS in MB, loop
+    turns and fired continuations per task, and the fired ones'
+    lateness in wall milliseconds (``late_ms``)."""
     from repro.api import run
 
     with tempfile.TemporaryDirectory() as out_dir:
@@ -156,8 +186,25 @@ def measure(spec, time_scale: float) -> dict[str, dict[str, float]]:
             table[name[: -len(".json")]] = {
                 **{k: v * 1e3 / tasks for k, v in row.items()},
                 "rss_mb": raw["rss_mb"],
+                "turns": raw["turns"] / tasks,
+                "fires": len(raw["late"]) / tasks,
+                "late_ms": [x * 1e3 for x in raw["late"]],
             }
     return table
+
+
+def _pct(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of a sorted list, nearest rank (NaN if empty)."""
+    if not ordered:
+        return math.nan
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+def lateness(rows: Iterable[dict]) -> tuple[float, float]:
+    """p50 and p99 lateness, in ms, of the continuations fired in all
+    of ``rows`` pooled."""
+    pooled = sorted(x for row in rows for x in row["late_ms"])
+    return _pct(pooled, 0.5), _pct(pooled, 0.99)
 
 
 def render(table: dict[str, dict[str, float]]) -> str:
@@ -173,4 +220,18 @@ def render(table: dict[str, dict[str, float]]) -> str:
         )
     share = (total["encode"] + total["decode"]) / max(total["process"], 1e-12)
     lines.append(f"codec share of process CPU: {share:.1%}")
+    lines.append(
+        "per task   turns    fires  late p50  late p99 (ms, due to call)"
+    )
+    timers = {
+        pid: (row["turns"], row["fires"], *lateness((row,)))
+        for pid, row in table.items()
+    }
+    timers["all"] = (
+        sum(row["turns"] for row in table.values()),
+        sum(row["fires"] for row in table.values()),
+        *lateness(table.values()),
+    )
+    for pid, (turns, fires, p50, p99) in timers.items():
+        lines.append(f"{pid:<8}{turns:8.1f}{fires:9.1f}{p50:10.3f}{p99:10.3f}")
     return "\n".join(lines)

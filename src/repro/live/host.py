@@ -43,13 +43,23 @@ timing-independent by protocol design, which is what
 :meth:`~repro.core.input_output.OutputProcess.commit_record` builds.
 
 The loop is single-threaded on purpose: the last turn's self-sends or
-one ``selectors`` wait over the node's read ends (and every write end
-with bytes pending), all due timer/job continuations, whatever else has
-already arrived (bounded, see :data:`_DRAIN_MSGS`), one flush — the
-same run-to-completion handler atomicity cores enjoy under the DES.  An
-idle node therefore flushes after every message (low-load latency is
-one hop) and a saturated one amortises its writes.  No write ever
-blocks: a node whose peer stops reading keeps serving everyone else.
+one wait over the node's read ends (and every write end with bytes
+pending) that lasts until the first live continuation falls due, all
+due timer/job continuations, whatever else has already arrived
+(bounded, see :data:`_DRAIN_MSGS`), one flush — the same
+run-to-completion handler atomicity cores enjoy under the DES.  An idle
+node therefore flushes after every message (low-load latency is one
+hop) and a saturated one amortises its writes.  No write ever blocks: a
+node whose peer stops reading keeps serving everyone else.
+
+The wait (:meth:`LiveHost._wait`) is epoll for the whole milliseconds
+of a timeout and ``select`` on the epoll descriptor for the rest.
+epoll alone counts whole milliseconds and rounds up, so the cost
+model's sub-millisecond jobs would all fire about a millisecond late;
+``select`` alone keeps microseconds but refuses descriptors at or above
+``FD_SETSIZE`` (1024), which a node's mesh ends can be.  The epoll
+descriptor is the one end ``select`` ever sees, and it is made when the
+host is, as the lowest free descriptor.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from __future__ import annotations
 import gc
 import heapq
 import os
-import selectors
+import select
 import struct
 import sys
 import time
@@ -65,7 +75,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.adversary.campaign import Action
 from repro.adversary.engine import apply_action_to_core
@@ -106,6 +116,9 @@ _HEAD = struct.Struct("<BII")
 _READ_BYTES = 1 << 18
 #: buffers one ``writev`` may carry
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+#: cancelled entries the clock heap may hold beyond as many as are live
+#: before it is rebuilt without them
+_HEAP_SLACK = 64
 
 
 def frame(kind: int, value: Any) -> bytes:
@@ -137,6 +150,9 @@ class _WallClock:
         self.scale = 1.0
         self.heap: list[tuple] = []  # (time, seq, handle, fn, args)
         self._seq = 0
+        #: entries neither fired nor cancelled; handles keep it exact, as
+        #: they keep the simulator's, through their ``_sim``
+        self._live = 0
         #: CpuBank traces through its clock's bus; nothing listens here
         self.bus = EventBus()
 
@@ -151,9 +167,30 @@ class _WallClock:
     ) -> EventHandle:
         if handle is None:
             handle = EventHandle(at)
+        handle._sim = self
+        self._live += 1
         self._seq += 1
-        heapq.heappush(self.heap, (at, self._seq, handle, fn, args))
+        heap = self.heap
+        if len(heap) >= 2 * self._live + _HEAP_SLACK:
+            self._compact()
+        heapq.heappush(heap, (at, self._seq, handle, fn, args))
         return handle
+
+    def _compact(self) -> None:
+        """Drop the cancelled entries, which re-armed and cancelled
+        timers leave until their deadline.  In place: the loop holds the
+        list."""
+        heap = self.heap
+        heap[:] = [e for e in heap if e[2]._alive]
+        heapq.heapify(heap)
+
+    def next_due(self) -> Optional[float]:
+        """When the first live entry falls due (``None``: none is left);
+        cancelled entries ahead of it are popped, so they wake no one."""
+        heap = self.heap
+        while heap and not heap[0][2]._alive:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def fire_due(self) -> None:
         """Pop every due entry; call the ones not cancelled meanwhile."""
@@ -162,6 +199,7 @@ class _WallClock:
             _, _, handle, fn, args = heapq.heappop(heap)
             if handle._alive:
                 handle._alive = False
+                self._live -= 1
                 fn(*args)
 
 
@@ -193,14 +231,15 @@ class LiveHost(EffectInterpreter):
         self._ready: deque = deque()
         self._events: list[ChildEvent] = []  # emitted this turn
         self._scratch = memoryview(bytearray(_READ_BYTES))
-        self._sel = selectors.DefaultSelector()
+        self._poll = select.epoll()
+        self._pollfd = (self._poll.fileno(),)  # what ``select`` waits on
+        #: per watched end, what to call when it turns ready
+        self._on: dict[int, Callable[[], None]] = {}
         for fd in ends.tx.values():
             os.set_blocking(fd, False)
         for src, fd in (*ends.rx.items(), (None, ends.ctrl)):
             os.set_blocking(fd, False)
-            self._sel.register(
-                fd, selectors.EVENT_READ, partial(self._read, fd, src, bytearray())
-            )
+            self._watch(fd, select.EPOLLIN, partial(self._read, fd, src, bytearray()))
         clock = _WallClock()
         self._attach(
             core,
@@ -210,6 +249,14 @@ class LiveHost(EffectInterpreter):
         )
 
     # ----------------------------------------------------------- transport
+    def _watch(self, fd: int, events: int, fn: Callable[[], None]) -> None:
+        self._poll.register(fd, events)
+        self._on[fd] = fn
+
+    def _unwatch(self, fd: int) -> None:
+        self._poll.unregister(fd)
+        del self._on[fd]
+
     def _post(self, dsts, msg: Any, neq: bool) -> None:
         pid = self.pid
         header = None
@@ -292,15 +339,13 @@ class LiveHost(EffectInterpreter):
         except BlockingIOError:
             if dst not in self._waiting:
                 self._waiting.add(dst)
-                self._sel.register(
-                    fd, selectors.EVENT_WRITE, partial(self._write, dst)
-                )
+                self._watch(fd, select.EPOLLOUT, partial(self._write, dst))
             return
         except BrokenPipeError:
             out.clear()
         if dst in self._waiting:
             self._waiting.discard(dst)
-            self._sel.unregister(fd)
+            self._unwatch(fd)
 
     def _read(self, fd: int, src: Optional[str], buf: bytearray) -> None:
         """Read a ready end until it is empty, then queue every whole
@@ -313,7 +358,7 @@ class LiveHost(EffectInterpreter):
             except BlockingIOError:
                 break
             if not n:  # every writer is gone: stop watching this end
-                self._sel.unregister(fd)
+                self._unwatch(fd)
                 if src is None:  # and with the parent gone, stop serving
                     self._stop = True
                 break
@@ -352,8 +397,8 @@ class LiveHost(EffectInterpreter):
         heap = clock.heap
         while not self._stop:
             timeout = _POLL_S
-            if clock.t0 is not None and heap:
-                next_wall = clock.t0 + heap[0][0] * clock.scale
+            if clock.t0 is not None and (due := clock.next_due()) is not None:
+                next_wall = clock.t0 + due * clock.scale
                 timeout = min(
                     _POLL_S, max(0.0, next_wall - time.monotonic())
                 )
@@ -367,7 +412,7 @@ class LiveHost(EffectInterpreter):
                     break
                 item = self._recv(0.0)
             self._flush()
-        self._sel.close()
+        self._poll.close()
 
     def _next(self, timeout: float) -> Any:
         """A turn's first item: the last turn's sends to this node as one
@@ -385,14 +430,29 @@ class LiveHost(EffectInterpreter):
         if ready:
             return ready.popleft()
         end = time.monotonic() + timeout
+        on = self._on
         while True:
-            for key, _ in self._sel.select(timeout):
-                key.data()
+            for fd, _ in self._wait(timeout):
+                on[fd]()
             if ready:
                 return ready.popleft()
             timeout = end - time.monotonic()
             if timeout <= 0 or self._stop:
                 return None
+
+    def _wait(self, timeout: float) -> list[tuple[int, int]]:
+        """``(fd, events)`` of the watched ends that turn ready within
+        ``timeout`` wall seconds.  A timeout of a millisecond or more
+        waits its whole milliseconds in epoll, asked for half a
+        millisecond less since epoll rounds up to the next whole one, so
+        it may return empty with a sub-millisecond rest left, which
+        :meth:`_recv` waits for next.  A shorter wait is a ``select`` on
+        the epoll descriptor, which keeps microseconds."""
+        if timeout >= 1e-3:
+            return self._poll.poll((int(timeout * 1e3) - 0.5) * 1e-3)
+        if timeout > 0 and not select.select(self._pollfd, (), (), timeout)[0]:
+            return []
+        return self._poll.poll(0)
 
     def _handle(self, item: Any) -> int:
         """One item: a frame of messages or a control envelope.  Returns

@@ -11,9 +11,12 @@ covered by ``test_crossval.py``, ``test_process_faults.py`` and
 ``tests/serve`` under the ``live`` marker.
 """
 
+import fcntl
 import gc
+import math
 import os
 import queue
+import resource
 import selectors
 import threading
 import time
@@ -395,7 +398,7 @@ class TestReceive:
             os.close(fd)  # c will never write again, b never read again
             wires.fds.remove(fd)
         assert host._recv(0.0) is None
-        assert wires.ends.rx["c"] not in host._sel.get_map()  # EOF: unwatched
+        assert wires.ends.rx["c"] not in host._on  # EOF: unwatched
         _run(host, ("d", _msgs("go")))
         assert [m.request_id for m in core.seen] == ["go"]
         assert _tags(wires.read("c")) == ["out"]  # the others still hear
@@ -625,6 +628,149 @@ class TestBoundedDrain:
         _run(host, ("c", _msgs(*[f"m{i}" for i in range(n)])), ("c", _msgs("tail")))
         sizes = [len(f) for f in writes.flushes(host, "b")]
         assert sizes == [host_mod._DRAIN_MSGS, 11]
+
+
+class _Waits:
+    """Stands in for a host's epoll and for ``select.select``, and notes
+    the longest each wait may last: epoll counts whole milliseconds and
+    rounds a timeout up to the next one, ``select`` keeps microseconds."""
+
+    def __init__(self, host, monkeypatch):
+        self.asked = []
+        self._poll = host._poll
+        real_select = host_mod.select.select
+
+        def select(rlist, wlist, xlist, timeout):
+            self.asked.append(timeout)
+            return real_select(rlist, wlist, xlist, timeout)
+
+        monkeypatch.setattr(host_mod.select, "select", select)
+        host._poll = self
+
+    def poll(self, timeout=-1, maxevents=-1):
+        self.asked.append(math.ceil(timeout * 1e3) * 1e-3 if timeout > 0 else 0)
+        return self._poll.poll(timeout, maxevents)
+
+    def __getattr__(self, name):
+        return getattr(self._poll, name)
+
+
+def _shutdown_from(host):
+    """A continuation that asks ``host`` to shut down, as its parent
+    would, so ``run()`` returns once it has fired."""
+    return lambda: host.wires.send(None, _ctrl(CtrlShutdown()))
+
+
+class TestWait:
+    def test_a_sub_millisecond_deadline_is_waited_for_to_the_microsecond(
+        self, monkeypatch
+    ):
+        host, core = _host()
+        host._handle(CtrlStart(t0=time.monotonic(), time_scale=1.0))
+        waits = _Waits(host, monkeypatch)
+        fired = []
+        stop = _shutdown_from(host)
+
+        def due():
+            fired.append(len(waits.asked))
+            stop()
+
+        core.set_timer("t", 3e-4, due)
+        host.run()
+        assert fired and fired[0] >= 1  # the loop waited for it
+        assert max(waits.asked[: fired[0]]) <= 3e-4
+
+    def test_a_cancelled_head_wakes_no_one(self, monkeypatch):
+        host, core = _host()
+        host._handle(CtrlStart(t0=time.monotonic(), time_scale=1.0))
+        waits = _Waits(host, monkeypatch)
+        core.set_timer("dead", 1e-4, lambda: None)
+        core.cancel_timer("dead")
+        core.set_timer("t", 0.05, _shutdown_from(host))
+        host.run()
+        # the first wait runs towards the live timer's 50 ms, not the
+        # cancelled one's 0.1 ms
+        assert 0.01 < waits.asked[0] <= 0.05
+
+    def test_mesh_ends_above_fd_setsize_still_deliver_and_flush(self):
+        """``select`` refuses descriptors >= 1024; the host's wait must
+        not hand it the mesh ends, whatever their numbers."""
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        want = 1024 + 64
+        if hard != resource.RLIM_INFINITY and hard < want:
+            pytest.skip(f"descriptors are limited to {hard}")
+        if soft != resource.RLIM_INFINITY and soft < want:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (want, hard))
+        try:
+            wires = Wires(("b", "c", "d"))
+            high = {}
+            for fd in (wires.ends.ctrl, *wires.ends.rx.values(),
+                       *wires.ends.tx.values()):
+                high[fd] = fcntl.fcntl(fd, fcntl.F_DUPFD, 1024)
+                wires.fds.append(high[fd])
+            ends = Ends(
+                ctrl=high[wires.ends.ctrl],
+                rx={k: high[fd] for k, fd in wires.ends.rx.items()},
+                tx={k: high[fd] for k, fd in wires.ends.tx.items()},
+            )
+            for fd in high:  # the host's ends are the high copies alone
+                os.close(fd)
+                wires.fds.remove(fd)
+            assert min(high.values()) >= 1024
+
+            def go(core, msg):  # reply once a sub-millisecond wait is over
+                core.set_timer("t", 3e-4, reply, core)
+
+            def reply(core):
+                core.multicast("bcd", _req("out"))
+                wires.send(None, _ctrl(CtrlShutdown()))
+
+            core = _Probe("a", {"go": go})
+            host = LiveHost(core, 1, ends, _Queue(), frozenset())
+            host._handle(CtrlStart(t0=time.monotonic(), time_scale=1.0))
+            wires.send("b", _msgs("go"))
+            host.run()
+            assert [m.request_id for m in core.seen] == ["go"]
+            for peer in "bcd":
+                assert _tags(wires.read(peer)) == ["out"]
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+class TestClockHeap:
+    def test_cancelled_timers_do_not_pile_up(self):
+        """Re-armed and cancelled timers stay on the heap until their
+        deadline unless it is compacted: 10 000 arms with seven live."""
+        host, core = _host()
+        heap = host.clock.heap
+        fired = []
+        for i in range(10_000):
+            core.set_timer(f"t{i % 7}", 600.0 + i, fired.append, i)
+            if i % 7 == 6:
+                core.cancel_timer("t0")
+                core.cancel_timer("t1")
+        assert host.clock._live == 7
+        assert len(heap) <= 2 * 7 + host_mod._HEAP_SLACK
+        core.cancel_timer("t0")
+        core.cancel_timer("t1")
+        host.clock.t0 = time.monotonic() - 20_000.0  # every deadline passed
+        host.clock.fire_due()
+        assert fired == [9_993, 9_994, 9_995, 9_998, 9_999]
+        assert not heap and host.clock._live == 0
+
+    def test_live_count_follows_jobs_and_cancels(self):
+        host, core = _host()
+        clock = host.clock
+        core.run_job(1.0, lambda: None)
+        core.set_timer("t", 5.0, lambda: None)
+        core.schedule(2.0, lambda: None)
+        assert clock._live == 3
+        core.cancel_timer("t")
+        assert clock._live == 2
+        assert clock.next_due() == 1.0
+        clock.t0 = time.monotonic() - 10.0
+        clock.fire_due()
+        assert clock._live == 0 and clock.next_due() is None
 
 
 class TestShutdownAndParent:

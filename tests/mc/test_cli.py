@@ -15,8 +15,9 @@ class TestExplore:
         assert (
             mc_main(["mc", "explore", "--n", "3", "--tasks", "1", "--json"]) == 0
         )
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)  # stdout is the JSON alone
+        assert "0 violation(s)" in captured.err
         assert payload["stats"]["violations"] == 0
         assert payload["stats"]["complete"] is True
         assert payload["model"]["n"] == 3

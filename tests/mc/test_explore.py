@@ -17,12 +17,12 @@ _COUNTS = (
 #: frontier changes them, so any drift fails here rather than merely
 #: running slower.
 PINNED = {
-    "default": (706, 757, 11, 1006, 237, 52, 4539),
+    "default": (601, 632, 11, 683, 237, 32, 3161),
     "no-stutter": (873, 1027, 11, 2054, 0, 120, 8902),
-    "delays-0": (43, 42, 1, 0, 19, 0, 301),
-    "executor:equivocate-chunks": (687, 757, 9, 1006, 182, 71, 4676),
-    "verifier:bogus-digest": (692, 736, 11, 876, 217, 45, 4286),
-    "executor:silent": (2097, 2153, 17, 391, 850, 56, 2847),
+    "delays-0": (43, 42, 1, 0, 22, 0, 259),
+    "executor:equivocate-chunks": (592, 639, 9, 683, 187, 48, 3317),
+    "verifier:bogus-digest": (589, 615, 11, 611, 217, 27, 3034),
+    "executor:silent": (2071, 2119, 17, 327, 851, 48, 2718),
 }
 
 
